@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +22,10 @@ from .grid import (
     GridFunction,
     GridSpec,
     lp_norm,
+    region_coords,
     region_node_count,
     region_slices,
-    region_weights,
+    region_values,
 )
 from .maximal import bump_profile
 from .projection import multi_indices, poly_project
@@ -111,17 +112,12 @@ def moment_tolerance(atom_sup: float, ball: Ball, order: int) -> float:
 def moment_residuals(values: GridFunction, ball: Ball, s: int) -> dict:
     """Discrete moments of values * (x - x_B)^alpha for |alpha| <= s."""
     spec = values.spec
-    slices = region_slices(spec, ball)
-    w = region_weights(spec, slices)
-    axes = [spec.axis()[sl] for sl in slices]
-    if spec.dim == 1:
-        coords = [axes[0]]
-    else:
-        coords = list(np.meshgrid(axes[0], axes[1], indexing="ij"))
+    vals, w = region_values(values, ball)
+    coords = region_coords(spec, region_slices(spec, ball))
     centered = [x - c for x, c in zip(coords, ball.center)]
     out = {}
     for alpha in multi_indices(spec.dim, s):
-        term = values.values[slices] * w
+        term = vals * w
         for u, a in zip(centered, alpha):
             if a:
                 term = term * u**a
@@ -193,11 +189,7 @@ def validate_atom(atom: Atom) -> AtomReport:
 def _bump_on_ball(spec: GridSpec, ball: Ball, modulate=None) -> np.ndarray:
     """Smooth bump supported strictly inside the ball, optionally modulated."""
     slices = region_slices(spec, ball)
-    axes = [spec.axis()[sl] for sl in slices]
-    if spec.dim == 1:
-        coords = [axes[0]]
-    else:
-        coords = list(np.meshgrid(axes[0], axes[1], indexing="ij"))
+    coords = region_coords(spec, slices)
     scaled = [(x - c) / ball.radius for x, c in zip(coords, ball.center)]
     r = np.sqrt(sum(u**2 for u in scaled)) / math.sqrt(spec.dim)
     local = bump_profile(r)
@@ -220,9 +212,7 @@ def make_atom(
         raise ValueError("under-resolved ball")
     base = GridFunction(spec, _bump_on_ball(spec, ball, modulate))
     proj = poly_project(base, ball, s)
-    resid = np.array(base.values, copy=True)
-    slices = region_slices(spec, ball)
-    resid[slices] -= proj.evaluate(spec)[slices]
+    resid = base.values - proj.as_gridfunction(spec).values
     sup = float(np.max(np.abs(resid)))
     if sup <= 0:
         raise ValueError("degenerate profile: projection removed the bump")
@@ -342,13 +332,7 @@ def save_decomposition(decomp: AtomicDecomposition, basepath) -> None:
     spec = decomp.terms[0][1].spec if decomp.terms else None
     doc = {
         "p": decomp.p,
-        "grid": None
-        if spec is None
-        else {
-            "dim": spec.dim,
-            "halfwidth": spec.halfwidth,
-            "points_per_axis": spec.points_per_axis,
-        },
+        "grid": None if spec is None else spec.to_dict(),
         "terms": entries,
     }
     base.with_suffix(".json").write_text(json.dumps(doc, indent=2))
@@ -357,10 +341,7 @@ def save_decomposition(decomp: AtomicDecomposition, basepath) -> None:
 def load_decomposition(basepath) -> AtomicDecomposition:
     base = Path(basepath)
     doc = json.loads(base.with_suffix(".json").read_text())
-    grid = doc["grid"]
-    spec = None
-    if grid is not None:
-        spec = GridSpec(grid["dim"], grid["halfwidth"], grid["points_per_axis"])
+    spec = None if doc["grid"] is None else GridSpec.from_dict(doc["grid"])
     terms = []
     for entry in doc["terms"]:
         values = np.load(base.parent / entry["values_ref"])

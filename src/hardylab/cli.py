@@ -22,7 +22,7 @@ from .grid import GridFunction, GridSpec, load_gridfunction, lp_norm
 from .lipschitz import LipschitzOrder, lambda_gamma_norm
 from .orlicz import PHI, hardy_quasinorm, lphi_star_norm, luxembourg_norm
 from .oscillation import BallFamily, bmo_local_norm, bmo_report, lmo_norm
-from .product import SplitReport, split_bmo, split_lipschitz, verify_split
+from .product import REGIMES, SplitReport, split_bmo, split_lipschitz, verify_split
 
 USAGE_ERROR = 2
 PARSE_ERROR = 1
@@ -41,8 +41,7 @@ def _load_config(path: str) -> dict:
 
 def _grid_from(config: dict) -> GridSpec:
     try:
-        g = config["grid"]
-        return GridSpec(int(g["dim"]), float(g["halfwidth"]), int(g["points_per_axis"]))
+        return GridSpec.from_dict(config["grid"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid section: {exc}") from exc
 
@@ -89,7 +88,7 @@ def cmd_norm(config: dict) -> int:
     doc = {
         "which": which,
         "value": value,
-        "grid": {"dim": spec.dim, "halfwidth": spec.halfwidth, "points_per_axis": spec.points_per_axis},
+        "grid": spec.to_dict(),
         **extra,
     }
     out = config.get("output")
@@ -101,13 +100,9 @@ def cmd_norm(config: dict) -> int:
     return 0
 
 
-_REGIMES = {"p1", "p1_local", "mean", "mean_local", "projection", "projection_local"}
-
-
 def _run_draw(spec: GridSpec, config: dict, rng: np.random.Generator) -> SplitReport:
-    regime = config["regime"]
+    regime = REGIMES[config["regime"]]
     p = float(config.get("p", 1.0))
-    local = regime.endswith("_local")
     atoms_cfg = config.get("atoms", {})
     n_atoms = int(atoms_cfg.get("count", 4))
     radius_range = atoms_cfg.get("radius_range")
@@ -115,14 +110,12 @@ def _run_draw(spec: GridSpec, config: dict, rng: np.random.Generator) -> SplitRe
         radius_range = tuple(float(v) for v in radius_range)
     bgen = config.get("b_generator", {"kind": "random-smooth"})
     b = b_field(spec, bgen["kind"], rng, **bgen.get("params", {}))
-    if regime in ("p1", "p1_local"):
-        if abs(p - 1.0) > 1e-12:
-            raise ConfigError("p must be 1 for the bmo regimes")
+    if regime.kind == "p1":
         decomp = random_decomposition(
             spec, rng, p=1.0, s=int(atoms_cfg.get("s", 0)),
-            n_atoms=n_atoms, radius_range=radius_range, local=local,
+            n_atoms=n_atoms, radius_range=radius_range, local=regime.local,
         )
-        split = split_bmo(b, decomp, local=local)
+        split = split_bmo(b, decomp, local=regime.local)
         b_scale = bmo_local_norm(b)
         return verify_split(split, b_scale, decomp)
     gamma = spec.dim * (1.0 / p - 1.0)
@@ -130,12 +123,12 @@ def _run_draw(spec: GridSpec, config: dict, rng: np.random.Generator) -> SplitRe
     if cfg_gamma is not None and abs(float(cfg_gamma) - gamma) > 1e-12:
         raise ConfigError(f"gamma must equal n(1/p - 1) = {gamma}")
     order = LipschitzOrder(gamma)
-    s_default = 2 * order.k if regime.startswith("projection") else 0
+    s_default = 2 * order.k if regime.kind == "projection" else 0
     decomp = random_decomposition(
         spec, rng, p=p, s=int(atoms_cfg.get("s", s_default)),
-        n_atoms=n_atoms, radius_range=radius_range, local=local,
+        n_atoms=n_atoms, radius_range=radius_range, local=regime.local,
     )
-    split = split_lipschitz(b, decomp, order, local=local)
+    split = split_lipschitz(b, decomp, order, local=regime.local)
     b_scale = lambda_gamma_norm(b, order)
     return verify_split(split, b_scale, decomp, gamma=gamma)
 
@@ -143,8 +136,11 @@ def _run_draw(spec: GridSpec, config: dict, rng: np.random.Generator) -> SplitRe
 def cmd_split(config: dict) -> int:
     spec = _grid_from(config)
     regime = config.get("regime")
-    if regime not in _REGIMES:
+    if regime not in REGIMES:
         raise ConfigError(f"unknown regime {regime!r}")
+    p = float(config.get("p", 1.0))
+    if not REGIMES[regime].admits(p, spec.dim):
+        raise ConfigError(f"p = {p} is outside the range of regime {regime!r}")
     draws = int(config.get("draws", 1))
     seed = int(config.get("seed", 0))
     out_dir = Path(config.get("output_dir", "."))

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .atoms import Atom, AtomicDecomposition, make_atom, make_local_atom
+from .atoms import AtomicDecomposition, make_atom, make_local_atom
 from .grid import Ball, GridFunction, GridSpec
 
 __all__ = [

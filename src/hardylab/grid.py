@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,8 @@ __all__ = [
     "CubeIndex",
     "region_slices",
     "region_weights",
+    "region_coords",
+    "region_values",
     "region_measure",
     "integrate",
     "ball_mean",
@@ -59,10 +61,22 @@ class GridSpec:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if not self.halfwidth > 0:
-            raise ValueError("halfwidth must be positive")
+        if not (self.halfwidth > 0 and math.isfinite(self.halfwidth)):
+            raise ValueError("halfwidth must be positive and finite")
         if self.points_per_axis < 16:
             raise ValueError("points_per_axis must be >= 16")
+
+    def to_dict(self) -> dict:
+        """The grid header written next to saved functions and reports."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, header: dict) -> "GridSpec":
+        return cls(
+            int(header["dim"]),
+            float(header["halfwidth"]),
+            int(header["points_per_axis"]),
+        )
 
     @property
     def spacing(self) -> float:
@@ -95,10 +109,7 @@ class GridSpec:
 
     def meshes(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays, one per axis, each with the grid's shape."""
-        ax = self.axis()
-        if self.dim == 1:
-            return (ax,)
-        return tuple(np.meshgrid(ax, ax, indexing="ij"))
+        return region_coords(self, (slice(None),) * self.dim)
 
 
 @dataclass(frozen=True)
@@ -191,10 +202,15 @@ def _ball_axis_slice(spec: GridSpec, center: float, radius: float) -> slice:
     return slice(i_lo, i_hi + 1)
 
 
-def _cube_axis_slice(spec: GridSpec, j: int) -> slice:
+def _cube_owners(spec: GridSpec) -> np.ndarray:
+    """Index of the unit cube owning each node along one axis."""
     # nodes are assigned to cubes by nearest-integer binning, which
     # partitions the box exactly (no node counted twice in the cube sum)
-    owners = np.floor(spec.axis() + 0.5).astype(int)
+    return np.floor(spec.axis() + 0.5).astype(int)
+
+
+def _cube_axis_slice(spec: GridSpec, j: int) -> slice:
+    owners = _cube_owners(spec)
     i_lo = int(np.searchsorted(owners, j, side="left"))
     i_hi = int(np.searchsorted(owners, j, side="right"))
     return slice(i_lo, i_hi)
@@ -226,6 +242,22 @@ def region_weights(spec: GridSpec, slices: tuple[slice, ...]) -> np.ndarray:
     return np.multiply.outer(w[slices[0]], w[slices[1]])
 
 
+def region_coords(spec: GridSpec, slices: tuple[slice, ...]) -> tuple[np.ndarray, ...]:
+    """Node coordinates on a region's slices, one array per axis."""
+    axes = [spec.axis()[s] for s in slices]
+    if spec.dim == 1:
+        return (axes[0],)
+    return tuple(np.meshgrid(*axes, indexing="ij"))
+
+
+def region_values(f: GridFunction, region=None) -> tuple[np.ndarray, np.ndarray]:
+    """(values, quadrature weights) of f on a region, or on the box for None."""
+    if region is None:
+        return f.values, f.spec.weights()
+    slices = region_slices(f.spec, region)
+    return f.values[slices], region_weights(f.spec, slices)
+
+
 def region_measure(spec: GridSpec, region) -> float:
     """Quadrature measure of a region: sum of in-region node weights."""
     slices = region_slices(spec, region)
@@ -242,24 +274,19 @@ def region_node_count(spec: GridSpec, region) -> int:
 
 def integrate(f: GridFunction, region=None) -> float:
     """Quadrature integral of f over the box or over a region's in-box part."""
-    if region is None:
-        return float(np.sum(f.spec.weights() * f.values))
-    slices = region_slices(f.spec, region)
-    w = region_weights(f.spec, slices)
-    return float(np.sum(w * f.values[slices]))
+    vals, w = region_values(f, region)
+    return float(np.sum(w * vals))
 
 
 def ball_mean(f: GridFunction, ball: Ball) -> float:
     """Mean of f on a ball, with the quadrature measure in the denominator."""
-    slices = region_slices(f.spec, ball)
-    if region_node_count(f.spec, ball) < 2:
+    vals, w = region_values(f, ball)
+    if vals.size < 2:
         raise ValueError("under-resolved ball")
-    vals = f.values[slices]
     vmin, vmax = float(np.min(vals)), float(np.max(vals))
     if vmin == vmax:
         # means of constants are exact by contract, not up to rounding
         return vmax
-    w = region_weights(f.spec, slices)
     return float(np.sum(w * vals) / np.sum(w))
 
 
@@ -269,26 +296,19 @@ def lp_norm(f: GridFunction, p: float, region=None) -> float:
         return sup_norm(f, region)
     if not p > 0:
         raise ValueError("p must be positive")
-    if region is None:
-        total = float(np.sum(f.spec.weights() * np.abs(f.values) ** p))
-    else:
-        slices = region_slices(f.spec, region)
-        w = region_weights(f.spec, slices)
-        total = float(np.sum(w * np.abs(f.values[slices]) ** p))
+    vals, w = region_values(f, region)
+    total = float(np.sum(w * np.abs(vals) ** p))
     return total ** (1.0 / p)
 
 
 def sup_norm(f: GridFunction, region=None) -> float:
-    if region is None:
-        return float(np.max(np.abs(f.values)))
-    slices = region_slices(f.spec, region)
-    return float(np.max(np.abs(f.values[slices])))
+    vals, _ = region_values(f, region)
+    return float(np.max(np.abs(vals)))
 
 
 def cube_indices(spec: GridSpec) -> list[CubeIndex]:
     """All unit lattice cubes owning at least one grid node, in raster order."""
-    owners = np.floor(spec.axis() + 0.5).astype(int)
-    js = np.unique(owners)
+    js = np.unique(_cube_owners(spec))
     if spec.dim == 1:
         return [CubeIndex((int(j),)) for j in js]
     return [CubeIndex((int(j1), int(j2))) for j1 in js for j2 in js]
@@ -297,22 +317,12 @@ def cube_indices(spec: GridSpec) -> list[CubeIndex]:
 def save_gridfunction(f: GridFunction, basepath) -> None:
     """Write <base>.json header and <base>.npy values; bit-exact round trip."""
     base = Path(basepath)
-    header = {
-        "dim": f.spec.dim,
-        "halfwidth": f.spec.halfwidth,
-        "points_per_axis": f.spec.points_per_axis,
-    }
-    base.with_suffix(".json").write_text(json.dumps(header, indent=2))
+    base.with_suffix(".json").write_text(json.dumps(f.spec.to_dict(), indent=2))
     np.save(base.with_suffix(".npy"), f.values)
 
 
 def load_gridfunction(basepath) -> GridFunction:
     base = Path(basepath)
-    header = json.loads(base.with_suffix(".json").read_text())
-    spec = GridSpec(
-        dim=int(header["dim"]),
-        halfwidth=float(header["halfwidth"]),
-        points_per_axis=int(header["points_per_axis"]),
-    )
+    spec = GridSpec.from_dict(json.loads(base.with_suffix(".json").read_text()))
     values = np.load(base.with_suffix(".npy"))
     return GridFunction(spec, values)

@@ -17,7 +17,6 @@ from scipy.signal import convolve
 from .grid import GridFunction, GridSpec
 
 __all__ = [
-    "Mollifier",
     "ScaleLadder",
     "convolve_dilated",
     "maximal_fn",
@@ -33,23 +32,6 @@ def bump_profile(s: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore"):
         out[inside] = np.exp(-1.0 / (1.0 - s[inside] ** 2))
     return out
-
-
-@dataclass(frozen=True)
-class Mollifier:
-    """The fixed smooth bump, discretely normalized on a working grid."""
-
-    spec: GridSpec
-
-    def sample(self) -> GridFunction:
-        """Bump on the unit ball, rescaled so the discrete integral is 1."""
-        meshes = self.spec.meshes()
-        r = np.sqrt(sum(x**2 for x in meshes))
-        vals = bump_profile(r)
-        mass = float(np.sum(self.spec.weights() * vals))
-        if mass <= 0:
-            raise ValueError("grid too coarse to resolve the unit bump")
-        return GridFunction(self.spec, vals / mass)
 
 
 def _kernel(spec: GridSpec, t: float) -> np.ndarray:

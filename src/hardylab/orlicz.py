@@ -8,17 +8,12 @@ tests can cross-check the bisection against an independent search path.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    GridFunction,
-    cube_indices,
-    lp_norm,
-    region_slices,
-    region_weights,
-)
+from .grid import GridFunction, cube_indices, lp_norm, region_values
 from .maximal import ScaleLadder, maximal_fn, truncated_maximal_fn
 
 __all__ = [
@@ -59,16 +54,12 @@ PHI = OrliczFunction("t/log(e+t)", phi)
 LINEAR = OrliczFunction("t", lambda t: np.asarray(t, dtype=float))
 
 
-def _region_data(f: GridFunction, region):
-    if region is None:
-        return np.abs(f.values).ravel(), f.spec.weights().ravel()
-    slices = region_slices(f.spec, region)
-    w = region_weights(f.spec, slices)
-    return np.abs(f.values[slices]).ravel(), np.asarray(w).ravel()
-
-
 def _bracket(gauge, k0: float) -> tuple[float, float]:
-    """Expand from k0 to [k_lo, k_hi] with gauge(k_lo) > 1 >= gauge(k_hi)."""
+    """Expand from k0 to [k_lo, k_hi] with gauge(k_lo) > 1 >= gauge(k_hi).
+
+    At the ends of the float range the bracket closes on 0 or inf, where
+    the gauge is taken as infinite and as 0.
+    """
     k_hi = k0
     for _ in range(200):
         if gauge(k_hi) <= 1.0:
@@ -76,9 +67,9 @@ def _bracket(gauge, k0: float) -> tuple[float, float]:
         k_hi *= 2.0
     else:
         raise RuntimeError("failed to bracket Luxembourg norm from above")
-    k_lo = k_hi / 2.0
+    k_lo = k_hi / 2.0 if k_hi < math.inf else sys.float_info.max
     for _ in range(200):
-        if gauge(k_lo) > 1.0:
+        if k_lo == 0.0 or gauge(k_lo) > 1.0:
             break
         k_hi = k_lo
         k_lo /= 2.0
@@ -91,9 +82,11 @@ def luxembourg_norm(f: GridFunction, P: OrliczFunction, region=None) -> float:
     """inf{k > 0 : integral_region P(|f|/k) <= 1}, by bisection on log k.
 
     Returns 0 iff f vanishes on the region.  The returned k satisfies
-    gauge(k) <= 1 with relative bracket width below 1e-9.
+    gauge(k) <= 1 with relative bracket width below 1e-9 whenever k is a
+    normal float; a subnormal k is bracketed to 1e-9 or to adjacent floats.
     """
-    v, w = _region_data(f, region)
+    v, w = region_values(f, region)
+    v = np.abs(v)
     vmax = float(v.max(initial=0.0))
     if vmax == 0.0:
         return 0.0
@@ -103,7 +96,13 @@ def luxembourg_norm(f: GridFunction, P: OrliczFunction, region=None) -> float:
 
     k_lo, k_hi = _bracket(gauge, vmax)
     while k_hi - k_lo > _REL_TOL * k_hi:
-        k_mid = math.sqrt(k_lo * k_hi)
+        prod = k_lo * k_hi
+        if sys.float_info.min <= prod < math.inf:
+            k_mid = math.sqrt(prod)
+        else:  # the product under- or overflows: split the root
+            k_mid = math.sqrt(k_lo) * math.sqrt(k_hi)
+        if not k_lo < k_mid < k_hi:
+            break  # no float left between the bracket ends
         if gauge(k_mid) <= 1.0:
             k_hi = k_mid
         else:
@@ -123,7 +122,8 @@ def luxembourg_scan_oracle(
     Each pass evaluates the gauge on `points` log-spaced k values and keeps
     the bracketing pair; two passes pin the norm well below 1e-6 relative.
     """
-    v, w = _region_data(f, region)
+    v, w = region_values(f, region)
+    v = np.abs(v)
     vmax = float(v.max(initial=0.0))
     if vmax == 0.0:
         return 0.0

@@ -17,8 +17,7 @@ from .grid import (
     GridFunction,
     GridSpec,
     region_node_count,
-    region_slices,
-    region_weights,
+    region_values,
 )
 
 __all__ = [
@@ -97,9 +96,7 @@ class BallFamily:
 
 def _ball_stats(f: GridFunction, ball: Ball) -> tuple[float, float, float]:
     """(mean of f, mean oscillation of f, mean of |f|) on the ball."""
-    slices = region_slices(f.spec, ball)
-    w = region_weights(f.spec, slices)
-    vals = f.values[slices]
+    vals, w = region_values(f, ball)
     wsum = float(np.sum(w))
     if float(np.min(vals)) == float(np.max(vals)):
         v = float(vals.flat[0])
@@ -174,9 +171,7 @@ def jn_check(
         bmo_local = bmo_local_norm(b)
     if bmo_local <= 0:
         raise ValueError("bmo-local norm must be positive")
-    slices = region_slices(b.spec, ball)
-    w = region_weights(b.spec, slices)
-    vals = b.values[slices]
+    vals, w = region_values(b, ball)
     mean = float(np.sum(w * vals) / np.sum(w))
     return float(np.sum(w * np.exp(np.abs(vals - mean) / (c * bmo_local))))
 

@@ -22,18 +22,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atoms import (
-    Atom,
     AtomicDecomposition,
     moment_residuals,
     synthesize,
     validate_atom,
 )
-from .grid import Ball, GridFunction, ball_mean, integrate, lp_norm, region_slices
+from .grid import Ball, GridFunction, ball_mean, integrate, lp_norm
 from .lipschitz import LipschitzOrder
 from .orlicz import PHI, hardy_phi_star_quasinorm, hardy_quasinorm, luxembourg_norm
 from .projection import poly_project
 
 __all__ = [
+    "Regime",
+    "REGIMES",
     "ProductSplit",
     "SplitLedgerEntry",
     "SplitReport",
@@ -46,15 +47,38 @@ __all__ = [
     "verify_split",
 ]
 
-REGIME_P1 = "p1_bmo"
-REGIME_P1_LOCAL = "p1_bmo_local"
-REGIME_MEAN = "p_lt1_mean"
-REGIME_MEAN_LOCAL = "p_lt1_mean_local"
-REGIME_PROJ = "p_lt1_proj"
-REGIME_PROJ_LOCAL = "p_lt1_proj_local"
 
-_LOCAL_REGIMES = {REGIME_P1_LOCAL, REGIME_MEAN_LOCAL, REGIME_PROJ_LOCAL}
-_P1_REGIMES = {REGIME_P1, REGIME_P1_LOCAL}
+@dataclass(frozen=True)
+class Regime:
+    """A split regime: what is subtracted on each ball, and where atoms live."""
+
+    name: str  # the library name, written to rows.csv
+    kind: str  # "p1", "mean" or "projection"
+    local: bool
+
+    def admits(self, p: float, dim: int) -> bool:
+        """Whether the exponent p lies in this regime's range in dimension dim."""
+        if self.kind == "p1":
+            return abs(p - 1.0) <= 1e-12
+        threshold = dim / (dim + 1.0)
+        if self.kind == "mean":
+            return threshold <= p < 1.0
+        return 0.0 < p < threshold
+
+
+# the CLI regime names and the library regimes they select
+REGIMES = {
+    "p1": Regime("p1_bmo", "p1", False),
+    "p1_local": Regime("p1_bmo_local", "p1", True),
+    "mean": Regime("p_lt1_mean", "mean", False),
+    "mean_local": Regime("p_lt1_mean_local", "mean", True),
+    "projection": Regime("p_lt1_proj", "projection", False),
+    "projection_local": Regime("p_lt1_proj_local", "projection", True),
+}
+
+
+def _regime(kind: str, local: bool) -> Regime:
+    return REGIMES[f"{kind}_local" if local else kind]
 
 
 @dataclass(frozen=True)
@@ -72,16 +96,12 @@ class SplitLedgerEntry:
 class ProductSplit:
     h1: GridFunction
     h2: GridFunction
-    regime: str
+    regime: Regime
     ledger: tuple[SplitLedgerEntry, ...]
 
     @property
     def is_local(self) -> bool:
-        return self.regime in _LOCAL_REGIMES
-
-    def product(self) -> GridFunction:
-        """b x h as carried by the split (h1 + h2, exact by construction)."""
-        return self.h1.with_values(self.h1.values + self.h2.values)
+        return self.regime.local
 
 
 def truncate(b: GridFunction, level: float) -> GridFunction:
@@ -133,7 +153,7 @@ def _validate_terms(decomp: AtomicDecomposition, allow_local: bool) -> None:
 def _assemble(
     b: GridFunction,
     decomp: AtomicDecomposition,
-    regime: str,
+    regime: Regime,
     subtractors,
 ) -> ProductSplit:
     """Accumulate h1 in fixed term order and store h2 as its complement."""
@@ -161,13 +181,10 @@ def _assemble(
     )
 
 
-def split_bmo(
-    b: GridFunction, decomp: AtomicDecomposition, local: bool = False
+def _split_mean(
+    b: GridFunction, decomp: AtomicDecomposition, regime: Regime
 ) -> ProductSplit:
-    """p = 1 split: subtract the ball mean of b under each atom."""
-    if abs(decomp.p - 1.0) > 1e-12:
-        raise ValueError("split_bmo requires p = 1")
-    _validate_terms(decomp, allow_local=local)
+    """Subtract the ball mean of b under each atom."""
     subtractors = []
     for lam, atom in decomp.terms:
         m = ball_mean(b, atom.ball)
@@ -175,12 +192,21 @@ def split_bmo(
             lam=lam,
             ball=atom.ball,
             subtracted={"type": "mean", "value": m},
-            rescale_constant=abs(m) * atom.ball.measure,
+            rescale_constant=abs(m) * atom.ball.measure ** (1.0 / decomp.p),
             moment_residuals={},
         )
         subtractors.append((m, entry))
-    regime = REGIME_P1_LOCAL if local else REGIME_P1
     return _assemble(b, decomp, regime, subtractors)
+
+
+def split_bmo(
+    b: GridFunction, decomp: AtomicDecomposition, local: bool = False
+) -> ProductSplit:
+    """p = 1 split: subtract the ball mean of b under each atom."""
+    if abs(decomp.p - 1.0) > 1e-12:
+        raise ValueError("split_bmo requires p = 1")
+    _validate_terms(decomp, allow_local=local)
+    return _split_mean(b, decomp, _regime("p1", local))
 
 
 def split_lipschitz(
@@ -189,7 +215,7 @@ def split_lipschitz(
     order: LipschitzOrder,
     local: bool = False,
 ) -> ProductSplit:
-    """p < 1 split; mean regime for p > n/(n+1), projection regime below."""
+    """p < 1 split; mean regime for p >= n/(n+1), projection regime below."""
     n = b.spec.dim
     gamma = order.gamma
     expected = n * (1.0 / decomp.p - 1.0)
@@ -198,21 +224,8 @@ def split_lipschitz(
             f"gamma must equal n(1/p - 1) = {expected}, got {gamma}"
         )
     _validate_terms(decomp, allow_local=local)
-    threshold = n / (n + 1.0)
-    if decomp.p >= threshold:
-        subtractors = []
-        for lam, atom in decomp.terms:
-            m = ball_mean(b, atom.ball)
-            entry = SplitLedgerEntry(
-                lam=lam,
-                ball=atom.ball,
-                subtracted={"type": "mean", "value": m},
-                rescale_constant=abs(m) * atom.ball.measure ** (1.0 / decomp.p),
-                moment_residuals={},
-            )
-            subtractors.append((m, entry))
-        regime = REGIME_MEAN_LOCAL if local else REGIME_MEAN
-        return _assemble(b, decomp, regime, subtractors)
+    if REGIMES["mean"].admits(decomp.p, n):
+        return _split_mean(b, decomp, _regime("mean", local))
 
     k = order.k
     s_min = 2 * k
@@ -221,8 +234,8 @@ def split_lipschitz(
         if not atom.local and atom.s < s_min:
             raise ValueError(f"need s >= 2*floor(gamma) = {s_min} (atom {idx})")
         proj = poly_project(b, atom.ball, k)
-        m_vals = proj.evaluate(b.spec)
-        term = GridFunction(b.spec, _masked(m_vals, atom) * atom.values.values)
+        m_vals = proj.as_gridfunction(b.spec).values
+        term = GridFunction(b.spec, m_vals * atom.values.values)
         rescale = float(np.max(np.abs(term.values))) * atom.ball.measure ** (
             1.0 / decomp.p
         )
@@ -240,16 +253,7 @@ def split_lipschitz(
             else moment_residuals(term, atom.ball, k),
         )
         subtractors.append((m_vals, entry))
-    regime = REGIME_PROJ_LOCAL if local else REGIME_PROJ
-    return _assemble(b, decomp, regime, subtractors)
-
-
-def _masked(vals: np.ndarray, atom: Atom) -> np.ndarray:
-    """Restrict polynomial values to the atom's ball (atom is zero outside)."""
-    out = np.zeros_like(vals)
-    slices = region_slices(atom.spec, atom.ball)
-    out[slices] = vals[slices]
-    return out
+    return _assemble(b, decomp, _regime("projection", local), subtractors)
 
 
 def exp_class_product_bound(
@@ -351,15 +355,14 @@ def verify_split(
     """Measure ||h1||_1 and the regime's target quasi-norm of h2."""
     local = split.is_local
     h1_norm = lp_norm(split.h1, 1.0)
-    if split.regime in _P1_REGIMES:
+    if split.regime.kind == "p1":
         h2_norm = hardy_phi_star_quasinorm(split.h2, local=local)
         lam_scale = decomp.lambda_sum
     else:
         h2_norm = hardy_quasinorm(split.h2, decomp.p, local=local)
         lam_scale = decomp.lambda_p_sum
-    spec = split.h1.spec
     return SplitReport(
-        regime=split.regime,
+        regime=split.regime.name,
         p=decomp.p,
         gamma=gamma,
         norm_h1_l1=h1_norm,
@@ -369,9 +372,5 @@ def verify_split(
         lambda_p_sum=decomp.lambda_p_sum,
         c1=_ratio(h1_norm, b_scale * decomp.lambda_sum),
         c2=_ratio(h2_norm, b_scale * lam_scale),
-        grid={
-            "dim": spec.dim,
-            "halfwidth": spec.halfwidth,
-            "points_per_axis": spec.points_per_axis,
-        },
+        grid=split.h1.spec.to_dict(),
     )

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Ball, GridFunction, GridSpec, region_slices, region_weights
+from .grid import (
+    Ball,
+    GridFunction,
+    GridSpec,
+    region_coords,
+    region_slices,
+    region_values,
+    sup_norm,
+)
 from .lipschitz import LipschitzOrder, lambda_gamma_norm
 
 __all__ = [
@@ -46,55 +54,45 @@ class PolyProjection:
     coefficients: np.ndarray
 
     def evaluate(self, spec: GridSpec) -> np.ndarray:
-        """Values of the polynomial at every grid node (defined everywhere)."""
-        meshes = spec.meshes()
-        scaled = [(x - c) / self.ball.radius for x, c in zip(meshes, self.ball.center)]
-        out = np.zeros(spec.shape)
-        for coeff, alpha in zip(
-            self.coefficients, multi_indices(spec.dim, self.degree)
-        ):
-            term = np.ones(spec.shape)
-            for u, a in zip(scaled, alpha):
-                if a:
-                    term = term * u**a
+        """Values of the polynomial at the grid nodes in the ball (ball-shaped)."""
+        terms = _monomials(spec, self.ball, self.degree)
+        out = np.zeros(terms[0].shape)
+        for coeff, term in zip(self.coefficients, terms):
             out += coeff * term
         return out
 
     def as_gridfunction(self, spec: GridSpec) -> GridFunction:
-        return GridFunction(spec, self.evaluate(spec))
+        """The polynomial on the ball, extended by zero to the whole grid."""
+        vals = np.zeros(spec.shape)
+        vals[region_slices(spec, self.ball)] = self.evaluate(spec)
+        return GridFunction(spec, vals)
 
 
-def _design_matrix(spec: GridSpec, ball: Ball, degree: int, slices) -> np.ndarray:
-    axes = [spec.axis()[s] for s in slices]
-    if spec.dim == 1:
-        coords = [axes[0]]
-    else:
-        coords = list(np.meshgrid(axes[0], axes[1], indexing="ij"))
+def _monomials(spec: GridSpec, ball: Ball, degree: int) -> list[np.ndarray]:
+    """Basis monomials on the ball's nodes, in multi_indices order."""
+    coords = region_coords(spec, region_slices(spec, ball))
     scaled = [(x - c) / ball.radius for x, c in zip(coords, ball.center)]
-    cols = []
+    terms = []
     for alpha in multi_indices(spec.dim, degree):
         term = np.ones(scaled[0].shape)
         for u, a in zip(scaled, alpha):
             if a:
                 term = term * u**a
-        cols.append(term.ravel())
-    return np.column_stack(cols)
+        terms.append(term)
+    return terms
 
 
 def poly_project(f: GridFunction, ball: Ball, degree: int) -> PolyProjection:
     """Weighted least-squares projection of f onto polynomials of degree <= k on B."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    spec = f.spec
-    slices = region_slices(spec, ball)
-    basis_size = len(multi_indices(spec.dim, degree))
-    n_nodes = int(np.prod([s.stop - s.start for s in slices]))
-    if n_nodes < 2 * basis_size:
+    vals, w = region_values(f, ball)
+    basis_size = len(multi_indices(f.spec.dim, degree))
+    if vals.size < 2 * basis_size:
         raise ValueError("under-resolved ball")
-    A = _design_matrix(spec, ball, degree, slices)
-    w = np.asarray(region_weights(spec, slices)).ravel()
-    sw = np.sqrt(w)
-    coeffs, _, rank, _ = np.linalg.lstsq(A * sw[:, None], f.values[slices].ravel() * sw, rcond=None)
+    A = np.column_stack([t.ravel() for t in _monomials(f.spec, ball, degree)])
+    sw = np.sqrt(w).ravel()
+    coeffs, _, rank, _ = np.linalg.lstsq(A * sw[:, None], vals.ravel() * sw, rcond=None)
     if rank < basis_size:
         raise ValueError("degenerate node set")
     return PolyProjection(ball=ball, degree=degree, coefficients=coeffs)
@@ -102,12 +100,11 @@ def poly_project(f: GridFunction, ball: Ball, degree: int) -> PolyProjection:
 
 def projection_sup_ratio(f: GridFunction, ball: Ball, degree: int) -> float:
     """Sup norm of the projection on B over the sup norm of f on B."""
-    slices = region_slices(f.spec, ball)
-    f_sup = float(np.max(np.abs(f.values[slices])))
+    f_sup = sup_norm(f, ball)
     if f_sup == 0:
         raise ValueError("f vanishes on the ball")
     proj = poly_project(f, ball, degree)
-    p_sup = float(np.max(np.abs(proj.evaluate(f.spec)[slices])))
+    p_sup = float(np.max(np.abs(proj.evaluate(f.spec))))
     return p_sup / f_sup
 
 
@@ -131,11 +128,9 @@ def campanato_ratio(
         lambda_norm = lambda_gamma_norm(f, order)
     if lambda_norm <= 0:
         raise ValueError("degenerate Lipschitz norm")
-    spec = f.spec
-    slices = region_slices(spec, ball)
+    vals, w = region_values(f, ball)
     proj = poly_project(f, ball, degree)
-    resid = np.abs(f.values[slices] - proj.evaluate(spec)[slices])
-    w = region_weights(spec, slices)
+    resid = np.abs(vals - proj.evaluate(f.spec))
     mean_resid = float(np.sum(w * resid) / np.sum(w))
-    scale = ball.measure ** (order.gamma / spec.dim)
+    scale = ball.measure ** (order.gamma / f.spec.dim)
     return mean_resid / (lambda_norm * scale)

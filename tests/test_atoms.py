@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from hardylab.atoms import (
     validate_atom,
 )
 from hardylab.generators import random_smooth_field
-from hardylab.grid import Ball, GridFunction, integrate, region_slices
+from hardylab.grid import Ball, GridFunction, GridSpec, integrate, region_slices
 
 
 def _sign_atom(spec, ball, p):
@@ -148,8 +149,12 @@ def test_save_load_roundtrip(tmp_path, spec1d):
     decomp = AtomicDecomposition(p=1.0, terms=((0.5, a), (-1.5, b)))
     base = tmp_path / "decomp"
     save_decomposition(decomp, base)
+    header = json.loads(base.with_suffix(".json").read_text())["grid"]
+    assert header == spec1d.to_dict()
+    assert GridSpec.from_dict(header) == spec1d
     loaded = load_decomposition(base)
     assert loaded.p == decomp.p
+    assert all(atom.spec == spec1d for _, atom in loaded.terms)
     for (lam0, a0), (lam1, a1) in zip(decomp.terms, loaded.terms):
         assert lam0 == lam1
         assert a0.ball == a1.ball

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -128,6 +129,30 @@ def test_split_unknown_regime_exit2(tmp_path):
     assert _run(["split", "--config", cfg]) == 2
 
 
+INF_GRID = {**GRID, "halfwidth": "inf"}
+
+# (command, config, exit code, regime name written to rows.csv)
+EXIT_CASES = [
+    ("norm", {"grid": INF_GRID, "input": {"generator": "constant"}, "which": "lp"}, 2, None),
+    ("split", {"grid": INF_GRID, "regime": "p1"}, 2, None),
+    ("split", {"grid": GRID, "regime": "projection", "p": 0.8}, 2, None),
+    ("split", {"grid": GRID, "regime": "mean", "p": 0.4}, 2, None),
+    ("split", {"grid": GRID, "regime": "mean", "p": 0.8}, 0, "p_lt1_mean"),
+    ("split", {"grid": GRID, "regime": "projection", "p": 0.4}, 0, "p_lt1_proj"),
+]
+
+
+@pytest.mark.parametrize("command, doc, code, regime_name", EXIT_CASES)
+def test_config_exit_codes(tmp_path, command, doc, code, regime_name):
+    out_dir = tmp_path / "out"
+    campaign = {"draws": 1, "seed": 3, "atoms": {"count": 2}, "output_dir": str(out_dir)}
+    cfg = _write(tmp_path, "cfg.json", {**doc, **campaign})
+    assert _run([command, "--config", cfg]) == code
+    if regime_name is not None:
+        with (out_dir / "rows.csv").open(newline="") as fh:
+            assert {row["regime"] for row in csv.DictReader(fh)} == {regime_name}
+
+
 def test_split_gamma_mismatch_exit2(tmp_path):
     cfg = _write(tmp_path, "cfg.json", {
         "grid": GRID,
@@ -141,7 +166,7 @@ def test_split_gamma_mismatch_exit2(tmp_path):
 
 
 def _sample_decomposition(tmp_path, corrupt=False, local=False):
-    spec = GridSpec(**{k: GRID[k] for k in ("dim", "halfwidth", "points_per_axis")})
+    spec = GridSpec.from_dict(GRID)
     a = make_atom(Ball((0.0,), 1.0), 1.0, 0, spec)
     terms = [(1.0, a)]
     if local:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -27,6 +28,8 @@ def test_spec_validation():
         GridSpec(1, -1.0, 64)
     with pytest.raises(ValueError):
         GridSpec(1, 1.0, 8)
+    with pytest.raises(ValueError, match="finite"):
+        GridSpec(1, math.inf, 64)
 
 
 def test_gridfunction_rejects_nonfinite():
@@ -162,6 +165,9 @@ def test_serialization_roundtrip(tmp_path, spec1d, rng):
     f = GridFunction(spec1d, rng.normal(size=spec1d.shape))
     base = tmp_path / "field"
     save_gridfunction(f, base)
+    header = json.loads(base.with_suffix(".json").read_text())
+    assert header == f.spec.to_dict()
+    assert GridSpec.from_dict(header) == f.spec
     g = load_gridfunction(base)
     assert g.spec == f.spec
     assert np.array_equal(g.values, f.values)

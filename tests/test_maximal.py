@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from hardylab.grid import GridFunction, GridSpec, integrate
+from hardylab.grid import GridFunction, GridSpec
 from hardylab.maximal import (
-    Mollifier,
     ScaleLadder,
+    _kernel,
     bump_profile,
     convolve_dilated,
     maximal_fn,
@@ -26,11 +26,12 @@ def test_bump_profile_support():
     assert vals[3] > 0
 
 
-def test_mollifier_discrete_mass(spec1d, spec2d):
+def test_kernel_discrete_mass(spec1d, spec2d):
     for spec in (spec1d, spec2d):
-        phi = Mollifier(spec).sample()
-        assert integrate(phi) == pytest.approx(1.0, abs=1e-14)
-        assert np.all(phi.values >= 0)
+        for t in ScaleLadder.default(spec).scales:
+            kern = _kernel(spec, t)
+            assert kern.sum() == pytest.approx(1.0, abs=1e-14)
+            assert np.all(kern >= 0)
 
 
 def test_convolve_reproduces_constants(spec1d):

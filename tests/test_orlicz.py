@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -75,6 +76,56 @@ def test_luxembourg_matches_scan_oracle(spec1d, rng):
         a = luxembourg_norm(f, PHI)
         b = luxembourg_scan_oracle(f, PHI)
         assert a == pytest.approx(b, rel=1e-6)
+
+
+def _spike(spec, value, count=1):
+    """`count` consecutive interior nodes (in raster order) at `value`."""
+    vals = np.zeros(spec.shape).ravel()
+    vals[100 : 100 + count] = value
+    return GridFunction(spec, vals.reshape(spec.shape))
+
+
+def _gauge(f, k):
+    return float(np.sum(f.spec.weights() * PHI(np.abs(f.values) / k)))
+
+
+def test_luxembourg_tiny_norm_oracles(spec1d):
+    """At 1e-160 the bracket-end product underflows; the norm stays exact."""
+    value = 1e-160
+    f = _spike(spec1d, value)
+    k = luxembourg_norm(f, PHI)
+    assert k > 0 and _gauge(f, k) <= 1.0
+    oracle = luxembourg_scan_oracle(f, PHI, points=1000, passes=3)
+    assert k == pytest.approx(oracle, rel=1e-6)
+    # one node of weight w: w * Phi(value / k) = 1
+    w = spec1d.spacing
+    t_star = brentq(lambda t: w * t / math.log(math.e + t) - 1.0, 1.0, 1e4, xtol=1e-12)
+    assert k == pytest.approx(value / t_star, rel=1e-6)
+
+
+@pytest.mark.parametrize("value", [1e-160, 1e-300, 2e-306, 1e300])
+def test_luxembourg_extreme_scale_homogeneity(spec1d, value):
+    """The relative bracket stays below 1e-9 wherever k is a normal float."""
+    k = luxembourg_norm(_spike(spec1d, value), PHI)
+    unit = luxembourg_norm(_spike(spec1d, 1.0), PHI)
+    assert k >= sys.float_info.min
+    assert k == pytest.approx(value * unit, rel=2e-9)
+
+
+@pytest.mark.parametrize(
+    "spec_name, value, count",
+    [
+        ("spec1d", 1e-310, 1),
+        ("spec1d", 1e-322, 1),
+        ("spec2d", 1e-320, 40),
+        ("spec1d", 1e308, 257),
+    ],
+)
+def test_luxembourg_float_range_ends(request, spec_name, value, count):
+    """Subnormal norms and norms beyond the float range still give gauge(k) <= 1."""
+    f = _spike(request.getfixturevalue(spec_name), value, count)
+    k = luxembourg_norm(f, PHI)
+    assert k > 0 and _gauge(f, k) <= 1.0
 
 
 def test_quasi_subadditivity_spot(spec1d, rng):

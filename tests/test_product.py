@@ -24,9 +24,7 @@ from hardylab.maximal import bump_profile
 from hardylab.orlicz import luxembourg_scan_oracle, PHI
 from hardylab.oscillation import bmo_local_norm
 from hardylab.product import (
-    REGIME_MEAN,
-    REGIME_P1,
-    REGIME_PROJ,
+    REGIMES,
     duality_identity_check,
     exp_class_product_bound,
     pairing_limit_check,
@@ -95,7 +93,7 @@ def test_split_bmo_constant_b(spec1d, rng):
     decomp = random_decomposition(spec1d, rng, p=1.0, s=0)
     b = GridFunction.constant(spec1d, 3.0)
     split = split_bmo(b, decomp)
-    assert split.regime == REGIME_P1
+    assert split.regime == REGIMES["p1"]
     assert np.all(split.h1.values == 0.0)
     prod = b.values * synthesize(decomp).values
     assert np.array_equal(split.h2.values, prod)
@@ -168,7 +166,7 @@ def test_split_lipschitz_mean_regime(spec1d, rng):
     decomp = random_decomposition(spec1d, rng, p=p, s=0)
     b = random_lipschitz_field(spec1d, rng, gamma)
     split = split_lipschitz(b, decomp, LipschitzOrder(gamma))
-    assert split.regime == REGIME_MEAN
+    assert split.regime == REGIMES["mean"]
     for entry in split.ledger:
         assert entry.subtracted["type"] == "mean"
 
@@ -179,7 +177,7 @@ def test_split_lipschitz_projection_regime(spec1d, rng):
     decomp = random_decomposition(spec1d, rng, p=p, s=2)
     b = random_lipschitz_field(spec1d, rng, gamma)
     split = split_lipschitz(b, decomp, LipschitzOrder(gamma))
-    assert split.regime == REGIME_PROJ
+    assert split.regime == REGIMES["projection"]
     for entry in split.ledger:
         assert entry.subtracted["type"] == "projection"
         assert entry.subtracted["degree"] == 1
@@ -253,7 +251,7 @@ def test_verify_split_report_fields(spec1d, rng):
     b = b_field(spec1d, "random-bmo", rng)
     split = split_bmo(b, decomp)
     report = verify_split(split, bmo_local_norm(b), decomp)
-    assert report.regime == REGIME_P1
+    assert report.regime == REGIMES["p1"].name == "p1_bmo"
     assert report.c1 >= 0 and np.isfinite(report.c1)
     assert report.c2 >= 0 and np.isfinite(report.c2)
     row = report.to_csv_row()

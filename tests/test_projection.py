@@ -30,7 +30,7 @@ def test_reproduces_polynomials(spec1d):
     ball = Ball((0.5,), 2.0)
     proj = poly_project(f, ball, 2)
     sl = region_slices(spec1d, ball)
-    err = np.max(np.abs(proj.evaluate(spec1d)[sl] - f.values[sl]))
+    err = np.max(np.abs(proj.evaluate(spec1d) - f.values[sl]))
     assert err < 1e-10
 
 
@@ -52,10 +52,14 @@ def test_idempotence(spec1d, rng):
     f = random_smooth_field(spec1d, rng)
     ball = Ball((-1.0,), 2.0)
     proj = poly_project(f, ball, 2)
-    again = poly_project(proj.as_gridfunction(spec1d), ball, 2)
+    extended = proj.as_gridfunction(spec1d)
+    again = poly_project(extended, ball, 2)
     assert np.max(np.abs(again.coefficients - proj.coefficients)) < 1e-10 * (
         1.0 + np.max(np.abs(proj.coefficients))
     )
+    outside = np.ones(spec1d.shape, dtype=bool)
+    outside[region_slices(spec1d, ball)] = False
+    assert np.all(extended.values[outside] == 0.0)
 
 
 def test_residual_orthogonality(spec1d, rng):
@@ -64,7 +68,7 @@ def test_residual_orthogonality(spec1d, rng):
     proj = poly_project(f, ball, 2)
     sl = region_slices(spec1d, ball)
     w = region_weights(spec1d, sl)
-    resid = f.values[sl] - proj.evaluate(spec1d)[sl]
+    resid = f.values[sl] - proj.evaluate(spec1d)
     x = spec1d.axis()[sl[0]]
     scale = np.sum(w * np.abs(f.values[sl]))
     for a in range(3):
@@ -79,7 +83,7 @@ def test_best_approximation(spec1d, rng):
     sl = region_slices(spec1d, ball)
     w = region_weights(spec1d, sl)
     x = spec1d.axis()[sl[0]]
-    best = float(np.sum(w * (f.values[sl] - proj.evaluate(spec1d)[sl]) ** 2))
+    best = float(np.sum(w * (f.values[sl] - proj.evaluate(spec1d)) ** 2))
     for _ in range(20):
         c0, c1 = rng.normal(size=2)
         probe = c0 + c1 * (x / ball.radius)
@@ -134,7 +138,7 @@ def test_campanato_abs_value_oracle():
     proj = poly_project(f, ball, 1)
     sl = region_slices(spec, ball)
     w = region_weights(spec, sl)
-    resid = np.abs(f.values[sl] - proj.evaluate(spec)[sl])
+    resid = np.abs(f.values[sl] - proj.evaluate(spec))
     mean_resid = float(np.sum(w * resid) / np.sum(w))
     assert mean_resid == pytest.approx(r / 4.0, rel=0.02)
 
