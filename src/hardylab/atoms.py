@@ -40,7 +40,6 @@ __all__ = [
     "make_atom",
     "make_local_atom",
     "synthesize",
-    "haar_decomposition",
     "save_decomposition",
     "load_decomposition",
 ]
@@ -133,16 +132,6 @@ class AtomReport:
     moment_slacks: dict
     passed: bool
     failures: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "support_leakage": self.support_leakage,
-            "size_ratio": self.size_ratio,
-            "moment_residuals": {str(k): v for k, v in self.moment_residuals.items()},
-            "moment_slacks": {str(k): v for k, v in self.moment_slacks.items()},
-            "passed": self.passed,
-            "failures": list(self.failures),
-        }
 
 
 def validate_atom(atom: Atom) -> AtomReport:
@@ -263,51 +252,6 @@ def synthesize(decomp: AtomicDecomposition, spec: GridSpec | None = None) -> Gri
     for lam, atom in decomp.terms:
         out += lam * atom.values.values
     return GridFunction(first_spec, out)
-
-
-def haar_decomposition(
-    f: GridFunction, p: float, levels: int
-) -> AtomicDecomposition:
-    """Haar-type expansion of a 1d signal into mean-zero two-level atoms.
-
-    Each dyadic interval contributes a step atom (+1 left half, -1 right
-    half, discretely mean-corrected) normalized to a (p, inf, 0)-atom; the
-    coefficient is the weighted Haar inner product against f.  This is a
-    helper for building test decompositions, not an exact reconstruction.
-    """
-    if f.spec.dim != 1:
-        raise ValueError("haar_decomposition supports dim 1 only")
-    spec = f.spec
-    R = spec.halfwidth
-    terms: list[tuple[float, Atom]] = []
-    w = spec.weights()
-    x = spec.axis()
-    for level in range(levels):
-        n_int = 2**level
-        width = 2.0 * R / n_int
-        for i in range(n_int):
-            lo = -R + i * width
-            mid = lo + width / 2.0
-            ball = Ball((lo + width / 2.0,), width / 2.0)
-            if region_node_count(spec, ball) < 4:
-                continue
-            raw = np.where(x < mid, 1.0, -1.0)
-            slices = region_slices(spec, ball)
-            shape = np.zeros(spec.shape)
-            shape[slices] = raw[slices]
-            wsl = w[slices]
-            shape[slices] -= np.sum(wsl * shape[slices]) / np.sum(wsl)
-            sup = float(np.max(np.abs(shape)))
-            if sup == 0:
-                continue
-            atom_vals = shape * (ball.measure ** (-1.0 / p) / sup)
-            atom = Atom(GridFunction(spec, atom_vals), ball, p, math.inf, 0)
-            # weighted projection coefficient of f on the normalized shape
-            denom = float(np.sum(w * atom_vals**2))
-            lam = float(np.sum(w * f.values * atom_vals)) / denom if denom else 0.0
-            if lam != 0.0:
-                terms.append((lam, atom))
-    return AtomicDecomposition(p=p, terms=tuple(terms))
 
 
 def save_decomposition(decomp: AtomicDecomposition, basepath) -> None:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .atoms import load_decomposition, validate_atom
-from .generators import b_field, random_decomposition
+from .generators import B_GENERATORS, b_field, random_decomposition
 from .grid import GridFunction, GridSpec, load_gridfunction, lp_norm
 from .lipschitz import LipschitzOrder, lambda_gamma_norm
 from .orlicz import PHI, hardy_quasinorm, lphi_star_norm, luxembourg_norm
@@ -46,13 +46,33 @@ def _grid_from(config: dict) -> GridSpec:
         raise ConfigError(f"bad grid section: {exc}") from exc
 
 
+def _number(section: dict, key: str, default, kind=float):
+    """section[key] (or the default) as a number of the given kind."""
+    value = section.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+
+
+def _generate(spec: GridSpec, section, key: str, rng: np.random.Generator) -> GridFunction:
+    """The field named by section[key], one of the generators in B_GENERATORS."""
+    kind = section.get(key) if isinstance(section, dict) else None
+    if not isinstance(kind, str) or kind not in B_GENERATORS:
+        raise ConfigError(f"unknown generator {kind!r}; known: {sorted(B_GENERATORS)}")
+    try:
+        return b_field(spec, kind, rng, **section.get("params", {}))
+    except (KeyError, TypeError) as exc:  # a missing or malformed parameter
+        raise ConfigError(f"bad params for generator {kind!r}: {exc!r}") from exc
+
+
 def _input_function(config: dict, spec: GridSpec) -> GridFunction:
     section = config.get("input", {})
     if "file" in section:
         return load_gridfunction(section["file"])
     if "generator" in section:
-        rng = np.random.default_rng(section.get("seed", 0))
-        return b_field(spec, section["generator"], rng, **section.get("params", {}))
+        rng = np.random.default_rng(_number(section, "seed", 0, int))
+        return _generate(spec, section, "generator", rng)
     raise ConfigError("input section needs 'file' or 'generator'")
 
 
@@ -63,26 +83,27 @@ def cmd_norm(config: dict) -> int:
     params = config.get("params", {})
     extra: dict = {}
     if which == "lp":
-        value = lp_norm(f, float(params.get("p", 1.0)))
+        value = lp_norm(f, _number(params, "p", 1.0))
     elif which == "luxembourg":
         value = luxembourg_norm(f, PHI)
     elif which == "lphi_star":
         value = lphi_star_norm(f)
     elif which == "hardy":
         value = hardy_quasinorm(
-            f, float(params.get("p", 1.0)), local=bool(params.get("local", False))
+            f, _number(params, "p", 1.0), local=bool(params.get("local", False))
         )
     elif which == "bmo":
         report = bmo_report(f)
         value = report.norm
         extra = report.to_dict()
     elif which == "bmo_local":
-        value = bmo_local_norm(f)
-        extra = {"family_size": len(BallFamily.build(spec).balls)}
+        family = BallFamily.build(spec)
+        value = bmo_local_norm(f, family)
+        extra = {"family_size": len(family.balls)}
     elif which == "lmo":
         value = lmo_norm(f)
     elif which == "lambda_gamma":
-        value = lambda_gamma_norm(f, LipschitzOrder(float(params["gamma"])))
+        value = lambda_gamma_norm(f, LipschitzOrder(_number(params, "gamma", None)))
     else:
         raise ConfigError(f"unknown norm tag {which!r}")
     doc = {
@@ -102,30 +123,28 @@ def cmd_norm(config: dict) -> int:
 
 def _run_draw(spec: GridSpec, config: dict, rng: np.random.Generator) -> SplitReport:
     regime = REGIMES[config["regime"]]
-    p = float(config.get("p", 1.0))
+    p = _number(config, "p", 1.0)
     atoms_cfg = config.get("atoms", {})
-    n_atoms = int(atoms_cfg.get("count", 4))
+    n_atoms = _number(atoms_cfg, "count", 4, int)
     radius_range = atoms_cfg.get("radius_range")
     if radius_range is not None:
         radius_range = tuple(float(v) for v in radius_range)
-    bgen = config.get("b_generator", {"kind": "random-smooth"})
-    b = b_field(spec, bgen["kind"], rng, **bgen.get("params", {}))
+    b = _generate(spec, config.get("b_generator", {"kind": "random-smooth"}), "kind", rng)
     if regime.kind == "p1":
         decomp = random_decomposition(
-            spec, rng, p=1.0, s=int(atoms_cfg.get("s", 0)),
+            spec, rng, p=1.0, s=_number(atoms_cfg, "s", 0, int),
             n_atoms=n_atoms, radius_range=radius_range, local=regime.local,
         )
         split = split_bmo(b, decomp, local=regime.local)
         b_scale = bmo_local_norm(b)
         return verify_split(split, b_scale, decomp)
     gamma = spec.dim * (1.0 / p - 1.0)
-    cfg_gamma = config.get("gamma")
-    if cfg_gamma is not None and abs(float(cfg_gamma) - gamma) > 1e-12:
+    if config.get("gamma") is not None and abs(_number(config, "gamma", None) - gamma) > 1e-12:
         raise ConfigError(f"gamma must equal n(1/p - 1) = {gamma}")
     order = LipschitzOrder(gamma)
     s_default = 2 * order.k if regime.kind == "projection" else 0
     decomp = random_decomposition(
-        spec, rng, p=p, s=int(atoms_cfg.get("s", s_default)),
+        spec, rng, p=p, s=_number(atoms_cfg, "s", s_default, int),
         n_atoms=n_atoms, radius_range=radius_range, local=regime.local,
     )
     split = split_lipschitz(b, decomp, order, local=regime.local)
@@ -136,20 +155,23 @@ def _run_draw(spec: GridSpec, config: dict, rng: np.random.Generator) -> SplitRe
 def cmd_split(config: dict) -> int:
     spec = _grid_from(config)
     regime = config.get("regime")
-    if regime not in REGIMES:
+    if not isinstance(regime, str) or regime not in REGIMES:
         raise ConfigError(f"unknown regime {regime!r}")
-    p = float(config.get("p", 1.0))
+    p = _number(config, "p", 1.0)
     if not REGIMES[regime].admits(p, spec.dim):
         raise ConfigError(f"p = {p} is outside the range of regime {regime!r}")
-    draws = int(config.get("draws", 1))
-    seed = int(config.get("seed", 0))
-    out_dir = Path(config.get("output_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    draws = _number(config, "draws", 1, int)
+    if draws < 1:
+        raise ConfigError(f"draws must be at least 1, got {draws}")
+    seed = _number(config, "seed", 0, int)
     rng = np.random.default_rng(seed)
     reports = []
     for draw in range(draws):
         report = _run_draw(spec, config, rng)
         reports.append((draw, report))
+    # created once every draw has succeeded, so a rejected config writes nothing
+    out_dir = Path(config.get("output_dir", "."))
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows_path = out_dir / "rows.csv"
     with rows_path.open("w", newline="") as fh:
         writer = csv.writer(fh)

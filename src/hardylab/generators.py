@@ -22,10 +22,10 @@ __all__ = [
     "random_smooth_field",
     "random_lipschitz_field",
     "random_bmo_field",
+    "B_GENERATORS",
     "b_field",
     "random_ball",
     "random_decomposition",
-    "lipschitz_corpus",
 ]
 
 
@@ -114,29 +114,28 @@ def random_bmo_field(
     return GridFunction(spec, vals)
 
 
+# the named b generators used by campaigns: kind -> field of (spec, rng, params)
+B_GENERATORS = {
+    "constant": lambda spec, rng, kw: constant_field(spec, kw.get("value", 1.0)),
+    "step": lambda spec, rng, kw: step_field(spec, kw.get("height", 1.0)),
+    "regularized-log": lambda spec, rng, kw: regularized_log_field(spec, kw.get("scale", 1.0)),
+    "random-smooth": lambda spec, rng, kw: random_smooth_field(
+        spec, rng, amplitude=kw.get("amplitude", 1.0)
+    ),
+    "random-lipschitz": lambda spec, rng, kw: random_lipschitz_field(
+        spec, rng, kw["gamma"], target_norm=kw.get("target_norm"), levels=kw.get("levels", 7)
+    ),
+    "random-bmo": lambda spec, rng, kw: random_bmo_field(spec, rng, levels=kw.get("levels", 5)),
+}
+
+
 def b_field(
     spec: GridSpec, kind: str, rng: np.random.Generator, **params
 ) -> GridFunction:
     """Dispatch for the named b generators used by campaigns."""
-    if kind == "constant":
-        return constant_field(spec, params.get("value", 1.0))
-    if kind == "step":
-        return step_field(spec, params.get("height", 1.0))
-    if kind == "regularized-log":
-        return regularized_log_field(spec, params.get("scale", 1.0))
-    if kind == "random-smooth":
-        return random_smooth_field(spec, rng, amplitude=params.get("amplitude", 1.0))
-    if kind == "random-lipschitz":
-        return random_lipschitz_field(
-            spec,
-            rng,
-            gamma=params["gamma"],
-            target_norm=params.get("target_norm"),
-            levels=params.get("levels", 7),
-        )
-    if kind == "random-bmo":
-        return random_bmo_field(spec, rng, levels=params.get("levels", 5))
-    raise ValueError(f"unknown b generator {kind!r}")
+    if kind not in B_GENERATORS:
+        raise ValueError(f"unknown b generator {kind!r}")
+    return B_GENERATORS[kind](spec, rng, params)
 
 
 def random_ball(
@@ -201,23 +200,3 @@ def random_decomposition(
         lam = float(rng.normal())
         terms.append((lam, atom))
     return AtomicDecomposition(p=p, terms=tuple(terms))
-
-
-def lipschitz_corpus(
-    spec: GridSpec, gamma: float, count: int, rng: np.random.Generator
-) -> list[GridFunction]:
-    """Corpus for Campanato studies: cusps |x - c|^gamma and lacunary series.
-
-    Both families are roughness-critical for Lambda_gamma, so the measured
-    Campanato constant does not decay with the ball radius.
-    """
-    out: list[GridFunction] = []
-    meshes = spec.meshes()
-    for i in range(count):
-        if i % 2 == 0:
-            c = rng.uniform(-spec.halfwidth / 2, spec.halfwidth / 2)
-            r = np.sqrt(sum((x - (c if ax == 0 else 0.0)) ** 2 for ax, x in enumerate(meshes)))
-            out.append(GridFunction(spec, r**gamma))
-        else:
-            out.append(random_lipschitz_field(spec, rng, gamma))
-    return out

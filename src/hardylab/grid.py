@@ -35,7 +35,6 @@ __all__ = [
     "region_weights",
     "region_coords",
     "region_values",
-    "region_measure",
     "integrate",
     "ball_mean",
     "lp_norm",
@@ -258,12 +257,6 @@ def region_values(f: GridFunction, region=None) -> tuple[np.ndarray, np.ndarray]
     return f.values[slices], region_weights(f.spec, slices)
 
 
-def region_measure(spec: GridSpec, region) -> float:
-    """Quadrature measure of a region: sum of in-region node weights."""
-    slices = region_slices(spec, region)
-    return float(np.sum(region_weights(spec, slices)))
-
-
 def region_node_count(spec: GridSpec, region) -> int:
     slices = region_slices(spec, region)
     n = 1
@@ -283,11 +276,16 @@ def ball_mean(f: GridFunction, ball: Ball) -> float:
     vals, w = region_values(f, ball)
     if vals.size < 2:
         raise ValueError("under-resolved ball")
+    return _quadrature_mean(vals, w, np.sum(w))
+
+
+def _quadrature_mean(vals: np.ndarray, w: np.ndarray, wsum: float) -> float:
+    """Mean of region values with weights w summing to wsum; exact for constants."""
     vmin, vmax = float(np.min(vals)), float(np.max(vals))
     if vmin == vmax:
         # means of constants are exact by contract, not up to rounding
         return vmax
-    return float(np.sum(w * vals) / np.sum(w))
+    return float(np.sum(w * vals) / wsum)
 
 
 def lp_norm(f: GridFunction, p: float, region=None) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridFunction, cube_indices, lp_norm, region_values
-from .maximal import ScaleLadder, maximal_fn, truncated_maximal_fn
+from .maximal import maximal_fn, truncated_maximal_fn
 
 __all__ = [
     "OrliczFunction",
@@ -154,20 +154,18 @@ def hardy_quasinorm(
     f: GridFunction,
     p: float,
     local: bool = False,
-    ladder: ScaleLadder | None = None,
 ) -> float:
     """L^p quasi-norm of the (possibly truncated) maximal function."""
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
-    mf = truncated_maximal_fn(f, ladder) if local else maximal_fn(f, ladder)
+    mf = truncated_maximal_fn(f) if local else maximal_fn(f)
     return lp_norm(mf, p)
 
 
 def hardy_phi_star_quasinorm(
     f: GridFunction,
     local: bool = False,
-    ladder: ScaleLadder | None = None,
 ) -> float:
     """Cube-summed Luxembourg norm of the (possibly truncated) maximal function."""
-    mf = truncated_maximal_fn(f, ladder) if local else maximal_fn(f, ladder)
+    mf = truncated_maximal_fn(f) if local else maximal_fn(f)
     return lphi_star_norm(mf)

@@ -7,6 +7,7 @@ The family density is the accuracy knob and is reported with every norm.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,6 +17,7 @@ from .grid import (
     Ball,
     GridFunction,
     GridSpec,
+    _quadrature_mean,
     region_node_count,
     region_values,
 )
@@ -66,6 +68,8 @@ class BallFamily:
 
     @classmethod
     def build(cls, spec: GridSpec) -> "BallFamily":
+        # every center is a node and r >= 4 * spacing, so each ball covers
+        # at least 5 nodes per axis and none is under-resolved
         step = spec.spacing
         j_lo = int(math.ceil(math.log2(4.0 * step) - 1e-12))
         j_hi = int(math.floor(math.log2(2.0 * spec.halfwidth) + 1e-12))
@@ -74,37 +78,36 @@ class BallFamily:
             r = 2.0**j
             stride_steps = max(1, int(round((r / 8.0) / step)))
             centers = np.arange(0, spec.points_per_axis, stride_steps) * step - spec.halfwidth
-            if spec.dim == 1:
-                candidates = [(c,) for c in centers]
-            else:
-                candidates = [(c1, c2) for c1 in centers for c2 in centers]
-            for center in candidates:
-                ball = Ball(center, r)
-                try:
-                    if region_node_count(spec, ball) >= 2:
-                        balls.append(ball)
-                except ValueError:
-                    continue
+            balls.extend(Ball(c, r) for c in itertools.product(centers, repeat=spec.dim))
         return cls(tuple(balls))
 
-    def small(self) -> list[Ball]:
-        return [b for b in self.balls if b.measure <= 1.0 + _MEASURE_TOL]
-
-    def large(self) -> list[Ball]:
-        return [b for b in self.balls if b.measure >= 1.0 - _MEASURE_TOL]
+    def halves(self) -> tuple[np.ndarray, np.ndarray]:
+        """Masks of the small (|B| <= 1) and large (|B| >= 1) balls; |B| = 1 is in both."""
+        measure = np.array([ball.measure for ball in self.balls])
+        return measure <= 1.0 + _MEASURE_TOL, measure >= 1.0 - _MEASURE_TOL
 
 
 def _ball_stats(f: GridFunction, ball: Ball) -> tuple[float, float, float]:
     """(mean of f, mean oscillation of f, mean of |f|) on the ball."""
     vals, w = region_values(f, ball)
     wsum = float(np.sum(w))
-    if float(np.min(vals)) == float(np.max(vals)):
-        v = float(vals.flat[0])
-        return v, 0.0, abs(v)
-    mean = float(np.sum(w * vals) / wsum)
-    osc = float(np.sum(w * np.abs(vals - mean)) / wsum)
-    abs_mean = float(np.sum(w * np.abs(vals)) / wsum)
-    return mean, osc, abs_mean
+    mean = _quadrature_mean(vals, w, wsum)
+    dev = np.abs(vals - mean)
+    osc = float(np.sum(w * dev) / wsum)
+    if osc == 0.0 and not dev.any():  # f is constant (osc alone can underflow)
+        return mean, 0.0, abs(mean)
+    return mean, osc, float(np.sum(w * np.abs(vals)) / wsum)
+
+
+def _family_stats(b: GridFunction, family: BallFamily) -> np.ndarray:
+    """One _ball_stats row per ball of the family, in family order."""
+    rows = (_ball_stats(b, ball) for ball in family.balls)
+    return np.fromiter(rows, np.dtype((float, 3)), len(family.balls))
+
+
+def _sup(values: np.ndarray, mask: np.ndarray) -> float:
+    """Largest of the masked values, 0 when the mask selects none."""
+    return float(np.max(values[mask], initial=0.0))
 
 
 def mean_oscillation(b: GridFunction, ball: Ball) -> float:
@@ -125,31 +128,27 @@ def bmo_norm(b: GridFunction, family: BallFamily | None = None) -> float:
 def bmo_report(b: GridFunction, family: BallFamily | None = None) -> NormReport:
     """Sup of the mean oscillation over the full ball family."""
     family = _default_family(b, family)
-    best, arg = 0.0, None
-    for ball in family.balls:
-        osc = _ball_stats(b, ball)[1]
-        if osc > best:
-            best, arg = osc, ball
-    return NormReport(best, len(family.balls), arg)
+    osc = _family_stats(b, family)[:, 1]
+    i = int(np.argmax(osc))  # the first maximum
+    arg = family.balls[i] if osc[i] > 0 else None
+    return NormReport(float(osc[i]), len(family.balls), arg)
 
 
 def bmo_local_norm(b: GridFunction, family: BallFamily | None = None) -> float:
     """Oscillation sup over small balls plus |b|-mean sup over large balls."""
     family = _default_family(b, family)
-    osc_sup = max((_ball_stats(b, ball)[1] for ball in family.small()), default=0.0)
-    mean_sup = max((_ball_stats(b, ball)[2] for ball in family.large()), default=0.0)
-    return osc_sup + mean_sup
+    stats = _family_stats(b, family)
+    small, large = family.halves()
+    return _sup(stats[:, 1], small) + _sup(stats[:, 2], large)
 
 
 def lmo_norm(b: GridFunction, family: BallFamily | None = None) -> float:
     """Log-weighted small-ball oscillation sup plus large-ball |b|-mean sup."""
     family = _default_family(b, family)
-    osc_sup = 0.0
-    for ball in family.small():
-        weight = math.log(math.e + 1.0 / ball.measure)
-        osc_sup = max(osc_sup, weight * _ball_stats(b, ball)[1])
-    mean_sup = max((_ball_stats(b, ball)[2] for ball in family.large()), default=0.0)
-    return osc_sup + mean_sup
+    stats = _family_stats(b, family)
+    small, large = family.halves()
+    weight = np.array([math.log(math.e + 1.0 / ball.measure) for ball in family.balls])
+    return _sup(weight * stats[:, 1], small) + _sup(stats[:, 2], large)
 
 
 def jn_check(
@@ -172,7 +171,7 @@ def jn_check(
     if bmo_local <= 0:
         raise ValueError("bmo-local norm must be positive")
     vals, w = region_values(b, ball)
-    mean = float(np.sum(w * vals) / np.sum(w))
+    mean = _quadrature_mean(vals, w, np.sum(w))
     return float(np.sum(w * np.exp(np.abs(vals - mean) / (c * bmo_local))))
 
 

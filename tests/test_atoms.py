@@ -7,7 +7,6 @@ import pytest
 from hardylab.atoms import (
     Atom,
     AtomicDecomposition,
-    haar_decomposition,
     load_decomposition,
     make_atom,
     make_local_atom,
@@ -17,7 +16,6 @@ from hardylab.atoms import (
     synthesize,
     validate_atom,
 )
-from hardylab.generators import random_smooth_field
 from hardylab.grid import Ball, GridFunction, GridSpec, integrate, region_slices
 
 
@@ -133,14 +131,6 @@ def test_synthesize(spec1d):
     a = make_atom(Ball((1.0,), 1.0), 1.0, 0, spec1d)
     single = AtomicDecomposition(p=1.0, terms=((1.0, a),))
     assert np.array_equal(synthesize(single).values, a.values.values)
-
-
-def test_haar_decomposition(spec1d, rng):
-    f = random_smooth_field(spec1d, rng)
-    decomp = haar_decomposition(f, 1.0, levels=3)
-    assert decomp.terms
-    for _, atom in decomp.terms:
-        assert validate_atom(atom).passed
 
 
 def test_save_load_roundtrip(tmp_path, spec1d):

@@ -139,15 +139,33 @@ EXIT_CASES = [
     ("split", {"grid": GRID, "regime": "mean", "p": 0.4}, 2, None),
     ("split", {"grid": GRID, "regime": "mean", "p": 0.8}, 0, "p_lt1_mean"),
     ("split", {"grid": GRID, "regime": "projection", "p": 0.4}, 0, "p_lt1_proj"),
+    ("split", {"grid": GRID, "regime": ["p1"]}, 2, None),
+    ("split", {"grid": GRID, "regime": "p1", "draws": 0}, 2, None),
+    ("split", {"grid": GRID, "regime": "p1", "draws": -1}, 2, None),
+    ("split", {"grid": GRID, "regime": "p1", "p": "one"}, 2, None),
+    ("split", {"grid": GRID, "regime": "p1", "b_generator": {}}, 2, None),
+    ("split", {"grid": GRID, "regime": "p1", "b_generator": {"kind": "nope"}}, 2, None),
+    ("split", {"grid": GRID, "regime": "p1", "b_generator": {"kind": "random-lipschitz"}},
+     2, None),
+    ("norm", {"grid": GRID, "input": {"generator": "nope"}, "which": "lp"}, 2, None),
+    ("norm", {"grid": GRID, "input": {"generator": "random-smooth"}, "which": "lambda_gamma"},
+     2, None),
 ]
 
 
 @pytest.mark.parametrize("command, doc, code, regime_name", EXIT_CASES)
 def test_config_exit_codes(tmp_path, command, doc, code, regime_name):
     out_dir = tmp_path / "out"
-    campaign = {"draws": 1, "seed": 3, "atoms": {"count": 2}, "output_dir": str(out_dir)}
-    cfg = _write(tmp_path, "cfg.json", {**doc, **campaign})
+    report = tmp_path / "report.json"
+    campaign = {
+        "draws": 1, "seed": 3, "atoms": {"count": 2},
+        "output_dir": str(out_dir), "output": str(report),
+    }
+    cfg = _write(tmp_path, "cfg.json", {**campaign, **doc})
     assert _run([command, "--config", cfg]) == code
+    if code != 0:  # a rejected config writes nothing
+        assert not (out_dir / "rows.csv").exists()
+        assert not report.exists()
     if regime_name is not None:
         with (out_dir / "rows.csv").open(newline="") as fh:
             assert {row["regime"] for row in csv.DictReader(fh)} == {regime_name}

@@ -4,7 +4,6 @@ import pytest
 from hardylab.atoms import validate_atom
 from hardylab.generators import (
     b_field,
-    lipschitz_corpus,
     random_ball,
     random_decomposition,
 )
@@ -63,11 +62,3 @@ def test_random_decomposition_local(spec1d):
     assert any(atom.local for _, atom in decomp.terms)
     for _, atom in decomp.terms:
         assert validate_atom(atom).passed
-
-
-def test_lipschitz_corpus(spec1d):
-    rng = np.random.default_rng(17)
-    corpus = lipschitz_corpus(spec1d, 0.5, 6, rng)
-    assert len(corpus) == 6
-    for f in corpus:
-        assert np.all(np.isfinite(f.values))

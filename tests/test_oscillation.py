@@ -1,13 +1,15 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from hardylab.generators import random_smooth_field, step_field
-from hardylab.grid import Ball, GridFunction
+from hardylab.generators import b_field, random_smooth_field, step_field
+from hardylab.grid import Ball, GridFunction, region_node_count, region_values
 from hardylab.maximal import bump_profile
 from hardylab.oscillation import (
     BallFamily,
+    _ball_stats,
     bmo_local_norm,
     bmo_norm,
     bmo_report,
@@ -18,16 +20,54 @@ from hardylab.oscillation import (
 )
 
 
-def test_family_structure(spec1d):
-    family = BallFamily.build(spec1d)
-    assert family.balls
-    radii = {b.radius for b in family.balls}
-    for r in radii:
-        assert abs(math.log2(r) - round(math.log2(r))) < 1e-12
-    assert family.small() and family.large()
-    # small/large split keyed on the analytic measure
-    assert all(b.measure <= 1.0 + 1e-9 for b in family.small())
-    assert all(b.measure >= 1.0 - 1e-9 for b in family.large())
+def test_family_structure(spec1d, spec2d):
+    for spec in (spec1d, spec2d):
+        family = BallFamily.build(spec)
+        assert family.balls
+        radii = {b.radius for b in family.balls}
+        for r in radii:
+            assert abs(math.log2(r) - round(math.log2(r))) < 1e-12
+        small, large = family.halves()
+        assert small.any() and large.any()
+        # small/large split keyed on the analytic measure; unit balls in both
+        for ball, is_small, is_large in zip(family.balls, small, large):
+            assert is_small == (ball.measure <= 1.0 + 1e-9)
+            assert is_large == (ball.measure >= 1.0 - 1e-9)
+        # no ball is under-resolved: each covers 5 nodes per axis or more
+        assert all(region_node_count(spec, b) >= 5**spec.dim for b in family.balls)
+
+
+def _loop_norms(b, family):
+    """bmo_report, bmo_local_norm and lmo_norm as the per-norm family loops
+    the single statistics pass replaced (per-ball statistics memoized)."""
+    stats = functools.cache(lambda ball: _ball_stats(b, ball))
+    small = [ball for ball in family.balls if ball.measure <= 1.0 + 1e-9]
+    large = [ball for ball in family.balls if ball.measure >= 1.0 - 1e-9]
+    best, arg = 0.0, None
+    for ball in family.balls:
+        osc = stats(ball)[1]
+        if osc > best:
+            best, arg = osc, ball
+    mean_sup = max((stats(ball)[2] for ball in large), default=0.0)
+    bmo_local = max((stats(ball)[1] for ball in small), default=0.0) + mean_sup
+    lmo_sup = 0.0
+    for ball in small:
+        lmo_sup = max(lmo_sup, math.log(math.e + 1.0 / ball.measure) * stats(ball)[1])
+    return (best, len(family.balls), arg), bmo_local, lmo_sup + mean_sup
+
+
+@pytest.mark.parametrize("kind", ["random-smooth", "step", "random-bmo"])
+@pytest.mark.parametrize("spec_name", ["spec1d", "spec2d"])
+def test_family_norms_match_loops(request, spec_name, kind):
+    spec = request.getfixturevalue(spec_name)
+    family = BallFamily.build(spec)
+    b = b_field(spec, kind, np.random.default_rng(11))
+    report = bmo_report(b, family)
+    assert _loop_norms(b, family) == (
+        (report.norm, report.family_size, report.argmax_ball),
+        bmo_local_norm(b, family),
+        lmo_norm(b, family),
+    )
 
 
 def test_mean_oscillation_constant(spec1d):
@@ -101,14 +141,20 @@ def test_translation_invariance_exact(spec1d, rng):
     assert mean_oscillation(shifted, moved) == mean_oscillation(b, ball)
 
 
-def test_jn_check_constant(spec1d):
+def test_jn_check_constant(spec1d, spec2d):
     b = GridFunction.constant(spec1d, 2.0)
-    ball = Ball((0.0,), 0.5)
-    val = jn_check(b, ball, c=1.0)
-    # the integrand is 1, so the value is the quadrature measure of the ball,
-    # which overshoots the analytic unit measure by O(spacing)
-    assert val == pytest.approx(1.0, abs=2 * spec1d.spacing)
-    assert val <= 2.0
+    assert jn_check(b, Ball((0.0,), 0.5), c=1.0) <= 2.0
+    for spec in (spec1d, spec2d):
+        for value in (2.0, 0.1, -3.7, 7.3):
+            b = GridFunction.constant(spec, value)
+            for x in (0.0, 0.3, -2.5):
+                ball = Ball((x,) * spec.dim, 0.5)
+                val = jn_check(b, ball, c=1.0, bmo_local=abs(value))
+                # the mean of a constant is exact, so the integrand is exactly 1
+                # and the value is the quadrature measure of the ball, which
+                # overshoots the analytic unit measure by O(spacing)
+                assert val == float(np.sum(region_values(b, ball)[1]))
+                assert val == pytest.approx(1.0, abs=4 * spec.spacing)
 
 
 def test_jn_check_small_bump_bound(spec1d):
