@@ -5,7 +5,6 @@ oscillation norms, atoms, polynomial projections and product splits."""
 from .grid import Ball, CubeIndex, GridFunction, GridSpec
 from .atoms import Atom, AtomicDecomposition
 from .lipschitz import LipschitzOrder
-from .maximal import ScaleLadder
 from .product import ProductSplit, SplitReport
 
 __all__ = [
@@ -16,7 +15,6 @@ __all__ = [
     "Atom",
     "AtomicDecomposition",
     "LipschitzOrder",
-    "ScaleLadder",
     "ProductSplit",
     "SplitReport",
 ]

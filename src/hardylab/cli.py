@@ -18,11 +18,11 @@ import numpy as np
 
 from .atoms import load_decomposition, validate_atom
 from .generators import B_GENERATORS, b_field, random_decomposition
-from .grid import GridFunction, GridSpec, load_gridfunction, lp_norm
+from .grid import GridFunction, GridSpec, dyadic_scales, load_gridfunction, lp_norm
 from .lipschitz import LipschitzOrder, lambda_gamma_norm
 from .orlicz import PHI, hardy_quasinorm, lphi_star_norm, luxembourg_norm
 from .oscillation import BallFamily, bmo_local_norm, bmo_report, lmo_norm
-from .product import REGIMES, SplitReport, split_bmo, split_lipschitz, verify_split
+from .product import REGIMES, Regime, SplitReport, split_bmo, split_lipschitz, verify_split
 
 USAGE_ERROR = 2
 PARSE_ERROR = 1
@@ -76,6 +76,20 @@ def _input_function(config: dict, spec: GridSpec) -> GridFunction:
     raise ConfigError("input section needs 'file' or 'generator'")
 
 
+def _json_text(doc: dict) -> str:
+    """Strict JSON text of a report; a NaN or infinite value raises ValueError."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _emit(doc: dict, out) -> None:
+    """Write the report to the path out, or print it when out is not set."""
+    text = _json_text(doc)
+    if out:
+        Path(out).write_text(text)
+    else:
+        print(text)
+
+
 def cmd_norm(config: dict) -> int:
     spec = _grid_from(config)
     f = _input_function(config, spec)
@@ -112,54 +126,66 @@ def cmd_norm(config: dict) -> int:
         "grid": spec.to_dict(),
         **extra,
     }
-    out = config.get("output")
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if out:
-        Path(out).write_text(text)
-    else:
-        print(text)
+    _emit(doc, config.get("output"))
     return 0
 
 
-def _run_draw(spec: GridSpec, config: dict, rng: np.random.Generator) -> SplitReport:
-    regime = REGIMES[config["regime"]]
+def _split_config(spec: GridSpec, config: dict) -> tuple[Regime, LipschitzOrder | None, dict]:
+    """(regime, Lipschitz order of b or None at p = 1, random_decomposition keywords)."""
+    name = config.get("regime")
+    if not isinstance(name, str) or name not in REGIMES:
+        raise ConfigError(f"unknown regime {name!r}")
+    regime = REGIMES[name]
     p = _number(config, "p", 1.0)
+    if not regime.admits(p, spec.dim):
+        raise ConfigError(f"p = {p} is outside the range of regime {name!r}")
     atoms_cfg = config.get("atoms", {})
-    n_atoms = _number(atoms_cfg, "count", 4, int)
+    if not isinstance(atoms_cfg, dict):
+        raise ConfigError(f"atoms must be an object, got {atoms_cfg!r}")
     radius_range = atoms_cfg.get("radius_range")
     if radius_range is not None:
-        radius_range = tuple(float(v) for v in radius_range)
-    b = _generate(spec, config.get("b_generator", {"kind": "random-smooth"}), "kind", rng)
-    if regime.kind == "p1":
-        decomp = random_decomposition(
-            spec, rng, p=1.0, s=_number(atoms_cfg, "s", 0, int),
-            n_atoms=n_atoms, radius_range=radius_range, local=regime.local,
-        )
+        try:
+            if not isinstance(radius_range, list):
+                raise TypeError("not a list")
+            radius_range = tuple(float(v) for v in radius_range)
+            dyadic_scales(*radius_range)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad atoms.radius_range {radius_range!r}: {exc}") from exc
+    order, s_default = None, 0
+    if regime.kind != "p1":
+        gamma = spec.dim * (1.0 / p - 1.0)
+        if config.get("gamma") is not None and abs(_number(config, "gamma", None) - gamma) > 1e-12:
+            raise ConfigError(f"gamma must equal n(1/p - 1) = {gamma}")
+        order = LipschitzOrder(gamma)
+        s_default = 2 * order.k if regime.kind == "projection" else 0
+    atoms = {
+        "p": 1.0 if order is None else p,
+        "s": _number(atoms_cfg, "s", s_default, int),
+        "n_atoms": _number(atoms_cfg, "count", 4, int),
+        "radius_range": radius_range,
+        "local": regime.local,
+    }
+    return regime, order, atoms
+
+
+def _run_draw(
+    spec: GridSpec, regime: Regime, order, atoms: dict, b_section, rng: np.random.Generator
+) -> SplitReport:
+    b = _generate(spec, b_section, "kind", rng)
+    decomp = random_decomposition(spec, rng, **atoms)
+    if order is None:
         split = split_bmo(b, decomp, local=regime.local)
         b_scale = bmo_local_norm(b)
         return verify_split(split, b_scale, decomp)
-    gamma = spec.dim * (1.0 / p - 1.0)
-    if config.get("gamma") is not None and abs(_number(config, "gamma", None) - gamma) > 1e-12:
-        raise ConfigError(f"gamma must equal n(1/p - 1) = {gamma}")
-    order = LipschitzOrder(gamma)
-    s_default = 2 * order.k if regime.kind == "projection" else 0
-    decomp = random_decomposition(
-        spec, rng, p=p, s=_number(atoms_cfg, "s", s_default, int),
-        n_atoms=n_atoms, radius_range=radius_range, local=regime.local,
-    )
     split = split_lipschitz(b, decomp, order, local=regime.local)
     b_scale = lambda_gamma_norm(b, order)
-    return verify_split(split, b_scale, decomp, gamma=gamma)
+    return verify_split(split, b_scale, decomp, gamma=order.gamma)
 
 
 def cmd_split(config: dict) -> int:
     spec = _grid_from(config)
-    regime = config.get("regime")
-    if not isinstance(regime, str) or regime not in REGIMES:
-        raise ConfigError(f"unknown regime {regime!r}")
-    p = _number(config, "p", 1.0)
-    if not REGIMES[regime].admits(p, spec.dim):
-        raise ConfigError(f"p = {p} is outside the range of regime {regime!r}")
+    regime, order, atoms = _split_config(spec, config)
+    b_section = config.get("b_generator", {"kind": "random-smooth"})
     draws = _number(config, "draws", 1, int)
     if draws < 1:
         raise ConfigError(f"draws must be at least 1, got {draws}")
@@ -167,29 +193,29 @@ def cmd_split(config: dict) -> int:
     rng = np.random.default_rng(seed)
     reports = []
     for draw in range(draws):
-        report = _run_draw(spec, config, rng)
+        report = _run_draw(spec, regime, order, atoms, b_section, rng)
         reports.append((draw, report))
-    # created once every draw has succeeded, so a rejected config writes nothing
-    out_dir = Path(config.get("output_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows_path = out_dir / "rows.csv"
-    with rows_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("draw",) + SplitReport.CSV_FIELDS)
-        for draw, report in reports:
-            writer.writerow([draw] + report.to_csv_row())
     c1s = [r.c1 for _, r in reports]
     c2s = [r.c2 for _, r in reports]
-    summary = {
-        "regime": regime,
+    summary = _json_text({
+        "regime": config["regime"],
         "draws": draws,
         "seed": seed,
         "C1_max": max(c1s),
         "C1_median": statistics.median(c1s),
         "C2_max": max(c2s),
         "C2_median": statistics.median(c2s),
-    }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    })
+    # created once every draw has succeeded and the summary is valid JSON,
+    # so a rejected config or a non-finite constant writes nothing
+    out_dir = Path(config.get("output_dir", "."))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with (out_dir / "rows.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("draw",) + SplitReport.CSV_FIELDS)
+        for draw, report in reports:
+            writer.writerow([draw] + report.to_csv_row())
+    (out_dir / "summary.json").write_text(summary)
     return 0
 
 
@@ -217,12 +243,7 @@ def cmd_validate(config: dict) -> int:
             }
         )
     doc = {"p": decomp.p, "atoms": rows, "all_passed": all(r["passed"] for r in rows)}
-    out = config.get("output")
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if out:
-        Path(out).write_text(text)
-    else:
-        print(text)
+    _emit(doc, config.get("output"))
     return 0
 
 

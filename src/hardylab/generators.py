@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .atoms import AtomicDecomposition, make_atom, make_local_atom
-from .grid import Ball, GridFunction, GridSpec
+from .grid import Ball, GridFunction, GridSpec, dyadic_scales
 
 __all__ = [
     "constant_field",
@@ -55,9 +55,10 @@ def _trig_series(spec: GridSpec, amplitudes, frequencies, phases) -> np.ndarray:
 
 
 def random_smooth_field(
-    spec: GridSpec, rng: np.random.Generator, n_modes: int = 8, amplitude: float = 1.0
+    spec: GridSpec, rng: np.random.Generator, amplitude: float = 1.0
 ) -> GridFunction:
-    """Random low-frequency trigonometric series; smooth and bounded."""
+    """Random low-frequency trigonometric series of 8 modes; smooth and bounded."""
+    n_modes = 8
     freqs = rng.integers(1, 6, n_modes)
     amps = amplitude * rng.normal(size=n_modes) / n_modes
     phases = rng.uniform(0, 2 * math.pi, n_modes)
@@ -144,12 +145,8 @@ def random_ball(
     radius_range: tuple[float, float],
 ) -> Ball:
     """Dyadic-radius ball placed so it stays inside the box."""
-    r_lo, r_hi = radius_range
-    j_lo = int(math.ceil(math.log2(r_lo) - 1e-12))
-    j_hi = int(math.floor(math.log2(r_hi) + 1e-12))
-    if j_hi < j_lo:
-        raise ValueError("empty dyadic radius range")
-    r = 2.0 ** int(rng.integers(j_lo, j_hi + 1))
+    radii = dyadic_scales(*radius_range)
+    r = radii[rng.integers(len(radii))]
     free = spec.halfwidth - r
     if free < 0:
         raise ValueError("radius larger than the box")
@@ -157,9 +154,9 @@ def random_ball(
     return Ball(center, r)
 
 
-def _random_modulation(rng: np.random.Generator, strength: float = 0.3):
+def _random_modulation(rng: np.random.Generator):
     """Mild random polynomial modulation of the atom profile."""
-    coeffs = strength * rng.normal(size=3)
+    coeffs = 0.3 * rng.normal(size=3)
 
     def modulate(*scaled):
         u = scaled[0]

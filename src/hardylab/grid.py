@@ -40,6 +40,7 @@ __all__ = [
     "lp_norm",
     "sup_norm",
     "cube_indices",
+    "dyadic_scales",
     "save_gridfunction",
     "load_gridfunction",
 ]
@@ -310,6 +311,17 @@ def cube_indices(spec: GridSpec) -> list[CubeIndex]:
     if spec.dim == 1:
         return [CubeIndex((int(j),)) for j in js]
     return [CubeIndex((int(j1), int(j2))) for j1 in js for j2 in js]
+
+
+def dyadic_scales(lo: float, hi: float) -> list[float]:
+    """The powers of two in [lo, hi], increasing, with a 1e-12 slack in log2."""
+    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
+        raise ValueError(f"dyadic range needs finite positive ends, got [{lo}, {hi}]")
+    j_lo = math.ceil(math.log2(lo) - 1e-12)
+    j_hi = math.floor(math.log2(hi) + 1e-12)
+    if j_hi < j_lo:
+        raise ValueError(f"empty dyadic range [{lo}, {hi}]")
+    return [2.0**j for j in range(j_lo, j_hi + 1)]
 
 
 def save_gridfunction(f: GridFunction, basepath) -> None:

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import comb
 
 from .grid import GridFunction
 
@@ -76,7 +75,7 @@ def difference_op(f: GridFunction, delta, k: int) -> np.ndarray:
     if 0 in shape:
         return out
     for s in range(k + 1):
-        coeff = (-1.0) ** (k + s) * comb(k, s, exact=True)
+        coeff = (-1.0) ** (k + s) * math.comb(k, s)
         sel = tuple(axis_slice(st, s) for st in steps)
         out += coeff * f.values[sel]
     return out

@@ -1,4 +1,4 @@
-"""Smooth maximal operators over a dyadic ladder of dilation scales.
+"""Smooth maximal operators over the dyadic dilation scales of the grid.
 
 The kernel is the standard radial bump supported in the unit ball.  At each
 scale the sampled kernel is renormalized so that its discrete mass is exactly
@@ -9,18 +9,15 @@ maximal function free of spurious inflation at coarse scales.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import convolve
 
-from .grid import GridFunction, GridSpec
+from .grid import GridFunction, GridSpec, dyadic_scales
 
 __all__ = [
-    "ScaleLadder",
     "convolve_dilated",
     "maximal_fn",
-    "truncated_maximal_fn",
 ]
 
 
@@ -61,61 +58,10 @@ def convolve_dilated(f: GridFunction, t: float) -> GridFunction:
     return f.with_values(out)
 
 
-def _is_dyadic(t: float) -> bool:
-    if t <= 0:
-        return False
-    e = math.log2(t)
-    return abs(e - round(e)) < 1e-12
-
-
-@dataclass(frozen=True)
-class ScaleLadder:
-    """Finite decreasing list of dyadic dilation scales."""
-
-    scales: tuple[float, ...]
-
-    def __post_init__(self):
-        scales = tuple(float(t) for t in self.scales)
-        if not scales:
-            raise ValueError("ladder must be nonempty")
-        if any(not _is_dyadic(t) for t in scales):
-            raise ValueError("scales must be dyadic")
-        if list(scales) != sorted(scales, reverse=True):
-            raise ValueError("scales must be strictly decreasing")
-        object.__setattr__(self, "scales", scales)
-
-    @classmethod
-    def default(cls, spec: GridSpec, truncated: bool = False) -> "ScaleLadder":
-        """All dyadic t in [2*spacing, 2R], or in [2*spacing, 1) if truncated."""
-        t_min = 2.0 * spec.spacing
-        t_max = 0.5 if truncated else 2.0 * spec.halfwidth
-        j_lo = int(math.ceil(math.log2(t_min) - 1e-12))
-        j_hi = int(math.floor(math.log2(t_max) + 1e-12))
-        if j_hi < j_lo:
-            raise ValueError("grid too coarse for any admissible scale")
-        return cls(tuple(2.0**j for j in range(j_hi, j_lo - 1, -1)))
-
-    @property
-    def is_truncated(self) -> bool:
-        return all(0.0 < t < 1.0 for t in self.scales)
-
-
-def maximal_fn(f: GridFunction, ladder: ScaleLadder | None = None) -> GridFunction:
-    """Pointwise sup over the ladder of |f * phi_t|."""
-    if ladder is None:
-        ladder = ScaleLadder.default(f.spec)
+def maximal_fn(f: GridFunction, local: bool = False) -> GridFunction:
+    """Pointwise sup of |f * phi_t| over dyadic t in [2*spacing, 2R]; t < 1 if local."""
+    t_max = 0.5 if local else 2.0 * f.spec.halfwidth
     out = np.zeros(f.spec.shape)
-    for t in ladder.scales:
+    for t in dyadic_scales(2.0 * f.spec.spacing, t_max):
         np.maximum(out, np.abs(convolve_dilated(f, t).values), out=out)
     return f.with_values(out)
-
-
-def truncated_maximal_fn(
-    f: GridFunction, ladder: ScaleLadder | None = None
-) -> GridFunction:
-    """Maximal function restricted to scales below 1."""
-    if ladder is None:
-        ladder = ScaleLadder.default(f.spec, truncated=True)
-    if not ladder.is_truncated:
-        raise ValueError("ladder not truncated")
-    return maximal_fn(f, ladder)

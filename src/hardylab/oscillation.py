@@ -18,6 +18,7 @@ from .grid import (
     GridFunction,
     GridSpec,
     _quadrature_mean,
+    dyadic_scales,
     region_node_count,
     region_values,
 )
@@ -25,7 +26,6 @@ from .grid import (
 __all__ = [
     "BallFamily",
     "mean_oscillation",
-    "bmo_norm",
     "bmo_local_norm",
     "lmo_norm",
     "jn_check",
@@ -71,11 +71,8 @@ class BallFamily:
         # every center is a node and r >= 4 * spacing, so each ball covers
         # at least 5 nodes per axis and none is under-resolved
         step = spec.spacing
-        j_lo = int(math.ceil(math.log2(4.0 * step) - 1e-12))
-        j_hi = int(math.floor(math.log2(2.0 * spec.halfwidth) + 1e-12))
         balls: list[Ball] = []
-        for j in range(j_lo, j_hi + 1):
-            r = 2.0**j
+        for r in dyadic_scales(4.0 * step, 2.0 * spec.halfwidth):
             stride_steps = max(1, int(round((r / 8.0) / step)))
             centers = np.arange(0, spec.points_per_axis, stride_steps) * step - spec.halfwidth
             balls.extend(Ball(c, r) for c in itertools.product(centers, repeat=spec.dim))
@@ -119,10 +116,6 @@ def mean_oscillation(b: GridFunction, ball: Ball) -> float:
 
 def _default_family(b: GridFunction, family: BallFamily | None) -> BallFamily:
     return family if family is not None else BallFamily.build(b.spec)
-
-
-def bmo_norm(b: GridFunction, family: BallFamily | None = None) -> float:
-    return bmo_report(b, family).norm
 
 
 def bmo_report(b: GridFunction, family: BallFamily | None = None) -> NormReport:

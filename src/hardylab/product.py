@@ -99,10 +99,6 @@ class ProductSplit:
     regime: Regime
     ledger: tuple[SplitLedgerEntry, ...]
 
-    @property
-    def is_local(self) -> bool:
-        return self.regime.local
-
 
 def truncate(b: GridFunction, level: float) -> GridFunction:
     """Three-case clamp of b to [-level, level]."""
@@ -291,21 +287,6 @@ class SplitReport:
     c2: float
     grid: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "p": self.p,
-            "gamma": self.gamma,
-            "norm_h1_L1": self.norm_h1_l1,
-            "norm_h2_target": self.norm_h2_target,
-            "b_scale": self.b_scale,
-            "lambda_sum": self.lambda_sum,
-            "lambda_p_sum": self.lambda_p_sum,
-            "C1": self.c1,
-            "C2": self.c2,
-            "grid": self.grid,
-        }
-
     CSV_FIELDS = (
         "regime",
         "p",
@@ -353,7 +334,7 @@ def verify_split(
     gamma: float | None = None,
 ) -> SplitReport:
     """Measure ||h1||_1 and the regime's target quasi-norm of h2."""
-    local = split.is_local
+    local = split.regime.local
     h1_norm = lp_norm(split.h1, 1.0)
     if split.regime.kind == "p1":
         h2_norm = hardy_phi_star_quasinorm(split.h2, local=local)

@@ -150,6 +150,12 @@ EXIT_CASES = [
     ("norm", {"grid": GRID, "input": {"generator": "nope"}, "which": "lp"}, 2, None),
     ("norm", {"grid": GRID, "input": {"generator": "random-smooth"}, "which": "lambda_gamma"},
      2, None),
+    ("split", {"grid": GRID, "regime": "p1", "atoms": "x"}, 2, None),
+    ("split", {"grid": GRID, "regime": "p1", "atoms": {"radius_range": ["a", 1]}}, 2, None),
+    ("split", {"grid": GRID, "regime": "p1", "atoms": {"radius_range": [1]}}, 2, None),
+    # the norm overflows to inf, which strict JSON cannot hold
+    ("norm", {"grid": GRID, "input": {"generator": "constant", "params": {"value": 1e308}},
+              "which": "luxembourg"}, 1, None),
 ]
 
 

@@ -1,9 +1,12 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from hardylab import maximal
+from hardylab.generators import random_ball
 from hardylab.grid import (
     Ball,
     CubeIndex,
@@ -11,6 +14,7 @@ from hardylab.grid import (
     GridSpec,
     ball_mean,
     cube_indices,
+    dyadic_scales,
     integrate,
     load_gridfunction,
     lp_norm,
@@ -19,6 +23,7 @@ from hardylab.grid import (
     save_gridfunction,
     sup_norm,
 )
+from hardylab.oscillation import BallFamily
 
 
 def test_spec_validation():
@@ -179,3 +184,60 @@ def test_ball_dilate_translate():
     assert b.translate((0.25,)) == Ball((1.25,), 0.5)
     assert b.measure == 1.0
     assert Ball((0.0, 0.0), 1.0).measure == 4.0
+
+
+# the three dyadic rules that dyadic_scales replaced, kept as its reference
+
+
+def _former_ladder(spec, truncated):  # ScaleLadder.default; it raised where empty
+    t_max = 0.5 if truncated else 2.0 * spec.halfwidth
+    j_lo = int(math.ceil(math.log2(2.0 * spec.spacing) - 1e-12))
+    j_hi = int(math.floor(math.log2(t_max) + 1e-12))
+    return [2.0**j for j in range(j_hi, j_lo - 1, -1)]
+
+
+def _former_family_radii(spec):  # BallFamily.build
+    j_lo = int(math.ceil(math.log2(4.0 * spec.spacing) - 1e-12))
+    j_hi = int(math.floor(math.log2(2.0 * spec.halfwidth) + 1e-12))
+    return [2.0**j for j in range(j_lo, j_hi + 1)]
+
+
+def _former_random_ball(spec, rng, r_lo, r_hi):  # generators.random_ball
+    j_lo = int(math.ceil(math.log2(r_lo) - 1e-12))
+    j_hi = int(math.floor(math.log2(r_hi) + 1e-12))
+    r = 2.0 ** int(rng.integers(j_lo, j_hi + 1))
+    free = spec.halfwidth - r
+    return Ball(tuple(rng.uniform(-free, free) for _ in range(spec.dim)), r)
+
+
+def test_dyadic_scales_match_former_rules(monkeypatch):
+    seen = []
+    monkeypatch.setattr(maximal, "convolve_dilated", lambda f, t: seen.append(t) or f)
+    grids = itertools.product((1, 2), (16, 17, 33, 65, 129, 257, 1025, 4097), (1.0, 3.7, 4.0, 8.0))
+    for dim, m, halfwidth in grids:
+        spec = GridSpec(dim, halfwidth, m)
+        for local in (False, True):
+            former = _former_ladder(spec, local)[::-1]
+            if not former:
+                with pytest.raises(ValueError, match="empty dyadic range"):
+                    maximal.maximal_fn(GridFunction.zeros(spec), local)
+            elif dim == 1 or m <= 1025:  # 2d m=4097 takes 134 MB; 1d has its spacing
+                seen.clear()
+                maximal.maximal_fn(GridFunction.zeros(spec), local)
+                assert sorted(seen) == former  # the scale order is free
+        radii = dyadic_scales(4.0 * spec.spacing, 2.0 * halfwidth)
+        assert radii == _former_family_radii(spec)
+        if dim == 1 or m <= 65:  # the 2d family at m=4097 has ~17M balls
+            family = BallFamily.build(spec)
+            assert list(dict.fromkeys(b.radius for b in family.balls)) == radii
+        for r_lo, r_hi in ((spec.spacing, halfwidth), (halfwidth / 16.0, halfwidth / 2.0)):
+            new_rng, old_rng = np.random.default_rng(m), np.random.default_rng(m)
+            for _ in range(20):
+                ball = random_ball(spec, new_rng, (r_lo, r_hi))
+                assert ball == _former_random_ball(spec, old_rng, r_lo, r_hi)
+            assert new_rng.random() == old_rng.random()
+    with pytest.raises(ValueError, match="empty dyadic range"):
+        dyadic_scales(3.0, 3.5)
+    for lo, hi in ((0.0, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="finite positive ends"):
+            dyadic_scales(lo, hi)

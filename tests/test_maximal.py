@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from hardylab.grid import GridFunction, GridSpec
-from hardylab.maximal import (
-    ScaleLadder,
-    _kernel,
-    bump_profile,
-    convolve_dilated,
-    maximal_fn,
-    truncated_maximal_fn,
-)
+from hardylab.grid import GridFunction, GridSpec, dyadic_scales
+from hardylab.maximal import _kernel, bump_profile, convolve_dilated, maximal_fn
 
 
 def _indicator(spec, lo, hi):
@@ -28,7 +21,7 @@ def test_bump_profile_support():
 
 def test_kernel_discrete_mass(spec1d, spec2d):
     for spec in (spec1d, spec2d):
-        for t in ScaleLadder.default(spec).scales:
+        for t in dyadic_scales(2.0 * spec.spacing, 2.0 * spec.halfwidth):
             kern = _kernel(spec, t)
             assert kern.sum() == pytest.approx(1.0, abs=1e-14)
             assert np.all(kern >= 0)
@@ -67,18 +60,11 @@ def test_convolve_scale_below_resolution(spec1d):
 
 
 def test_ladder_validation(spec1d):
-    with pytest.raises(ValueError):
-        ScaleLadder(())
-    with pytest.raises(ValueError, match="dyadic"):
-        ScaleLadder((0.3,))
-    with pytest.raises(ValueError, match="decreasing"):
-        ScaleLadder((0.25, 0.5))
-    full = ScaleLadder.default(spec1d)
-    trunc = ScaleLadder.default(spec1d, truncated=True)
-    assert not full.is_truncated
-    assert trunc.is_truncated
-    assert set(trunc.scales) <= set(full.scales)
-    assert max(full.scales) == 2.0 * spec1d.halfwidth
+    full = dyadic_scales(2.0 * spec1d.spacing, 2.0 * spec1d.halfwidth)
+    local = dyadic_scales(2.0 * spec1d.spacing, 0.5)
+    assert max(local) < 1.0 <= max(full)
+    assert set(local) <= set(full)
+    assert max(full) == 2.0 * spec1d.halfwidth
 
 
 def test_maximal_zero_and_homogeneity(spec1d, rng):
@@ -95,10 +81,10 @@ def test_maximal_fine_ladder_oracle(spec1d):
     f = _indicator(spec1d, -1.0, 1.0)
     x = spec1d.axis()
     i3 = int(np.argmin(np.abs(x - 3.0)))
-    ladder = ScaleLadder.default(spec1d)
-    coarse = maximal_fn(f, ladder).values[i3]
+    scales = dyadic_scales(2.0 * spec1d.spacing, 2.0 * spec1d.halfwidth)
+    coarse = maximal_fn(f).values[i3]
     fine_ts = np.geomspace(2.0 * spec1d.spacing, 2.0 * spec1d.halfwidth,
-                           10 * len(ladder.scales))
+                           10 * len(scales))
     fine = max(abs(convolve_dilated(f, t).values[i3]) for t in fine_ts)
     # the dyadic ladder samples log t at unit stride, so it can undershoot
     # the continuous sup by the variation over one octave
@@ -116,15 +102,9 @@ def test_maximal_sublinear(spec1d, rng):
 
 def test_truncated_below_full(spec1d, rng):
     f = GridFunction(spec1d, rng.normal(size=spec1d.shape))
-    trunc = truncated_maximal_fn(f).values
+    trunc = maximal_fn(f, local=True).values
     full = maximal_fn(f).values
     assert np.all(trunc <= full + 1e-12)
-
-
-def test_truncated_requires_truncated_ladder(spec1d, rng):
-    f = GridFunction(spec1d, rng.normal(size=spec1d.shape))
-    with pytest.raises(ValueError, match="ladder not truncated"):
-        truncated_maximal_fn(f, ScaleLadder.default(spec1d))
 
 
 def test_separated_bumps_truncated_gap(spec1d):
@@ -133,5 +113,5 @@ def test_separated_bumps_truncated_gap(spec1d):
     vals = bump_profile((x - 6.0) / 0.5) + bump_profile((x + 6.0) / 0.5)
     f = GridFunction(spec1d, vals)
     i0 = int(np.argmin(np.abs(x)))
-    assert truncated_maximal_fn(f).values[i0] == 0.0
+    assert maximal_fn(f, local=True).values[i0] == 0.0
     assert maximal_fn(f).values[i0] > 0.0
