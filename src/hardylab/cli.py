@@ -12,6 +12,7 @@ import csv
 import json
 import statistics
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +110,7 @@ def cmd_norm(config: dict) -> int:
     elif which == "bmo":
         report = bmo_report(f)
         value = report.norm
-        extra = report.to_dict()
+        extra = asdict(report)
     elif which == "bmo_local":
         family = BallFamily.build(spec)
         value = bmo_local_norm(f, family)
@@ -148,7 +149,8 @@ def _split_config(spec: GridSpec, config: dict) -> tuple[Regime, LipschitzOrder 
             if not isinstance(radius_range, list):
                 raise TypeError("not a list")
             radius_range = tuple(float(v) for v in radius_range)
-            dyadic_scales(*radius_range)
+            if dyadic_scales(*radius_range)[-1] > spec.halfwidth:
+                raise ValueError(f"radius larger than the halfwidth {spec.halfwidth}")
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad atoms.radius_range {radius_range!r}: {exc}") from exc
     order, s_default = None, 0
@@ -158,10 +160,14 @@ def _split_config(spec: GridSpec, config: dict) -> tuple[Regime, LipschitzOrder 
             raise ConfigError(f"gamma must equal n(1/p - 1) = {gamma}")
         order = LipschitzOrder(gamma)
         s_default = 2 * order.k if regime.kind == "projection" else 0
+    s = _number(atoms_cfg, "s", s_default, int)
+    count = _number(atoms_cfg, "count", 4, int)
+    if count < 1 or s < 0:
+        raise ConfigError(f"atoms need count >= 1 and s >= 0, got count {count}, s {s}")
     atoms = {
         "p": 1.0 if order is None else p,
-        "s": _number(atoms_cfg, "s", s_default, int),
-        "n_atoms": _number(atoms_cfg, "count", 4, int),
+        "s": s,
+        "n_atoms": count,
         "radius_range": radius_range,
         "local": regime.local,
     }

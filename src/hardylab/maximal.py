@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.signal import convolve
 
 from .grid import GridFunction, GridSpec, dyadic_scales
 
@@ -52,9 +51,12 @@ def _kernel(spec: GridSpec, t: float) -> np.ndarray:
 def convolve_dilated(f: GridFunction, t: float) -> GridFunction:
     """Discrete convolution with the dilated bump; f is zero outside the box."""
     kern = _kernel(f.spec, t)
-    # scipy keeps the "same" output aligned with the first argument even
-    # when the dilated kernel is wider than the sampled function
-    out = convolve(f.values, kern, mode="same", method="direct")
+    padded = np.pad(f.values, kern.shape[0] // 2)
+    out = np.zeros(f.spec.shape)
+    # the kernel is symmetric, so this correlation is the convolution
+    for tap in zip(*np.nonzero(kern)):
+        window = tuple(slice(k, k + n) for k, n in zip(tap, f.spec.shape))
+        out += kern[tap] * padded[window]
     return f.with_values(out)
 
 

@@ -42,19 +42,6 @@ class NormReport:
     family_size: int
     argmax_ball: Ball | None
 
-    def to_dict(self) -> dict:
-        ball = None
-        if self.argmax_ball is not None:
-            ball = {
-                "center": list(self.argmax_ball.center),
-                "radius": self.argmax_ball.radius,
-            }
-        return {
-            "norm": self.norm,
-            "family_size": self.family_size,
-            "argmax_ball": ball,
-        }
-
 
 @dataclass(frozen=True)
 class BallFamily:

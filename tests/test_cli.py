@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +160,11 @@ EXIT_CASES = [
     # the norm overflows to inf, which strict JSON cannot hold
     ("norm", {"grid": GRID, "input": {"generator": "constant", "params": {"value": 1e308}},
               "which": "luxembourg"}, 1, None),
+    # the atoms section is checked before the first draw
+    ("split", {"grid": GRID, "regime": "p1", "atoms": {"radius_range": [16, 16]}}, 2, None),
+    ("split", {"grid": GRID, "regime": "p1", "atoms": {"count": 0}}, 2, None),
+    ("split", {"grid": GRID, "regime": "p1", "atoms": {"count": -3}}, 2, None),
+    ("split", {"grid": GRID, "regime": "p1", "atoms": {"s": -1}}, 2, None),
 ]
 
 
@@ -231,3 +240,14 @@ def test_validate_corrupted_moment(tmp_path):
 def test_validate_missing_file_exit1(tmp_path):
     cfg = _write(tmp_path, "cfg.json", {"decomposition": str(tmp_path / "absent")})
     assert _run(["validate", "--config", cfg]) == 1
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test dependency only: the `lab` command runs on numpy."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = ("import sys, hardylab.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -105,7 +106,7 @@ def test_bmo_report_argmax(spec1d, rng):
     assert report.norm > 0
     assert report.argmax_ball is not None
     assert mean_oscillation(b, report.argmax_ball) == pytest.approx(report.norm)
-    doc = report.to_dict()
+    doc = asdict(report)
     assert doc["family_size"] == report.family_size
 
 
