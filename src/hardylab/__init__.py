@@ -2,14 +2,13 @@
 BMO / Lipschitz multipliers: grid quadrature, maximal operators, Orlicz and
 oscillation norms, atoms, polynomial projections and product splits."""
 
-from .grid import Ball, CubeIndex, GridFunction, GridSpec
+from .grid import Ball, GridFunction, GridSpec
 from .atoms import Atom, AtomicDecomposition
 from .lipschitz import LipschitzOrder
 from .product import ProductSplit, SplitReport
 
 __all__ = [
     "Ball",
-    "CubeIndex",
     "GridFunction",
     "GridSpec",
     "Atom",

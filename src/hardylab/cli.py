@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .atoms import load_decomposition, validate_atom
-from .generators import B_GENERATORS, b_field, random_decomposition
-from .grid import GridFunction, GridSpec, dyadic_scales, load_gridfunction, lp_norm
+from .generators import B_GENERATORS, atom_radii, b_field, random_decomposition
+from .grid import GridFunction, GridSpec, load_gridfunction, lp_norm
 from .lipschitz import LipschitzOrder, lambda_gamma_norm
 from .orlicz import PHI, hardy_quasinorm, lphi_star_norm, luxembourg_norm
 from .oscillation import BallFamily, bmo_local_norm, bmo_report, lmo_norm
@@ -112,9 +112,8 @@ def cmd_norm(config: dict) -> int:
         value = report.norm
         extra = asdict(report)
     elif which == "bmo_local":
-        family = BallFamily.build(spec)
-        value = bmo_local_norm(f, family)
-        extra = {"family_size": len(family.balls)}
+        value = bmo_local_norm(f)
+        extra = {"family_size": len(BallFamily.build(spec).balls)}
     elif which == "lmo":
         value = lmo_norm(f)
     elif which == "lambda_gamma":
@@ -144,15 +143,15 @@ def _split_config(spec: GridSpec, config: dict) -> tuple[Regime, LipschitzOrder 
     if not isinstance(atoms_cfg, dict):
         raise ConfigError(f"atoms must be an object, got {atoms_cfg!r}")
     radius_range = atoms_cfg.get("radius_range")
-    if radius_range is not None:
-        try:
+    try:  # the default range too: a coarse grid can leave it without a radius
+        if radius_range is not None:
             if not isinstance(radius_range, list):
                 raise TypeError("not a list")
             radius_range = tuple(float(v) for v in radius_range)
-            if dyadic_scales(*radius_range)[-1] > spec.halfwidth:
-                raise ValueError(f"radius larger than the halfwidth {spec.halfwidth}")
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad atoms.radius_range {radius_range!r}: {exc}") from exc
+        atom_radii(spec, radius_range)
+    except (TypeError, ValueError) as exc:
+        shown = atoms_cfg.get("radius_range", "default")
+        raise ConfigError(f"bad atoms.radius_range {shown!r}: {exc}") from exc
     order, s_default = None, 0
     if regime.kind != "p1":
         gamma = spec.dim * (1.0 / p - 1.0)

@@ -24,6 +24,7 @@ __all__ = [
     "random_bmo_field",
     "B_GENERATORS",
     "b_field",
+    "atom_radii",
     "random_ball",
     "random_decomposition",
 ]
@@ -139,17 +140,29 @@ def b_field(
     return B_GENERATORS[kind](spec, rng, params)
 
 
+def atom_radii(spec: GridSpec, radius_range: tuple[float, float] | None = None) -> list[float]:
+    """Dyadic radii in radius_range, by default [max(8 * spacing, R/32), R/2].
+
+    Raises ValueError when the range holds no power of two or its largest
+    radius exceeds the halfwidth, so that every ball fits in the box.
+    """
+    if radius_range is None:
+        radius_range = (max(8 * spec.spacing, spec.halfwidth / 32.0), spec.halfwidth / 2.0)
+    radii = dyadic_scales(*radius_range)
+    if radii[-1] > spec.halfwidth:
+        raise ValueError(f"radius {radii[-1]} larger than the halfwidth {spec.halfwidth}")
+    return radii
+
+
 def random_ball(
     spec: GridSpec,
     rng: np.random.Generator,
-    radius_range: tuple[float, float],
+    radius_range: tuple[float, float] | None = None,
 ) -> Ball:
-    """Dyadic-radius ball placed so it stays inside the box."""
-    radii = dyadic_scales(*radius_range)
+    """Ball of a random radius from atom_radii, placed so it stays inside the box."""
+    radii = atom_radii(spec, radius_range)
     r = radii[rng.integers(len(radii))]
     free = spec.halfwidth - r
-    if free < 0:
-        raise ValueError("radius larger than the box")
     center = tuple(rng.uniform(-free, free) for _ in range(spec.dim))
     return Ball(center, r)
 
@@ -182,10 +195,6 @@ def random_decomposition(
     With local=True, large balls (|B| > 1) produce moment-free local atoms,
     mirroring the atomic decomposition of the local Hardy spaces.
     """
-    if radius_range is None:
-        hi = spec.halfwidth / 2.0
-        lo = max(8 * spec.spacing, hi / 16.0)
-        radius_range = (lo, hi)
     terms = []
     for _ in range(n_atoms):
         ball = random_ball(spec, rng, radius_range)

@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -30,7 +31,6 @@ __all__ = [
     "GridSpec",
     "GridFunction",
     "Ball",
-    "CubeIndex",
     "region_slices",
     "region_weights",
     "region_coords",
@@ -39,7 +39,7 @@ __all__ = [
     "ball_mean",
     "lp_norm",
     "sup_norm",
-    "cube_indices",
+    "unit_cubes",
     "dyadic_scales",
     "save_gridfunction",
     "load_gridfunction",
@@ -179,20 +179,6 @@ class Ball:
         return Ball(tuple(c + s for c, s in zip(self.center, shift)), self.radius)
 
 
-@dataclass(frozen=True)
-class CubeIndex:
-    """The unit cube j + Q, Q the unit cube centered at the origin."""
-
-    j: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "j", tuple(int(v) for v in np.atleast_1d(self.j)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.j)
-
-
 def _ball_axis_slice(spec: GridSpec, center: float, radius: float) -> slice:
     step = spec.spacing
     lo = (center - radius + spec.halfwidth) / step
@@ -202,34 +188,15 @@ def _ball_axis_slice(spec: GridSpec, center: float, radius: float) -> slice:
     return slice(i_lo, i_hi + 1)
 
 
-def _cube_owners(spec: GridSpec) -> np.ndarray:
-    """Index of the unit cube owning each node along one axis."""
-    # nodes are assigned to cubes by nearest-integer binning, which
-    # partitions the box exactly (no node counted twice in the cube sum)
-    return np.floor(spec.axis() + 0.5).astype(int)
-
-
-def _cube_axis_slice(spec: GridSpec, j: int) -> slice:
-    owners = _cube_owners(spec)
-    i_lo = int(np.searchsorted(owners, j, side="left"))
-    i_hi = int(np.searchsorted(owners, j, side="right"))
-    return slice(i_lo, i_hi)
-
-
 def region_slices(spec: GridSpec, region) -> tuple[slice, ...]:
-    """Per-axis index slices of the in-box part of a Ball or CubeIndex."""
-    if isinstance(region, Ball):
-        if region.dim != spec.dim:
-            raise ValueError("region dimension does not match grid")
-        slices = tuple(
-            _ball_axis_slice(spec, c, region.radius) for c in region.center
-        )
-    elif isinstance(region, CubeIndex):
-        if region.dim != spec.dim:
-            raise ValueError("region dimension does not match grid")
-        slices = tuple(_cube_axis_slice(spec, j) for j in region.j)
-    else:
+    """Per-axis index slices of the in-box part of a Ball; an index box as is."""
+    if isinstance(region, tuple) and all(isinstance(s, slice) for s in region):
+        return region
+    if not isinstance(region, Ball):
         raise TypeError(f"unsupported region type {type(region).__name__}")
+    if region.dim != spec.dim:
+        raise ValueError("region dimension does not match grid")
+    slices = tuple(_ball_axis_slice(spec, c, region.radius) for c in region.center)
     if any(s.stop <= s.start for s in slices):
         raise ValueError("empty region")
     return slices
@@ -305,12 +272,17 @@ def sup_norm(f: GridFunction, region=None) -> float:
     return float(np.max(np.abs(vals)))
 
 
-def cube_indices(spec: GridSpec) -> list[CubeIndex]:
-    """All unit lattice cubes owning at least one grid node, in raster order."""
-    js = np.unique(_cube_owners(spec))
-    if spec.dim == 1:
-        return [CubeIndex((int(j),)) for j in js]
-    return [CubeIndex((int(j1), int(j2))) for j1 in js for j2 in js]
+def unit_cubes(spec: GridSpec) -> dict[tuple[int, ...], tuple[slice, ...]]:
+    """Index box of each unit lattice cube j + Q owning a node, in raster order."""
+    # nodes are assigned to cubes by nearest-integer binning, which
+    # partitions the box exactly (no node counted twice in the cube sum)
+    js, starts = np.unique(np.floor(spec.axis() + 0.5).astype(int), return_index=True)
+    stops = [*starts[1:], spec.points_per_axis]
+    axis = [(int(j), slice(int(a), int(b))) for j, a, b in zip(js, starts, stops)]
+    return {
+        tuple(j for j, _ in cube): tuple(s for _, s in cube)
+        for cube in itertools.product(axis, repeat=spec.dim)
+    }
 
 
 def dyadic_scales(lo: float, hi: float) -> list[float]:

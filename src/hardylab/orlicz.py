@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, cube_indices, lp_norm, region_values
+from .grid import GridFunction, lp_norm, region_values, unit_cubes
 from .maximal import maximal_fn
 
 __all__ = [
@@ -61,20 +61,12 @@ def _bracket(gauge, k0: float) -> tuple[float, float]:
     the gauge is taken as infinite and as 0.
     """
     k_hi = k0
-    for _ in range(200):
-        if gauge(k_hi) <= 1.0:
-            break
+    while k_hi < math.inf and not gauge(k_hi) <= 1.0:
         k_hi *= 2.0
-    else:
-        raise RuntimeError("failed to bracket Luxembourg norm from above")
     k_lo = k_hi / 2.0 if k_hi < math.inf else sys.float_info.max
-    for _ in range(200):
-        if k_lo == 0.0 or gauge(k_lo) > 1.0:
-            break
+    while not (k_lo == 0.0 or gauge(k_lo) > 1.0):
         k_hi = k_lo
         k_lo /= 2.0
-    else:
-        raise RuntimeError("failed to bracket Luxembourg norm from below")
     return k_lo, k_hi
 
 
@@ -145,10 +137,7 @@ def luxembourg_scan_oracle(
 
 def lphi_star_norm(f: GridFunction) -> float:
     """Sum over unit lattice cubes of the per-cube Luxembourg norms under PHI."""
-    total = 0.0
-    for cube in cube_indices(f.spec):
-        total += luxembourg_norm(f, PHI, cube)
-    return total
+    return sum(luxembourg_norm(f, PHI, box) for box in unit_cubes(f.spec).values())
 
 
 def hardy_quasinorm(

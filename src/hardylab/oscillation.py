@@ -3,10 +3,12 @@
 Suprema over "all balls" are taken over a finite dyadic family: dyadic radii
 in [4*spacing, 2R], centers on a sub-lattice of stride max(spacing, r/8).
 The family density is the accuracy knob and is reported with every norm.
+The family depends only on the grid, so it is built once per grid.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -53,7 +55,9 @@ class BallFamily:
         if not self.balls:
             raise ValueError("ball family must be nonempty")
 
+    # a lab run uses one grid; the size of 1 bounds memory for grid sweeps
     @classmethod
+    @functools.lru_cache(maxsize=1)
     def build(cls, spec: GridSpec) -> "BallFamily":
         # every center is a node and r >= 4 * spacing, so each ball covers
         # at least 5 nodes per axis and none is under-resolved
@@ -101,30 +105,26 @@ def mean_oscillation(b: GridFunction, ball: Ball) -> float:
     return _ball_stats(b, ball)[1]
 
 
-def _default_family(b: GridFunction, family: BallFamily | None) -> BallFamily:
-    return family if family is not None else BallFamily.build(b.spec)
-
-
-def bmo_report(b: GridFunction, family: BallFamily | None = None) -> NormReport:
+def bmo_report(b: GridFunction) -> NormReport:
     """Sup of the mean oscillation over the full ball family."""
-    family = _default_family(b, family)
+    family = BallFamily.build(b.spec)
     osc = _family_stats(b, family)[:, 1]
     i = int(np.argmax(osc))  # the first maximum
     arg = family.balls[i] if osc[i] > 0 else None
     return NormReport(float(osc[i]), len(family.balls), arg)
 
 
-def bmo_local_norm(b: GridFunction, family: BallFamily | None = None) -> float:
+def bmo_local_norm(b: GridFunction) -> float:
     """Oscillation sup over small balls plus |b|-mean sup over large balls."""
-    family = _default_family(b, family)
+    family = BallFamily.build(b.spec)
     stats = _family_stats(b, family)
     small, large = family.halves()
     return _sup(stats[:, 1], small) + _sup(stats[:, 2], large)
 
 
-def lmo_norm(b: GridFunction, family: BallFamily | None = None) -> float:
+def lmo_norm(b: GridFunction) -> float:
     """Log-weighted small-ball oscillation sup plus large-ball |b|-mean sup."""
-    family = _default_family(b, family)
+    family = BallFamily.build(b.spec)
     stats = _family_stats(b, family)
     small, large = family.halves()
     weight = np.array([math.log(math.e + 1.0 / ball.measure) for ball in family.balls])
@@ -162,20 +162,19 @@ def multiplier_check(phi_fn: GridFunction, b: GridFunction) -> dict:
     together with the pieces, as a report dictionary.
     """
     phi_fn.require_same_spec(b)
-    family = BallFamily.build(b.spec)
-    b_norm = bmo_local_norm(b, family)
+    b_norm = bmo_local_norm(b)
     phi_sup = float(np.max(np.abs(phi_fn.values)))
-    phi_lmo = lmo_norm(phi_fn, family)
+    phi_lmo = lmo_norm(phi_fn)
     denom = b_norm * (phi_sup + phi_lmo)
     if denom == 0:
         raise ValueError("degenerate inputs")
     product = b.with_values(b.values * phi_fn.values)
-    num = bmo_local_norm(product, family)
+    num = bmo_local_norm(product)
     return {
         "ratio": num / denom,
         "product_bmo_local": num,
         "b_bmo_local": b_norm,
         "phi_sup": phi_sup,
         "phi_lmo": phi_lmo,
-        "family_size": len(family.balls),
+        "family_size": len(BallFamily.build(b.spec).balls),
     }

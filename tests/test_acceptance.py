@@ -35,7 +35,7 @@ from hardylab.orlicz import (
     luxembourg_norm,
     luxembourg_scan_oracle,
 )
-from hardylab.oscillation import BallFamily, bmo_local_norm, jn_check
+from hardylab.oscillation import bmo_local_norm, jn_check
 from hardylab.product import (
     duality_identity_check,
     exp_class_product_bound,
@@ -312,7 +312,6 @@ def test_criterion_07_projection_lemma():
 def _p1_campaign(m: int, seed: int, draws: int = 50):
     spec = GridSpec(1, 8.0, m)
     rng = np.random.default_rng(seed)
-    family = BallFamily.build(spec)
     c1s, c2s = [], []
     for i in range(draws):
         if i % 10 == 0:
@@ -321,7 +320,7 @@ def _p1_campaign(m: int, seed: int, draws: int = 50):
             b = b_field(spec, "random-bmo", rng)
         decomp = random_decomposition(spec, rng, p=1.0, s=0)
         split = split_bmo(b, decomp)
-        report = verify_split(split, bmo_local_norm(b, family), decomp)
+        report = verify_split(split, bmo_local_norm(b), decomp)
         c1s.append(report.c1)
         c2s.append(report.c2)
     return c1s, c2s

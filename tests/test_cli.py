@@ -165,6 +165,14 @@ EXIT_CASES = [
     ("split", {"grid": GRID, "regime": "p1", "atoms": {"count": 0}}, 2, None),
     ("split", {"grid": GRID, "regime": "p1", "atoms": {"count": -3}}, 2, None),
     ("split", {"grid": GRID, "regime": "p1", "atoms": {"s": -1}}, 2, None),
+    # the default atom radii [max(8 * spacing, R/32), R/2] = [8, 4] hold no power of two
+    ("split", {"grid": {**GRID, "points_per_axis": 17}, "regime": "p1"}, 2, None),
+    # the Luxembourg bracket walks to the ends of the float range: a norm of
+    # about 4e200 is found, and an infinite one (infinite weights) exits 1
+    ("norm", {"grid": {"dim": 2, "halfwidth": 1e100, "points_per_axis": 17},
+              "input": {"generator": "constant"}, "which": "luxembourg"}, 0, None),
+    ("norm", {"grid": {"dim": 2, "halfwidth": 1e200, "points_per_axis": 17},
+              "input": {"generator": "constant"}, "which": "luxembourg"}, 1, None),
 ]
 
 

@@ -9,11 +9,9 @@ from hardylab import maximal
 from hardylab.generators import random_ball
 from hardylab.grid import (
     Ball,
-    CubeIndex,
     GridFunction,
     GridSpec,
     ball_mean,
-    cube_indices,
     dyadic_scales,
     integrate,
     load_gridfunction,
@@ -22,6 +20,7 @@ from hardylab.grid import (
     region_slices,
     save_gridfunction,
     sup_norm,
+    unit_cubes,
 )
 from hardylab.oscillation import BallFamily
 
@@ -150,20 +149,39 @@ def test_sup_norm_is_lp_inf(spec1d, rng):
     assert lp_norm(f, math.inf) == sup_norm(f) == float(np.max(np.abs(f.values)))
 
 
-def test_cubes_partition_nodes(spec1d):
-    total = sum(region_node_count(spec1d, c) for c in cube_indices(spec1d))
-    assert total == spec1d.points_per_axis
+# the owner search that unit_cubes replaced, kept as its reference
 
 
-def test_cubes_partition_nodes_2d(spec2d):
-    total = sum(region_node_count(spec2d, c) for c in cube_indices(spec2d))
-    assert total == spec2d.points_per_axis**2
+def _former_cubes(spec):  # the former list of unit cubes, in raster order
+    js = np.unique(np.floor(spec.axis() + 0.5).astype(int))
+    if spec.dim == 1:
+        return [(int(j),) for j in js]
+    return [(int(j1), int(j2)) for j1 in js for j2 in js]
 
 
-def test_cube_index_roundtrip(spec1d):
-    sl = region_slices(spec1d, CubeIndex((0,)))
-    axis = spec1d.axis()[sl[0]]
-    assert np.all(axis >= -0.5) and np.all(axis < 0.5)
+def _former_cube_box(spec, j):  # the former owner search, on each axis
+    owners = np.floor(spec.axis() + 0.5).astype(int)
+    return tuple(
+        slice(int(np.searchsorted(owners, ji, side="left")),
+              int(np.searchsorted(owners, ji, side="right")))
+        for ji in j
+    )
+
+
+def test_unit_cubes_match_former_owner_search():
+    grids = itertools.product(
+        (1, 2), (16, 17, 33, 65, 100, 129, 257, 1025), (1.0, 3.7, 4.0, 8.0, 8.3)
+    )
+    for dim, m, halfwidth in grids:
+        spec = GridSpec(dim, halfwidth, m)
+        cubes = unit_cubes(spec)
+        former = {j: _former_cube_box(spec, j) for j in _former_cubes(spec)}
+        assert list(cubes.items()) == list(former.items())  # same boxes, raster order
+        # the boxes partition the nodes, and cube j holds the nodes with floor(x + 1/2) = j
+        assert sum(region_node_count(spec, box) for box in cubes.values()) == m**dim
+        for j, box in cubes.items():
+            for ji, s in zip(j, box):
+                assert np.all(np.floor(spec.axis()[s] + 0.5) == ji)
 
 
 def test_serialization_roundtrip(tmp_path, spec1d, rng):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from hardylab.grid import CubeIndex, GridFunction, GridSpec, lp_norm, region_slices
+from hardylab.grid import GridFunction, GridSpec, integrate, lp_norm, unit_cubes
 from hardylab.orlicz import (
     LINEAR,
     PHI,
@@ -53,10 +53,10 @@ def test_luxembourg_homogeneity(spec1d, rng):
 
 def test_luxembourg_constant_on_cube_root_oracle(spec1d):
     """c * 1_Q has norm c/t* where Phi(t*) = 1; t* from an independent root."""
-    cube = CubeIndex((0,))
+    cube = unit_cubes(spec1d)[(0,)]
     c = 5.0
     vals = np.zeros(spec1d.shape)
-    vals[region_slices(spec1d, cube)] = c
+    vals[cube] = c
     f = GridFunction(spec1d, vals)
     t_star = brentq(lambda t: t / math.log(math.e + t) - 1.0, 1.0, 10.0, xtol=1e-12)
     assert luxembourg_norm(f, PHI, cube) == pytest.approx(c / t_star, rel=1e-6)
@@ -128,6 +128,13 @@ def test_luxembourg_float_range_ends(request, spec_name, value, count):
     assert k > 0 and _gauge(f, k) <= 1.0
 
 
+def test_luxembourg_huge_box():
+    """A constant 1 on a box of measure 4e200 has norm near that measure, which
+    takes far more than 200 doublings to bracket from the sup of f."""
+    f = GridFunction.constant(GridSpec(2, 1e100, 17), 1.0)
+    assert luxembourg_norm(f, PHI) == pytest.approx(integrate(f), rel=1e-6)
+
+
 def test_quasi_subadditivity_spot(spec1d, rng):
     for _ in range(20):
         f = GridFunction(spec1d, rng.normal(size=spec1d.shape))
@@ -138,9 +145,9 @@ def test_quasi_subadditivity_spot(spec1d, rng):
 
 def test_lphi_star_zero_and_single_cube(spec1d):
     assert lphi_star_norm(GridFunction.zeros(spec1d)) == 0.0
-    cube = CubeIndex((2,))
+    cube = unit_cubes(spec1d)[(2,)]
     vals = np.zeros(spec1d.shape)
-    vals[region_slices(spec1d, cube)] = 1.5
+    vals[cube] = 1.5
     f = GridFunction(spec1d, vals)
     assert lphi_star_norm(f) == pytest.approx(
         luxembourg_norm(f, PHI, cube), rel=1e-12
@@ -151,9 +158,9 @@ def test_lphi_star_translation_additivity(spec1d):
     """Equal mass on two interior unit cubes doubles the single-cube value."""
     c = 2.0
     single = np.zeros(spec1d.shape)
-    single[region_slices(spec1d, CubeIndex((0,)))] = c
+    single[unit_cubes(spec1d)[(0,)]] = c
     double = np.array(single)
-    double[region_slices(spec1d, CubeIndex((-1,)))] = c
+    double[unit_cubes(spec1d)[(-1,)]] = c
     one = lphi_star_norm(GridFunction(spec1d, single))
     two = lphi_star_norm(GridFunction(spec1d, double))
     assert two == pytest.approx(2.0 * one, rel=1e-9)

@@ -24,6 +24,7 @@ def test_family_structure(spec1d, spec2d):
     for spec in (spec1d, spec2d):
         family = BallFamily.build(spec)
         assert family.balls
+        assert BallFamily.build(spec) is family  # built once per grid
         radii = {b.radius for b in family.balls}
         for r in radii:
             assert abs(math.log2(r) - round(math.log2(r))) < 1e-12
@@ -62,11 +63,11 @@ def test_family_norms_match_loops(request, spec_name, kind):
     spec = request.getfixturevalue(spec_name)
     family = BallFamily.build(spec)
     b = b_field(spec, kind, np.random.default_rng(11))
-    report = bmo_report(b, family)
+    report = bmo_report(b)
     assert _loop_norms(b, family) == (
         (report.norm, report.family_size, report.argmax_ball),
-        bmo_local_norm(b, family),
-        lmo_norm(b, family),
+        bmo_local_norm(b),
+        lmo_norm(b),
     )
 
 
@@ -92,11 +93,10 @@ def test_mean_oscillation_linear(spec1d):
 
 def test_bmo_constant_and_shift_invariance(spec1d, rng):
     assert bmo_report(GridFunction.constant(spec1d, -7.0)).norm == 0.0
-    family = BallFamily.build(spec1d)
     b = random_smooth_field(spec1d, rng)
     shifted = b.with_values(b.values + 11.0)
-    assert bmo_report(shifted, family).norm == pytest.approx(
-        bmo_report(b, family).norm, rel=1e-10
+    assert bmo_report(shifted).norm == pytest.approx(
+        bmo_report(b).norm, rel=1e-10
     )
 
 
@@ -125,9 +125,8 @@ def test_bmo_local_step(spec1d):
 def test_lmo_constant_and_ordering(spec1d, rng):
     assert lmo_norm(GridFunction.zeros(spec1d)) == 0.0
     assert lmo_norm(GridFunction.constant(spec1d, 3.0)) == 3.0
-    family = BallFamily.build(spec1d)
     b = random_smooth_field(spec1d, rng)
-    assert lmo_norm(b, family) >= bmo_local_norm(b, family)
+    assert lmo_norm(b) >= bmo_local_norm(b)
 
 
 def test_translation_invariance_exact(spec1d, rng):
