@@ -184,6 +184,22 @@ def test_unit_cubes_match_former_owner_search():
                 assert np.all(np.floor(spec.axis()[s] + 0.5) == ji)
 
 
+def test_cubes_partition_nodes(spec1d):
+    total = sum(region_node_count(spec1d, c) for c in unit_cubes(spec1d).values())
+    assert total == spec1d.points_per_axis
+
+
+def test_cubes_partition_nodes_2d(spec2d):
+    total = sum(region_node_count(spec2d, c) for c in unit_cubes(spec2d).values())
+    assert total == spec2d.points_per_axis**2
+
+
+def test_cube_index_roundtrip(spec1d):
+    sl = region_slices(spec1d, unit_cubes(spec1d)[(0,)])
+    axis = spec1d.axis()[sl[0]]
+    assert np.all(axis >= -0.5) and np.all(axis < 0.5)
+
+
 def test_serialization_roundtrip(tmp_path, spec1d, rng):
     f = GridFunction(spec1d, rng.normal(size=spec1d.shape))
     base = tmp_path / "field"
