@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import os
 import statistics
 import sys
 from dataclasses import asdict
@@ -63,7 +65,7 @@ def _generate(spec: GridSpec, section, key: str, rng: np.random.Generator) -> Gr
         raise ConfigError(f"unknown generator {kind!r}; known: {sorted(B_GENERATORS)}")
     try:
         return b_field(spec, kind, rng, **section.get("params", {}))
-    except (KeyError, TypeError) as exc:  # a missing or malformed parameter
+    except TypeError as exc:  # a missing, unknown or malformed parameter
         raise ConfigError(f"bad params for generator {kind!r}: {exc!r}") from exc
 
 
@@ -211,16 +213,19 @@ def cmd_split(config: dict) -> int:
         "C2_max": max(c2s),
         "C2_median": statistics.median(c2s),
     })
-    # created once every draw has succeeded and the summary is valid JSON,
-    # so a rejected config or a non-finite constant writes nothing
+    rows = io.StringIO()
+    writer = csv.writer(rows)
+    writer.writerow(("draw",) + SplitReport.CSV_FIELDS)
+    for draw, report in reports:
+        writer.writerow([draw] + report.to_csv_row())
+    # created once every draw has succeeded and both outputs are built (so a
+    # failed run writes nothing), each via a temp file that replaces it whole
     out_dir = Path(config.get("output_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "rows.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("draw",) + SplitReport.CSV_FIELDS)
-        for draw, report in reports:
-            writer.writerow([draw] + report.to_csv_row())
-    (out_dir / "summary.json").write_text(summary)
+    for name, text in (("rows.csv", rows.getvalue()), ("summary.json", summary)):
+        tmp = out_dir / f".{name}.tmp"
+        tmp.write_text(text, newline="")
+        os.replace(tmp, out_dir / name)
     return 0
 
 

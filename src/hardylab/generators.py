@@ -116,18 +116,15 @@ def random_bmo_field(
     return GridFunction(spec, vals)
 
 
-# the named b generators used by campaigns: kind -> field of (spec, rng, params)
+# the named b generators used by campaigns: kind -> field of (spec, rng, params);
+# the defaults live in the field functions, so an unknown parameter is a TypeError
 B_GENERATORS = {
-    "constant": lambda spec, rng, kw: constant_field(spec, kw.get("value", 1.0)),
-    "step": lambda spec, rng, kw: step_field(spec, kw.get("height", 1.0)),
-    "regularized-log": lambda spec, rng, kw: regularized_log_field(spec, kw.get("scale", 1.0)),
-    "random-smooth": lambda spec, rng, kw: random_smooth_field(
-        spec, rng, amplitude=kw.get("amplitude", 1.0)
-    ),
-    "random-lipschitz": lambda spec, rng, kw: random_lipschitz_field(
-        spec, rng, kw["gamma"], target_norm=kw.get("target_norm"), levels=kw.get("levels", 7)
-    ),
-    "random-bmo": lambda spec, rng, kw: random_bmo_field(spec, rng, levels=kw.get("levels", 5)),
+    "constant": lambda spec, rng, kw: constant_field(spec, **kw),
+    "step": lambda spec, rng, kw: step_field(spec, **kw),
+    "regularized-log": lambda spec, rng, kw: regularized_log_field(spec, **kw),
+    "random-smooth": lambda spec, rng, kw: random_smooth_field(spec, rng, **kw),
+    "random-lipschitz": lambda spec, rng, kw: random_lipschitz_field(spec, rng, **kw),
+    "random-bmo": lambda spec, rng, kw: random_bmo_field(spec, rng, **kw),
 }
 
 

@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -102,10 +103,7 @@ class GridSpec:
 
     def weights(self) -> np.ndarray:
         """Product-trapezoid weights with the grid's shape."""
-        w = self.axis_weights()
-        if self.dim == 1:
-            return w
-        return np.multiply.outer(w, w)
+        return region_weights(self, (slice(None),) * self.dim)
 
     def meshes(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays, one per axis, each with the grid's shape."""
@@ -204,16 +202,12 @@ def region_slices(spec: GridSpec, region) -> tuple[slice, ...]:
 
 def region_weights(spec: GridSpec, slices: tuple[slice, ...]) -> np.ndarray:
     w = spec.axis_weights()
-    if spec.dim == 1:
-        return w[slices[0]]
-    return np.multiply.outer(w[slices[0]], w[slices[1]])
+    return functools.reduce(np.multiply.outer, [w[s] for s in slices])
 
 
 def region_coords(spec: GridSpec, slices: tuple[slice, ...]) -> tuple[np.ndarray, ...]:
     """Node coordinates on a region's slices, one array per axis."""
     axes = [spec.axis()[s] for s in slices]
-    if spec.dim == 1:
-        return (axes[0],)
     return tuple(np.meshgrid(*axes, indexing="ij"))
 
 
@@ -276,7 +270,7 @@ def unit_cubes(spec: GridSpec) -> dict[tuple[int, ...], tuple[slice, ...]]:
     """Index box of each unit lattice cube j + Q owning a node, in raster order."""
     # nodes are assigned to cubes by nearest-integer binning, which
     # partitions the box exactly (no node counted twice in the cube sum)
-    js, starts = np.unique(np.floor(spec.axis() + 0.5).astype(int), return_index=True)
+    js, starts = np.unique(np.floor(spec.axis() + 0.5), return_index=True)
     stops = [*starts[1:], spec.points_per_axis]
     axis = [(int(j), slice(int(a), int(b))) for j, a, b in zip(js, starts, stops)]
     return {

@@ -7,6 +7,7 @@ dropped (domain shrink) rather than padded.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -85,16 +86,9 @@ def _delta_candidates(f: GridFunction, k: int):
     """Half-space of nonzero lattice displacements with a valid domain."""
     m = f.spec.points_per_axis
     max_step = (m - 1) // (k + 1)
-    if f.spec.dim == 1:
-        for d in range(1, max_step + 1):
-            yield (d,)
-        return
-    for d1 in range(0, max_step + 1):
-        lo = 1 if d1 == 0 else -max_step
-        for d2 in range(lo, max_step + 1):
-            if d1 == 0 and d2 <= 0:
-                continue
-            yield (d1, d2)
+    for steps in itertools.product(range(-max_step, max_step + 1), repeat=f.spec.dim):
+        if steps > (0,) * f.spec.dim:
+            yield steps
 
 
 def homogeneous_seminorm(f: GridFunction, order: LipschitzOrder) -> float:
@@ -104,9 +98,7 @@ def homogeneous_seminorm(f: GridFunction, order: LipschitzOrder) -> float:
     best = 0.0
     for steps in _delta_candidates(f, k1):
         diff = difference_op(f, steps, k1)
-        if diff.size == 0:
-            continue
-        delta_len = step * math.hypot(*steps) if len(steps) == 2 else step * steps[0]
+        delta_len = step * math.hypot(*steps)
         best = max(best, float(np.max(np.abs(diff))) / delta_len**order.gamma)
     return best
 

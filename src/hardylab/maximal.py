@@ -31,17 +31,19 @@ def bump_profile(s: np.ndarray) -> np.ndarray:
 
 
 def _kernel(spec: GridSpec, t: float) -> np.ndarray:
-    """Sampled, discretely renormalized dilated kernel (odd-sized, centered)."""
+    """Sampled, discretely renormalized dilated kernel (odd-sized, centered).
+
+    Offsets are divided by t before they are squared, so no square overflows.
+    At the power-of-two t of maximal_fn that division is exact: the radius is
+    bitwise sqrt(|x|^2)/t wherever |x|^2 is a normal float, and |x/t| in 1d.
+    """
     step = spec.spacing
     if t < 2.0 * step:
         raise ValueError("scale below resolution")
     k_max = int(math.ceil(t / step)) - 1
     offsets = np.arange(-k_max, k_max + 1) * step
-    if spec.dim == 1:
-        vals = bump_profile(offsets / t)
-    else:
-        xx, yy = np.meshgrid(offsets, offsets, indexing="ij")
-        vals = bump_profile(np.sqrt(xx**2 + yy**2) / t)
+    mesh = np.meshgrid(*[offsets] * spec.dim, indexing="ij")
+    vals = bump_profile(np.sqrt(sum((x / t) ** 2 for x in mesh)))
     total = vals.sum()
     if total <= 0:
         raise ValueError("scale below resolution")

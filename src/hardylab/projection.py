@@ -8,6 +8,7 @@ quadrature weights, so the residual is quadrature-orthogonal to the basis.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,13 +36,11 @@ __all__ = [
 
 def multi_indices(dim: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent multi-indices with |alpha| <= degree, graded order."""
-    if dim == 1:
-        return [(a,) for a in range(degree + 1)]
     return [
-        (a1, a2)
+        alpha
         for total in range(degree + 1)
-        for a1 in range(total + 1)
-        for a2 in [total - a1]
+        for alpha in itertools.product(range(total + 1), repeat=dim)
+        if sum(alpha) == total
     ]
 
 

@@ -12,6 +12,7 @@ import pytest
 from hardylab import cli
 from hardylab.atoms import AtomicDecomposition, make_atom, make_local_atom, save_decomposition
 from hardylab.grid import Ball, GridSpec
+from hardylab.product import SplitReport
 
 GRID = {"dim": 1, "halfwidth": 8.0, "points_per_axis": 129}
 
@@ -171,8 +172,16 @@ EXIT_CASES = [
     # about 4e200 is found, and an infinite one (infinite weights) exits 1
     ("norm", {"grid": {"dim": 2, "halfwidth": 1e100, "points_per_axis": 17},
               "input": {"generator": "constant"}, "which": "luxembourg"}, 0, None),
-    ("norm", {"grid": {"dim": 2, "halfwidth": 1e200, "points_per_axis": 17},
-              "input": {"generator": "constant"}, "which": "luxembourg"}, 1, None),
+    pytest.param(
+        "norm", {"grid": {"dim": 2, "halfwidth": 1e200, "points_per_axis": 17},
+                 "input": {"generator": "constant"}, "which": "luxembourg"}, 1, None,
+        marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
+    ),
+    # a misspelled generator parameter is not silently replaced by its default
+    ("split", {"grid": GRID, "regime": "p1",
+               "b_generator": {"kind": "random-smooth", "params": {"amplitde": 5.0}}}, 2, None),
+    ("norm", {"grid": GRID, "input": {"generator": "constant", "params": {"valeu": 5}},
+              "which": "lp"}, 2, None),
 ]
 
 
@@ -259,3 +268,28 @@ def test_cli_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_split_rerun_failure_keeps_old_outputs(tmp_path, monkeypatch):
+    """A campaign that fails while writing leaves the previous outputs whole."""
+    out_dir = tmp_path / "out"
+    cfg = _write(tmp_path, "cfg.json", {
+        "grid": GRID, "regime": "p1", "draws": 2, "seed": 3,
+        "atoms": {"count": 2}, "output_dir": str(out_dir),
+    })
+    assert _run(["split", "--config", cfg]) == 0
+    before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    assert set(before) == {"rows.csv", "summary.json"}
+    to_csv_row = SplitReport.to_csv_row
+    rows_written = []
+
+    def fail_on_second_row(report):
+        rows_written.append(report)
+        if len(rows_written) == 2:
+            raise OSError("no space left on device")
+        return to_csv_row(report)
+
+    monkeypatch.setattr(SplitReport, "to_csv_row", fail_on_second_row)
+    assert _run(["split", "--config", cfg]) == 1
+    assert len(rows_written) == 2
+    assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before

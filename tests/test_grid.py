@@ -16,8 +16,10 @@ from hardylab.grid import (
     integrate,
     load_gridfunction,
     lp_norm,
+    region_coords,
     region_node_count,
     region_slices,
+    region_weights,
     save_gridfunction,
     sup_norm,
     unit_cubes,
@@ -168,11 +170,13 @@ def _former_cube_box(spec, j):  # the former owner search, on each axis
     )
 
 
+CUBE_GRIDS = list(itertools.product(
+    (1, 2), (16, 17, 33, 65, 100, 129, 257, 1025), (1.0, 3.7, 4.0, 8.0, 8.3)
+))
+
+
 def test_unit_cubes_match_former_owner_search():
-    grids = itertools.product(
-        (1, 2), (16, 17, 33, 65, 100, 129, 257, 1025), (1.0, 3.7, 4.0, 8.0, 8.3)
-    )
-    for dim, m, halfwidth in grids:
+    for dim, m, halfwidth in CUBE_GRIDS:
         spec = GridSpec(dim, halfwidth, m)
         cubes = unit_cubes(spec)
         former = {j: _former_cube_box(spec, j) for j in _former_cubes(spec)}
@@ -182,6 +186,44 @@ def test_unit_cubes_match_former_owner_search():
         for j, box in cubes.items():
             for ji, s in zip(j, box):
                 assert np.all(np.floor(spec.axis()[s] + 0.5) == ji)
+
+
+# the per-dimension branches that region_weights and region_coords replaced,
+# kept as their reference; GridSpec.weights was the first on the whole box
+
+
+def _former_region_weights(spec, slices):
+    w = spec.axis_weights()
+    if spec.dim == 1:
+        return w[slices[0]]
+    return np.multiply.outer(w[slices[0]], w[slices[1]])
+
+
+def _former_region_coords(spec, slices):
+    axes = [spec.axis()[s] for s in slices]
+    if spec.dim == 1:
+        return (axes[0],)
+    return tuple(np.meshgrid(*axes, indexing="ij"))
+
+
+def test_region_helpers_match_former_branches():
+    for dim, m, halfwidth in CUBE_GRIDS:
+        if dim == 2 and m > 129:  # 2d boxes above m=129 hold nothing new
+            continue
+        spec = GridSpec(dim, halfwidth, m)
+        whole = (slice(None),) * dim
+        assert np.array_equal(spec.weights(), _former_region_weights(spec, whole))
+        boxes = [whole, *unit_cubes(spec).values()]
+        if dim == 1 or m <= 65:  # a 2d m=129 family takes 0.2 s to build
+            balls = BallFamily.build(spec).balls
+            # about 200 balls per family, spread over its radii and centers
+            boxes += [region_slices(spec, ball) for ball in balls[:: len(balls) // 200 + 1]]
+        for box in boxes:
+            assert np.array_equal(region_weights(spec, box), _former_region_weights(spec, box))
+            coords = region_coords(spec, box)
+            former = _former_region_coords(spec, box)
+            assert len(coords) == len(former) == dim
+            assert all(np.array_equal(x, y) for x, y in zip(coords, former))
 
 
 def test_cubes_partition_nodes(spec1d):

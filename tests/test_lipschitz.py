@@ -4,6 +4,7 @@ import pytest
 from hardylab.grid import GridFunction, GridSpec
 from hardylab.lipschitz import (
     LipschitzOrder,
+    _delta_candidates,
     difference_op,
     homogeneous_seminorm,
     lambda_gamma_norm,
@@ -115,3 +116,28 @@ def test_cusp_family_distinguishes_spaces():
         sups.append(float(np.max(np.abs(f.values))))
     assert sups[1] > 1.5 * sups[0]
     assert semis[1] == pytest.approx(semis[0], rel=0.5)
+
+
+def _former_delta_candidates(f, k):  # the per-dimension half-space, kept as reference
+    m = f.spec.points_per_axis
+    max_step = (m - 1) // (k + 1)
+    if f.spec.dim == 1:
+        for d in range(1, max_step + 1):
+            yield (d,)
+        return
+    for d1 in range(0, max_step + 1):
+        lo = 1 if d1 == 0 else -max_step
+        for d2 in range(lo, max_step + 1):
+            if d1 == 0 and d2 <= 0:
+                continue
+            yield (d1, d2)
+
+
+@pytest.mark.parametrize("dim, m", [(1, 16), (1, 17), (1, 257), (2, 16), (2, 17), (2, 65)])
+def test_delta_candidates_match_former_branches(dim, m):
+    f = GridFunction.zeros(GridSpec(dim, 1.0, m))
+    for k in (1, 2, 3):
+        candidates = list(_delta_candidates(f, k))
+        assert candidates == list(_former_delta_candidates(f, k))
+        # no stencil spans the box, so no difference has an empty domain
+        assert all(difference_op(f, steps, k).size > 0 for steps in candidates)

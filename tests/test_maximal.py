@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from scipy.signal import convolve
@@ -142,3 +145,47 @@ def test_separated_bumps_truncated_gap(spec1d):
     i0 = int(np.argmin(np.abs(x)))
     assert maximal_fn(f, local=True).values[i0] == 0.0
     assert maximal_fn(f).values[i0] > 0.0
+
+
+# the per-dimension kernel that _kernel replaced, kept as its reference: in 2d
+# it squared the raw offsets, which overflow or underflow on a rescaled grid
+
+
+def _former_kernel(spec, t):
+    step = spec.spacing
+    k_max = int(math.ceil(t / step)) - 1
+    offsets = np.arange(-k_max, k_max + 1) * step
+    if spec.dim == 1:
+        vals = bump_profile(offsets / t)
+    else:
+        xx, yy = np.meshgrid(offsets, offsets, indexing="ij")
+        vals = bump_profile(np.sqrt(xx**2 + yy**2) / t)
+    return vals / vals.sum()
+
+
+def test_kernel_matches_former_branches():
+    grids = itertools.product(
+        (1, 2), (16, 17, 33, 65, 100, 129, 257, 1025), (1.0, 3.7, 4.0, 8.0, 8.3)
+    )
+    for dim, m, halfwidth in grids:
+        if dim == 2 and m > 129:  # the 2d m=1025 kernel at t = 2R has 2047^2 taps
+            continue
+        spec = GridSpec(dim, halfwidth, m)
+        for t in dyadic_scales(2.0 * spec.spacing, 2.0 * spec.halfwidth):
+            assert np.array_equal(_kernel(spec, t), _former_kernel(spec, t))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("m", [17, 65])
+def test_dyadic_rescaling_is_exact(dim, m):
+    """A grid scaled by 2^e has the same kernels and the same maximal function."""
+    spec = GridSpec(dim, 8.0, m)
+    f = GridFunction(spec, np.random.default_rng(m).normal(size=spec.shape))
+    scales = dyadic_scales(2.0 * spec.spacing, 2.0 * spec.halfwidth)
+    kernels = [_kernel(spec, t) for t in scales]
+    mf = maximal_fn(f).values
+    for e in (-600, 600):
+        scaled = GridSpec(dim, 8.0 * 2.0**e, m)
+        for t, kern in zip(scales, kernels):
+            assert np.array_equal(_kernel(scaled, t * 2.0**e), kern)
+        assert np.array_equal(maximal_fn(GridFunction(scaled, f.values)).values, mf)

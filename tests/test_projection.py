@@ -18,6 +18,23 @@ def test_multi_indices_counts():
     assert multi_indices(2, 1)[0] == (0, 0)
 
 
+def _former_multi_indices(dim, degree):  # the per-dimension rule, kept as reference
+    if dim == 1:
+        return [(a,) for a in range(degree + 1)]
+    return [
+        (a1, a2)
+        for total in range(degree + 1)
+        for a1 in range(total + 1)
+        for a2 in [total - a1]
+    ]
+
+
+def test_multi_indices_match_former_branches():
+    for dim in (1, 2):
+        for degree in range(7):
+            assert multi_indices(dim, degree) == _former_multi_indices(dim, degree)
+
+
 def test_degree_zero_is_ball_mean(spec1d, rng):
     f = random_smooth_field(spec1d, rng)
     ball = Ball((1.0,), 2.0)
