@@ -215,25 +215,23 @@ def make_atom(
 def make_local_atom(
     ball: Ball,
     p: float,
-    q: float,
     spec: GridSpec,
     modulate=None,
 ) -> Atom:
-    """Large-ball atom with tight size condition and no moment subtraction."""
+    """Large-ball (p, inf) atom with tight size condition and no moment subtraction."""
     if ball.measure <= 1.0:
         raise ValueError("not a large ball")
     vals = _bump_on_ball(spec, ball, modulate)
     f = GridFunction(spec, vals)
-    inv_q = 0.0 if q == math.inf else 1.0 / q
-    bound = ball.measure ** (inv_q - 1.0 / p)
-    current = lp_norm(f, q, ball)
+    bound = ball.measure ** (-1.0 / p)
+    current = lp_norm(f, math.inf, ball)
     if current <= 0:
         raise ValueError("under-resolved ball")
     return Atom(
         values=GridFunction(spec, vals * (bound / current)),
         ball=ball,
         p=p,
-        q=q,
+        q=math.inf,
         s=0,
         local=True,
     )

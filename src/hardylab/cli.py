@@ -14,7 +14,7 @@ import json
 import os
 import statistics
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ from .atoms import load_decomposition, validate_atom
 from .generators import B_GENERATORS, atom_radii, b_field, random_decomposition
 from .grid import GridFunction, GridSpec, load_gridfunction, lp_norm
 from .lipschitz import LipschitzOrder, lambda_gamma_norm
+from .maximal import maximal_scales
 from .orlicz import PHI, hardy_quasinorm, lphi_star_norm, luxembourg_norm
 from .oscillation import BallFamily, bmo_local_norm, bmo_report, lmo_norm
 from .product import REGIMES, Regime, SplitReport, split_bmo, split_lipschitz, verify_split
@@ -84,13 +85,28 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write text to path via a temp file beside it that replaces it whole."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    tmp.write_text(text, newline="")
+    os.replace(tmp, path)
+
+
 def _emit(doc: dict, out) -> None:
     """Write the report to the path out, or print it when out is not set."""
     text = _json_text(doc)
     if out:
-        Path(out).write_text(text)
+        _write_atomic(Path(out), text)
     else:
         print(text)
+
+
+def _require_local_scales(spec: GridSpec) -> None:
+    """A local maximal function needs a scale on the grid; ConfigError if none."""
+    try:
+        maximal_scales(spec, local=True)
+    except ValueError as exc:
+        raise ConfigError(f"grid too coarse for a local maximal function: {exc}") from exc
 
 
 def cmd_norm(config: dict) -> int:
@@ -106,9 +122,10 @@ def cmd_norm(config: dict) -> int:
     elif which == "lphi_star":
         value = lphi_star_norm(f)
     elif which == "hardy":
-        value = hardy_quasinorm(
-            f, _number(params, "p", 1.0), local=bool(params.get("local", False))
-        )
+        local = bool(params.get("local", False))
+        if local:
+            _require_local_scales(spec)
+        value = hardy_quasinorm(f, _number(params, "p", 1.0), local=local)
     elif which == "bmo":
         report = bmo_report(f)
         value = report.norm
@@ -141,6 +158,8 @@ def _split_config(spec: GridSpec, config: dict) -> tuple[Regime, LipschitzOrder 
     p = _number(config, "p", 1.0)
     if not regime.admits(p, spec.dim):
         raise ConfigError(f"p = {p} is outside the range of regime {name!r}")
+    if regime.local:
+        _require_local_scales(spec)
     atoms_cfg = config.get("atoms", {})
     if not isinstance(atoms_cfg, dict):
         raise ConfigError(f"atoms must be an object, got {atoms_cfg!r}")
@@ -156,10 +175,9 @@ def _split_config(spec: GridSpec, config: dict) -> tuple[Regime, LipschitzOrder 
         raise ConfigError(f"bad atoms.radius_range {shown!r}: {exc}") from exc
     order, s_default = None, 0
     if regime.kind != "p1":
-        gamma = spec.dim * (1.0 / p - 1.0)
-        if config.get("gamma") is not None and abs(_number(config, "gamma", None) - gamma) > 1e-12:
-            raise ConfigError(f"gamma must equal n(1/p - 1) = {gamma}")
-        order = LipschitzOrder(gamma)
+        order = LipschitzOrder.dual_to(p, spec.dim)
+        if config.get("gamma") is not None and abs(_number(config, "gamma", None) - order.gamma) > 1e-12:
+            raise ConfigError(f"gamma must equal n(1/p - 1) = {order.gamma}")
         s_default = 2 * order.k if regime.kind == "projection" else 0
     s = _number(atoms_cfg, "s", s_default, int)
     count = _number(atoms_cfg, "count", 4, int)
@@ -183,10 +201,10 @@ def _run_draw(
     if order is None:
         split = split_bmo(b, decomp, local=regime.local)
         b_scale = bmo_local_norm(b)
-        return verify_split(split, b_scale, decomp)
-    split = split_lipschitz(b, decomp, order, local=regime.local)
-    b_scale = lambda_gamma_norm(b, order)
-    return verify_split(split, b_scale, decomp, gamma=order.gamma)
+    else:
+        split = split_lipschitz(b, decomp, local=regime.local)
+        b_scale = lambda_gamma_norm(b, order)
+    return verify_split(split, b_scale, decomp)
 
 
 def cmd_split(config: dict) -> int:
@@ -198,12 +216,9 @@ def cmd_split(config: dict) -> int:
         raise ConfigError(f"draws must be at least 1, got {draws}")
     seed = _number(config, "seed", 0, int)
     rng = np.random.default_rng(seed)
-    reports = []
-    for draw in range(draws):
-        report = _run_draw(spec, regime, order, atoms, b_section, rng)
-        reports.append((draw, report))
-    c1s = [r.c1 for _, r in reports]
-    c2s = [r.c2 for _, r in reports]
+    reports = [_run_draw(spec, regime, order, atoms, b_section, rng) for _ in range(draws)]
+    c1s = [r.C1 for r in reports]
+    c2s = [r.C2 for r in reports]
     summary = _json_text({
         "regime": config["regime"],
         "draws": draws,
@@ -215,17 +230,15 @@ def cmd_split(config: dict) -> int:
     })
     rows = io.StringIO()
     writer = csv.writer(rows)
-    writer.writerow(("draw",) + SplitReport.CSV_FIELDS)
-    for draw, report in reports:
+    writer.writerow(["draw"] + [f.name for f in fields(SplitReport)])
+    for draw, report in enumerate(reports):
         writer.writerow([draw] + report.to_csv_row())
     # created once every draw has succeeded and both outputs are built (so a
-    # failed run writes nothing), each via a temp file that replaces it whole
+    # failed run writes nothing), each replaced whole
     out_dir = Path(config.get("output_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in (("rows.csv", rows.getvalue()), ("summary.json", summary)):
-        tmp = out_dir / f".{name}.tmp"
-        tmp.write_text(text, newline="")
-        os.replace(tmp, out_dir / name)
+        _write_atomic(out_dir / name, text)
     return 0
 
 

@@ -74,16 +74,13 @@ def random_lipschitz_field(
     spec: GridSpec,
     rng: np.random.Generator,
     gamma: float,
-    target_norm: float | None = None,
     levels: int = 7,
 ) -> GridFunction:
     """Random self-similar lacunary series with roughness matched to gamma.
 
     sum_j 2^(-gamma j) cos(2^j pi x / R + phase_j) with random signs and
     phases; its Lambda_gamma norm is finite and roughly scale invariant.
-    Rescaling to a target norm is done by the caller (the norm scan is
-    expensive) unless target_norm is given, in which case a crude sup-based
-    normalization is applied.
+    Callers rescale it to a target norm themselves (the norm scan is expensive).
     """
     x = spec.meshes()[0]
     vals = np.zeros(spec.shape)
@@ -93,10 +90,6 @@ def random_lipschitz_field(
         vals += sign * 2.0 ** (-gamma * j) * np.cos(
             2.0**j * math.pi * x / spec.halfwidth + phase
         )
-    if target_norm is not None:
-        sup = float(np.max(np.abs(vals)))
-        if sup > 0:
-            vals *= target_norm / sup
     return GridFunction(spec, vals)
 
 
@@ -197,7 +190,7 @@ def random_decomposition(
         ball = random_ball(spec, rng, radius_range)
         modulate = _random_modulation(rng)
         if local and ball.measure > 1.0:
-            atom = make_local_atom(ball, p, math.inf, spec, modulate=modulate)
+            atom = make_local_atom(ball, p, spec, modulate=modulate)
         else:
             atom = make_atom(ball, p, s, spec, modulate=modulate)
         lam = float(rng.normal())

@@ -87,10 +87,6 @@ class GridSpec:
     def shape(self) -> tuple[int, ...]:
         return (self.points_per_axis,) * self.dim
 
-    @property
-    def box_measure(self) -> float:
-        return (2.0 * self.halfwidth) ** self.dim
-
     def axis(self) -> np.ndarray:
         return np.linspace(-self.halfwidth, self.halfwidth, self.points_per_axis)
 

@@ -33,6 +33,11 @@ class LipschitzOrder:
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
 
+    @classmethod
+    def dual_to(cls, p: float, dim: int) -> "LipschitzOrder":
+        """The order gamma = n(1/p - 1) of Lambda_gamma, the dual of H^p for p < 1."""
+        return cls(dim * (1.0 / p - 1.0))
+
     @property
     def k(self) -> int:
         return int(math.floor(self.gamma))

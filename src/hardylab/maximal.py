@@ -17,6 +17,7 @@ from .grid import GridFunction, GridSpec, dyadic_scales
 __all__ = [
     "convolve_dilated",
     "maximal_fn",
+    "maximal_scales",
 ]
 
 
@@ -62,10 +63,14 @@ def convolve_dilated(f: GridFunction, t: float) -> GridFunction:
     return f.with_values(out)
 
 
+def maximal_scales(spec: GridSpec, local: bool) -> list[float]:
+    """The dyadic t in [2*spacing, 2R], t < 1 if local; ValueError when none."""
+    return dyadic_scales(2.0 * spec.spacing, 0.5 if local else 2.0 * spec.halfwidth)
+
+
 def maximal_fn(f: GridFunction, local: bool = False) -> GridFunction:
-    """Pointwise sup of |f * phi_t| over dyadic t in [2*spacing, 2R]; t < 1 if local."""
-    t_max = 0.5 if local else 2.0 * f.spec.halfwidth
+    """Pointwise sup of |f * phi_t| over the scales of maximal_scales."""
     out = np.zeros(f.spec.shape)
-    for t in dyadic_scales(2.0 * f.spec.spacing, t_max):
+    for t in maximal_scales(f.spec, local):
         np.maximum(out, np.abs(convolve_dilated(f, t).values), out=out)
     return f.with_values(out)

@@ -17,7 +17,7 @@ of the working precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -208,17 +208,11 @@ def split_bmo(
 def split_lipschitz(
     b: GridFunction,
     decomp: AtomicDecomposition,
-    order: LipschitzOrder,
     local: bool = False,
 ) -> ProductSplit:
     """p < 1 split; mean regime for p >= n/(n+1), projection regime below."""
     n = b.spec.dim
-    gamma = order.gamma
-    expected = n * (1.0 / decomp.p - 1.0)
-    if abs(gamma - expected) > 1e-12:
-        raise ValueError(
-            f"gamma must equal n(1/p - 1) = {expected}, got {gamma}"
-        )
+    order = LipschitzOrder.dual_to(decomp.p, n)  # b in Lambda_gamma; p = 1 raises
     _validate_terms(decomp, allow_local=local)
     if REGIMES["mean"].admits(decomp.p, n):
         return _split_mean(b, decomp, _regime("mean", local))
@@ -275,50 +269,25 @@ def exp_class_product_bound(
 
 @dataclass(frozen=True)
 class SplitReport:
+    """One rows.csv row. The fields are its columns, by name and in order: the
+    names are a fixed external format, read by the benchmark checks and references."""
+
     regime: str
     p: float
     gamma: float | None
-    norm_h1_l1: float
+    norm_h1_L1: float
     norm_h2_target: float
     b_scale: float
     lambda_sum: float
     lambda_p_sum: float
-    c1: float
-    c2: float
-    grid: dict
-
-    CSV_FIELDS = (
-        "regime",
-        "p",
-        "gamma",
-        "norm_h1_L1",
-        "norm_h2_target",
-        "b_scale",
-        "lambda_sum",
-        "lambda_p_sum",
-        "C1",
-        "C2",
-        "grid_dim",
-        "grid_halfwidth",
-        "grid_points",
-    )
+    C1: float
+    C2: float
+    grid_dim: int
+    grid_halfwidth: float
+    grid_points: int
 
     def to_csv_row(self) -> list:
-        return [
-            self.regime,
-            self.p,
-            "" if self.gamma is None else self.gamma,
-            self.norm_h1_l1,
-            self.norm_h2_target,
-            self.b_scale,
-            self.lambda_sum,
-            self.lambda_p_sum,
-            self.c1,
-            self.c2,
-            self.grid["dim"],
-            self.grid["halfwidth"],
-            self.grid["points_per_axis"],
-        ]
+        return ["" if v is None else v for v in astuple(self)]
 
 
 def _ratio(num: float, denom: float) -> float:
@@ -331,7 +300,6 @@ def verify_split(
     split: ProductSplit,
     b_scale: float,
     decomp: AtomicDecomposition,
-    gamma: float | None = None,
 ) -> SplitReport:
     """Measure ||h1||_1 and the regime's target quasi-norm of h2."""
     local = split.regime.local
@@ -339,19 +307,23 @@ def verify_split(
     if split.regime.kind == "p1":
         h2_norm = hardy_phi_star_quasinorm(split.h2, local=local)
         lam_scale = decomp.lambda_sum
+        gamma = None
     else:
         h2_norm = hardy_quasinorm(split.h2, decomp.p, local=local)
         lam_scale = decomp.lambda_p_sum
+        gamma = LipschitzOrder.dual_to(decomp.p, split.h1.spec.dim).gamma
     return SplitReport(
         regime=split.regime.name,
         p=decomp.p,
         gamma=gamma,
-        norm_h1_l1=h1_norm,
+        norm_h1_L1=h1_norm,
         norm_h2_target=h2_norm,
         b_scale=b_scale,
         lambda_sum=decomp.lambda_sum,
         lambda_p_sum=decomp.lambda_p_sum,
-        c1=_ratio(h1_norm, b_scale * decomp.lambda_sum),
-        c2=_ratio(h2_norm, b_scale * lam_scale),
-        grid=split.h1.spec.to_dict(),
+        C1=_ratio(h1_norm, b_scale * decomp.lambda_sum),
+        C2=_ratio(h2_norm, b_scale * lam_scale),
+        grid_dim=split.h1.spec.dim,
+        grid_halfwidth=split.h1.spec.halfwidth,
+        grid_points=split.h1.spec.points_per_axis,
     )

@@ -75,11 +75,11 @@ def test_criterion_01_reconstruction_identity():
         elif regime == 2:
             b = b_field(spec, "random-lipschitz", rng, gamma=0.25, levels=6)
             decomp = random_decomposition(spec, rng, p=0.8, s=0)
-            split = split_lipschitz(b, decomp, LipschitzOrder(0.25))
+            split = split_lipschitz(b, decomp)
         else:
             b = b_field(spec, "random-lipschitz", rng, gamma=1.5, levels=6)
             decomp = random_decomposition(spec, rng, p=0.4, s=2)
-            split = split_lipschitz(b, decomp, LipschitzOrder(1.5))
+            split = split_lipschitz(b, decomp)
         prod = b.values * synthesize(decomp, spec).values
         if not np.array_equal(prod - split.h1.values, split.h2.values):
             mismatches += 1
@@ -321,8 +321,8 @@ def _p1_campaign(m: int, seed: int, draws: int = 50):
         decomp = random_decomposition(spec, rng, p=1.0, s=0)
         split = split_bmo(b, decomp)
         report = verify_split(split, bmo_local_norm(b), decomp)
-        c1s.append(report.c1)
-        c2s.append(report.c2)
+        c1s.append(report.C1)
+        c2s.append(report.C2)
     return c1s, c2s
 
 
@@ -358,10 +358,10 @@ def _p_lt1_campaign(m: int, seed: int, p: float, s: int, draws: int = 50):
     for _ in range(draws):
         b = b_field(spec, "random-lipschitz", rng, gamma=gamma, levels=6)
         decomp = random_decomposition(spec, rng, p=p, s=s)
-        split = split_lipschitz(b, decomp, order)
-        report = verify_split(split, lambda_gamma_norm(b, order), decomp, gamma=gamma)
-        c1s.append(report.c1)
-        c2s.append(report.c2)
+        split = split_lipschitz(b, decomp)
+        report = verify_split(split, lambda_gamma_norm(b, order), decomp)
+        c1s.append(report.C1)
+        c2s.append(report.C2)
         for entry, (lam, atom) in zip(split.ledger, decomp.terms):
             if entry.subtracted["type"] == "mean":
                 term = atom.values.with_values(

@@ -100,7 +100,7 @@ def test_make_atom_dilation_covariance(spec1d):
 
 def test_local_atom(spec1d):
     ball = Ball((0.0,), 2.0)
-    atom = make_local_atom(ball, 1.0, math.inf, spec1d)
+    atom = make_local_atom(ball, 1.0, spec1d)
     assert atom.local
     sup = float(np.max(np.abs(atom.values.values)))
     assert sup == pytest.approx(ball.measure ** (-1.0), rel=1e-12)
@@ -111,7 +111,7 @@ def test_local_atom(spec1d):
 
 def test_local_atom_requires_large_ball(spec1d):
     with pytest.raises(ValueError, match="not a large ball"):
-        make_local_atom(Ball((0.0,), 0.25), 1.0, math.inf, spec1d)
+        make_local_atom(Ball((0.0,), 0.25), 1.0, spec1d)
 
 
 def test_decomposition_consistency(spec1d):
@@ -135,7 +135,7 @@ def test_synthesize(spec1d):
 
 def test_save_load_roundtrip(tmp_path, spec1d):
     a = make_atom(Ball((0.5,), 1.0), 1.0, 0, spec1d)
-    b = make_local_atom(Ball((-2.0,), 2.0), 1.0, math.inf, spec1d)
+    b = make_local_atom(Ball((-2.0,), 2.0), 1.0, spec1d)
     decomp = AtomicDecomposition(p=1.0, terms=((0.5, a), (-1.5, b)))
     base = tmp_path / "decomp"
     save_decomposition(decomp, base)

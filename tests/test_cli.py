@@ -1,6 +1,5 @@
 import csv
 import json
-import math
 import os
 import subprocess
 import sys
@@ -182,6 +181,14 @@ EXIT_CASES = [
                "b_generator": {"kind": "random-smooth", "params": {"amplitde": 5.0}}}, 2, None),
     ("norm", {"grid": GRID, "input": {"generator": "constant", "params": {"valeu": 5}},
               "which": "lp"}, 2, None),
+    ("split", {"grid": GRID, "regime": "p1", "b_generator": {
+        "kind": "random-lipschitz", "params": {"gamma": 0.5, "target_norm": 1.0}}}, 2, None),
+    # spacing 1/2: the local maximal ladder [2 * spacing, 1/2] holds no power of two
+    ("split", {"grid": {**GRID, "points_per_axis": 33}, "regime": "p1_local"}, 2, None),
+    ("split", {"grid": {**GRID, "points_per_axis": 33}, "regime": "projection_local",
+               "p": 0.4}, 2, None),
+    ("norm", {"grid": {**GRID, "points_per_axis": 33}, "input": {"generator": "step"},
+              "which": "hardy", "params": {"p": 1.0, "local": True}}, 2, None),
 ]
 
 
@@ -203,6 +210,38 @@ def test_config_exit_codes(tmp_path, command, doc, code, regime_name):
             assert {row["regime"] for row in csv.DictReader(fh)} == {regime_name}
 
 
+def test_split_rows_header(tmp_path):
+    """The rows.csv header is a fixed external format: SplitReport's field names."""
+    out_dir = tmp_path / "out"
+    cfg = _write(tmp_path, "cfg.json", {
+        "grid": GRID, "regime": "p1", "draws": 1, "seed": 3,
+        "atoms": {"count": 2}, "output_dir": str(out_dir),
+    })
+    assert _run(["split", "--config", cfg]) == 0
+    header = (out_dir / "rows.csv").read_text().splitlines()[0]
+    assert header == (
+        "draw,regime,p,gamma,norm_h1_L1,norm_h2_target,b_scale,lambda_sum,"
+        "lambda_p_sum,C1,C2,grid_dim,grid_halfwidth,grid_points"
+    )
+
+
+def test_norm_failed_write_keeps_old_output(tmp_path, monkeypatch):
+    """The output file is replaced whole or not at all."""
+    out = tmp_path / "report.json"
+    out.write_text("old")
+    cfg = _write(tmp_path, "cfg.json", {
+        "grid": GRID, "input": {"generator": "constant"}, "which": "lp",
+        "output": str(out),
+    })
+
+    def fail_replace(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", fail_replace)
+    assert _run(["norm", "--config", cfg]) == 1
+    assert out.read_text() == "old"
+
+
 def test_split_gamma_mismatch_exit2(tmp_path):
     cfg = _write(tmp_path, "cfg.json", {
         "grid": GRID,
@@ -220,7 +259,7 @@ def _sample_decomposition(tmp_path, corrupt=False, local=False):
     a = make_atom(Ball((0.0,), 1.0), 1.0, 0, spec)
     terms = [(1.0, a)]
     if local:
-        terms.append((0.5, make_local_atom(Ball((2.0,), 2.0), 1.0, math.inf, spec)))
+        terms.append((0.5, make_local_atom(Ball((2.0,), 2.0), 1.0, spec)))
     decomp = AtomicDecomposition(p=1.0, terms=tuple(terms))
     base = tmp_path / "decomp"
     save_decomposition(decomp, base)

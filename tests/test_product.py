@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from hardylab.generators import (
     regularized_log_field,
 )
 from hardylab.grid import Ball, GridFunction, ball_mean
-from hardylab.lipschitz import LipschitzOrder, lambda_gamma_norm
 from hardylab.maximal import bump_profile
 from hardylab.orlicz import luxembourg_scan_oracle, PHI
 from hardylab.oscillation import bmo_local_norm
@@ -83,7 +83,7 @@ def test_duality_identity(spec1d, rng):
             np.max(np.abs(b.values))
             * np.max(np.abs(h.values))
             * np.max(np.abs(test.values))
-            * spec1d.box_measure
+            * (2.0 * spec1d.halfwidth)
         )
         assert gap <= 1e-12 * scale
     assert duality_identity_check(b, h, GridFunction.zeros(spec1d)) == 0.0
@@ -153,11 +153,12 @@ def test_split_bilinearity_power_of_two(spec1d, rng):
     assert np.array_equal(relam.h2.values, 2.0 * base.h2.values)
 
 
-def test_split_lipschitz_gamma_mismatch(spec1d, rng):
-    decomp = random_decomposition(spec1d, rng, p=0.8, s=0)
+def test_split_lipschitz_rejects_p1(spec1d, rng):
+    # gamma = n(1/p - 1) is 0 at p = 1, outside the Lipschitz orders
+    decomp = random_decomposition(spec1d, rng, p=1.0, s=0)
     b = random_smooth_field(spec1d, rng)
-    with pytest.raises(ValueError, match="gamma"):
-        split_lipschitz(b, decomp, LipschitzOrder(0.5))
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        split_lipschitz(b, decomp)
 
 
 def test_split_lipschitz_mean_regime(spec1d, rng):
@@ -165,7 +166,7 @@ def test_split_lipschitz_mean_regime(spec1d, rng):
     gamma = 1.0 / p - 1.0
     decomp = random_decomposition(spec1d, rng, p=p, s=0)
     b = random_lipschitz_field(spec1d, rng, gamma)
-    split = split_lipschitz(b, decomp, LipschitzOrder(gamma))
+    split = split_lipschitz(b, decomp)
     assert split.regime == REGIMES["mean"]
     for entry in split.ledger:
         assert entry.subtracted["type"] == "mean"
@@ -176,7 +177,7 @@ def test_split_lipschitz_projection_regime(spec1d, rng):
     gamma = 1.0 / p - 1.0  # 1.5, so k = 1 and s must reach 2
     decomp = random_decomposition(spec1d, rng, p=p, s=2)
     b = random_lipschitz_field(spec1d, rng, gamma)
-    split = split_lipschitz(b, decomp, LipschitzOrder(gamma))
+    split = split_lipschitz(b, decomp)
     assert split.regime == REGIMES["projection"]
     for entry in split.ledger:
         assert entry.subtracted["type"] == "projection"
@@ -191,14 +192,14 @@ def test_split_lipschitz_needs_moments(spec1d, rng):
     decomp = random_decomposition(spec1d, rng, p=p, s=0)
     b = random_lipschitz_field(spec1d, rng, 1.5)
     with pytest.raises(ValueError, match="need s >="):
-        split_lipschitz(b, decomp, LipschitzOrder(1.5))
+        split_lipschitz(b, decomp)
 
 
 def test_split_lipschitz_constant_b_projection(spec1d, rng):
     p = 0.4
     decomp = random_decomposition(spec1d, rng, p=p, s=2)
     b = GridFunction.constant(spec1d, 2.0)
-    split = split_lipschitz(b, decomp, LipschitzOrder(1.5))
+    split = split_lipschitz(b, decomp)
     sup_scale = float(np.max(np.abs(split.h2.values)))
     assert np.max(np.abs(split.h1.values)) <= 1e-10 * max(sup_scale, 1.0)
 
@@ -241,9 +242,9 @@ def test_verify_split_empty(spec1d):
     b = GridFunction.constant(spec1d, 1.0)
     split = split_bmo(b, decomp)
     report = verify_split(split, b_scale=1.0, decomp=decomp)
-    assert report.norm_h1_l1 == 0.0
+    assert report.norm_h1_L1 == 0.0
     assert report.norm_h2_target == 0.0
-    assert report.c1 == 0.0 and report.c2 == 0.0
+    assert report.C1 == 0.0 and report.C2 == 0.0
 
 
 def test_verify_split_report_fields(spec1d, rng):
@@ -252,10 +253,10 @@ def test_verify_split_report_fields(spec1d, rng):
     split = split_bmo(b, decomp)
     report = verify_split(split, bmo_local_norm(b), decomp)
     assert report.regime == REGIMES["p1"].name == "p1_bmo"
-    assert report.c1 >= 0 and np.isfinite(report.c1)
-    assert report.c2 >= 0 and np.isfinite(report.c2)
+    assert report.C1 >= 0 and np.isfinite(report.C1)
+    assert report.C2 >= 0 and np.isfinite(report.C2)
     row = report.to_csv_row()
-    assert len(row) == len(report.CSV_FIELDS)
+    assert len(row) == len(dataclasses.fields(report))
 
 
 def test_verify_split_local_regimes(spec1d, rng):
@@ -264,7 +265,7 @@ def test_verify_split_local_regimes(spec1d, rng):
     split = split_bmo(b, decomp, local=True)
     assert split.regime.local
     report = verify_split(split, bmo_local_norm(b), decomp)
-    assert np.isfinite(report.c2)
+    assert np.isfinite(report.C2)
 
 
 def test_pointwise_maximal_domination(spec1d, rng):
