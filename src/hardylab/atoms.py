@@ -1,9 +1,9 @@
-"""(p, q, s)-atoms: validation, construction and atomic decompositions.
+"""(p, inf, s)-atoms: validation, construction and atomic decompositions.
 
 Atoms are built from a smooth bump on the ball: the discrete L^2(B)
 projection onto polynomials of degree <= s is subtracted (exact discrete
 moment cancellation), then the result is rescaled so the size condition
-||a||_q <= |B|^(1/q - 1/p) is tight.  Large-ball "local" atoms skip the
+||a||_inf <= |B|^(-1/p) is tight.  Large-ball "local" atoms skip the
 moment step.  Decompositions are inputs assembled by helpers, not computed
 from arbitrary functions.
 """
@@ -28,7 +28,7 @@ from .grid import (
     region_values,
 )
 from .maximal import bump_profile
-from .projection import multi_indices, poly_project
+from .projection import enough_nodes, multi_indices, poly_project
 
 __all__ = [
     "Atom",
@@ -39,6 +39,7 @@ __all__ = [
     "validate_atom",
     "make_atom",
     "make_local_atom",
+    "resolves_atom",
     "synthesize",
     "save_decomposition",
     "load_decomposition",
@@ -49,21 +50,18 @@ MOMENT_SLACK = 1e-10
 
 @dataclass(frozen=True)
 class Atom:
-    """A GridFunction tagged with its ball and (p, q, s) metadata."""
+    """A GridFunction tagged with its ball and (p, inf, s) metadata."""
 
     values: GridFunction
     ball: Ball
     p: float
-    q: float
     s: int
     local: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.p <= 1.0:
             raise ValueError("p must lie in (0, 1]")
-        if not self.q > self.p:
-            raise ValueError("q must exceed p")
-        if self.s < 0:
+        if not (isinstance(self.s, int) and self.s >= 0):
             raise ValueError("s must be a nonnegative integer")
 
     @property
@@ -72,9 +70,8 @@ class Atom:
 
     @property
     def size_bound(self) -> float:
-        """|B|^(1/q - 1/p) with the analytic ball measure."""
-        inv_q = 0.0 if self.q == math.inf else 1.0 / self.q
-        return self.ball.measure ** (inv_q - 1.0 / self.p)
+        """|B|^(-1/p) with the analytic ball measure."""
+        return self.ball.measure ** (-1.0 / self.p)
 
 
 @dataclass(frozen=True)
@@ -147,7 +144,7 @@ def validate_atom(atom: Atom) -> AtomReport:
     if leakage > 1e-14 * max(sup, 1.0):
         failures.append("support")
 
-    size = lp_norm(atom.values, atom.q, atom.ball)
+    size = lp_norm(atom.values, math.inf, atom.ball)
     size_ratio = size / atom.size_bound if atom.size_bound > 0 else math.inf
     if size_ratio > 1.0 + 1e-9:
         failures.append("size")
@@ -189,6 +186,11 @@ def _bump_on_ball(spec: GridSpec, ball: Ball, modulate=None) -> np.ndarray:
     return vals
 
 
+def resolves_atom(dim: int, s: int, nodes: int) -> bool:
+    """Whether a ball of this many nodes carries make_atom's degree-s atom."""
+    return nodes >= (s + 2) ** dim and enough_nodes(dim, s, nodes)
+
+
 def make_atom(
     ball: Ball,
     p: float,
@@ -197,7 +199,7 @@ def make_atom(
     modulate=None,
 ) -> Atom:
     """Construct a (p, inf, s)-atom on the ball with tight size condition."""
-    if region_node_count(spec, ball) < (s + 2) ** spec.dim:
+    if not resolves_atom(spec.dim, s, region_node_count(spec, ball)):
         raise ValueError("under-resolved ball")
     base = GridFunction(spec, _bump_on_ball(spec, ball, modulate))
     proj = poly_project(base, ball, s)
@@ -207,9 +209,7 @@ def make_atom(
         raise ValueError("degenerate profile: projection removed the bump")
     target = ball.measure ** (-1.0 / p)
     vals = resid * (target / sup)
-    return Atom(
-        values=GridFunction(spec, vals), ball=ball, p=p, q=math.inf, s=s
-    )
+    return Atom(values=GridFunction(spec, vals), ball=ball, p=p, s=s)
 
 
 def make_local_atom(
@@ -231,7 +231,6 @@ def make_local_atom(
         values=GridFunction(spec, vals * (bound / current)),
         ball=ball,
         p=p,
-        q=math.inf,
         s=0,
         local=True,
     )
@@ -265,7 +264,7 @@ def save_decomposition(decomp: AtomicDecomposition, basepath) -> None:
                 "lambda": lam,
                 "ball": {"center": list(atom.ball.center), "radius": atom.ball.radius},
                 "p": atom.p,
-                "q": None if atom.q == math.inf else atom.q,
+                "q": None,
                 "s": atom.s,
                 "local": atom.local,
                 "values_ref": ref,
@@ -281,19 +280,24 @@ def save_decomposition(decomp: AtomicDecomposition, basepath) -> None:
 
 
 def load_decomposition(basepath) -> AtomicDecomposition:
+    """Read what save_decomposition wrote: (p, inf, s)-atoms. ValueError if malformed."""
     base = Path(basepath)
     doc = json.loads(base.with_suffix(".json").read_text())
-    spec = None if doc["grid"] is None else GridSpec.from_dict(doc["grid"])
-    terms = []
-    for entry in doc["terms"]:
-        values = np.load(base.parent / entry["values_ref"])
-        atom = Atom(
-            values=GridFunction(spec, values),
-            ball=Ball(tuple(entry["ball"]["center"]), entry["ball"]["radius"]),
-            p=entry["p"],
-            q=math.inf if entry["q"] is None else entry["q"],
-            s=entry["s"],
-            local=entry["local"],
-        )
-        terms.append((entry["lambda"], atom))
-    return AtomicDecomposition(p=doc["p"], terms=tuple(terms))
+    try:  # only the terms need the grid; save_decomposition writes null without them
+        spec = GridSpec.from_dict(doc["grid"]) if doc["terms"] else None
+        terms = []
+        for entry in doc["terms"]:
+            if entry["q"] is not None:
+                raise ValueError(f"atoms are (p, inf, s)-atoms, got q = {entry['q']!r}")
+            values = np.load(base.parent / entry["values_ref"])
+            atom = Atom(
+                values=GridFunction(spec, values),
+                ball=Ball(tuple(entry["ball"]["center"]), entry["ball"]["radius"]),
+                p=entry["p"],
+                s=entry["s"],
+                local=entry["local"],
+            )
+            terms.append((entry["lambda"], atom))
+        return AtomicDecomposition(p=doc["p"], terms=tuple(terms))
+    except (KeyError, TypeError) as exc:  # a missing key or a value of the wrong type
+        raise ValueError(f"malformed decomposition {base}: {exc!r}") from exc

@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .atoms import load_decomposition, validate_atom
-from .generators import B_GENERATORS, atom_radii, b_field, random_decomposition
-from .grid import GridFunction, GridSpec, load_gridfunction, lp_norm
+from .atoms import load_decomposition, resolves_atom, validate_atom
+from .generators import B_GENERATORS, b_field, moment_radius, random_decomposition
+from .grid import GridFunction, GridSpec, fewest_ball_nodes, load_gridfunction, lp_norm
 from .lipschitz import LipschitzOrder, lambda_gamma_norm
 from .maximal import maximal_scales
 from .orlicz import PHI, hardy_quasinorm, lphi_star_norm, luxembourg_norm
@@ -38,9 +38,12 @@ class ConfigError(Exception):
 
 def _load_config(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        config = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise FileNotFoundError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return config
 
 
 def _grid_from(config: dict) -> GridSpec:
@@ -114,6 +117,8 @@ def cmd_norm(config: dict) -> int:
     f = _input_function(config, spec)
     which = config.get("which")
     params = config.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"params must be an object, got {params!r}")
     extra: dict = {}
     if which == "lp":
         value = lp_norm(f, _number(params, "p", 1.0))
@@ -122,7 +127,9 @@ def cmd_norm(config: dict) -> int:
     elif which == "lphi_star":
         value = lphi_star_norm(f)
     elif which == "hardy":
-        local = bool(params.get("local", False))
+        local = params.get("local", False)
+        if not isinstance(local, bool):
+            raise ConfigError(f"local must be true or false, got {local!r}")
         if local:
             _require_local_scales(spec)
         value = hardy_quasinorm(f, _number(params, "p", 1.0), local=local)
@@ -149,8 +156,8 @@ def cmd_norm(config: dict) -> int:
     return 0
 
 
-def _split_config(spec: GridSpec, config: dict) -> tuple[Regime, LipschitzOrder | None, dict]:
-    """(regime, Lipschitz order of b or None at p = 1, random_decomposition keywords)."""
+def _split_config(spec: GridSpec, config: dict) -> tuple[Regime, dict]:
+    """(regime, random_decomposition keywords), checked so that every draw can run."""
     name = config.get("regime")
     if not isinstance(name, str) or name not in REGIMES:
         raise ConfigError(f"unknown regime {name!r}")
@@ -169,54 +176,56 @@ def _split_config(spec: GridSpec, config: dict) -> tuple[Regime, LipschitzOrder 
             if not isinstance(radius_range, list):
                 raise TypeError("not a list")
             radius_range = tuple(float(v) for v in radius_range)
-        atom_radii(spec, radius_range)
+        radius = moment_radius(spec, radius_range, regime.local)
     except (TypeError, ValueError) as exc:
         shown = atoms_cfg.get("radius_range", "default")
         raise ConfigError(f"bad atoms.radius_range {shown!r}: {exc}") from exc
-    order, s_default = None, 0
+    s_min = 0
     if regime.kind != "p1":
         order = LipschitzOrder.dual_to(p, spec.dim)
         if config.get("gamma") is not None and abs(_number(config, "gamma", None) - order.gamma) > 1e-12:
             raise ConfigError(f"gamma must equal n(1/p - 1) = {order.gamma}")
-        s_default = 2 * order.k if regime.kind == "projection" else 0
-    s = _number(atoms_cfg, "s", s_default, int)
+        s_min = order.min_atom_s if regime.kind == "projection" else 0
+    s = _number(atoms_cfg, "s", s_min, int)
     count = _number(atoms_cfg, "count", 4, int)
     if count < 1 or s < 0:
         raise ConfigError(f"atoms need count >= 1 and s >= 0, got count {count}, s {s}")
+    if radius is not None and s < s_min:  # None: every atom is local and takes no moments
+        raise ConfigError(f"atoms.s must be at least 2*floor(gamma) = {s_min}, got {s}")
+    if radius is not None and not resolves_atom(spec.dim, s, fewest_ball_nodes(spec, radius)):
+        raise ConfigError(f"atoms.s = {s} is too large for a ball of the smallest radius {radius}")
     atoms = {
-        "p": 1.0 if order is None else p,
+        "p": 1.0 if regime.kind == "p1" else p,
         "s": s,
         "n_atoms": count,
         "radius_range": radius_range,
         "local": regime.local,
     }
-    return regime, order, atoms
+    return regime, atoms
 
 
 def _run_draw(
-    spec: GridSpec, regime: Regime, order, atoms: dict, b_section, rng: np.random.Generator
+    spec: GridSpec, regime: Regime, atoms: dict, b_section, rng: np.random.Generator
 ) -> SplitReport:
     b = _generate(spec, b_section, "kind", rng)
     decomp = random_decomposition(spec, rng, **atoms)
-    if order is None:
+    if regime.kind == "p1":
         split = split_bmo(b, decomp, local=regime.local)
-        b_scale = bmo_local_norm(b)
     else:
         split = split_lipschitz(b, decomp, local=regime.local)
-        b_scale = lambda_gamma_norm(b, order)
-    return verify_split(split, b_scale, decomp)
+    return verify_split(split, b, decomp)
 
 
 def cmd_split(config: dict) -> int:
     spec = _grid_from(config)
-    regime, order, atoms = _split_config(spec, config)
+    regime, atoms = _split_config(spec, config)
     b_section = config.get("b_generator", {"kind": "random-smooth"})
     draws = _number(config, "draws", 1, int)
     if draws < 1:
         raise ConfigError(f"draws must be at least 1, got {draws}")
     seed = _number(config, "seed", 0, int)
     rng = np.random.default_rng(seed)
-    reports = [_run_draw(spec, regime, order, atoms, b_section, rng) for _ in range(draws)]
+    reports = [_run_draw(spec, regime, atoms, b_section, rng) for _ in range(draws)]
     c1s = [r.C1 for r in reports]
     c2s = [r.C2 for r in reports]
     summary = _json_text({
@@ -243,11 +252,10 @@ def cmd_split(config: dict) -> int:
 
 
 def cmd_validate(config: dict) -> int:
-    try:
-        decomp = load_decomposition(config["decomposition"])
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: cannot load decomposition: {exc}", file=sys.stderr)
-        return PARSE_ERROR
+    path = config.get("decomposition")
+    if not isinstance(path, str):
+        raise ConfigError(f"decomposition must be a path, got {path!r}")
+    decomp = load_decomposition(path)  # OSError or ValueError: exit 1
     rows = []
     for idx, (lam, atom) in enumerate(decomp.terms):
         report = validate_atom(atom)
@@ -277,14 +285,9 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
     args = parser.parse_args(argv)
-    try:
-        config = _load_config(args.config)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return PARSE_ERROR
     handlers = {"norm": cmd_norm, "split": cmd_split, "validate": cmd_validate}
-    try:
-        return handlers[args.command](config)
+    try:  # a config that cannot be read is an OSError: exit 1
+        return handlers[args.command](_load_config(args.config))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

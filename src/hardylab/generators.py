@@ -25,6 +25,7 @@ __all__ = [
     "B_GENERATORS",
     "b_field",
     "atom_radii",
+    "moment_radius",
     "random_ball",
     "random_decomposition",
 ]
@@ -142,6 +143,13 @@ def atom_radii(spec: GridSpec, radius_range: tuple[float, float] | None = None) 
     if radii[-1] > spec.halfwidth:
         raise ValueError(f"radius {radii[-1]} larger than the halfwidth {spec.halfwidth}")
     return radii
+
+
+def moment_radius(spec: GridSpec, radius_range, local: bool) -> float | None:
+    """The smallest radius random_decomposition gives a moment atom (make_atom),
+    or None when every ball it can draw takes a local atom."""
+    smallest = Ball((0.0,) * spec.dim, atom_radii(spec, radius_range)[0])
+    return None if local and smallest.measure > 1.0 else smallest.radius
 
 
 def random_ball(

@@ -14,7 +14,7 @@ Conventions
 * Wherever a measure divides an integral (means), the *quadrature* measure
   (sum of node weights in the region) is used, so means of constants are
   exact.  The analytic measure is used for scale factors such as
-  ``|B|^{1/q - 1/p}``.
+  ``|B|^{-1/p}``.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ __all__ = [
     "region_weights",
     "region_coords",
     "region_values",
+    "fewest_ball_nodes",
     "integrate",
     "ball_mean",
     "lp_norm",
@@ -221,6 +222,12 @@ def region_node_count(spec: GridSpec, region) -> int:
     for s in slices:
         n *= s.stop - s.start
     return n
+
+
+def fewest_ball_nodes(spec: GridSpec, radius: float) -> int:
+    """The nodes region_slices gives the sparsest placed ball of this radius: no
+    in-box ball has fewer, and one with a grid step of room has this many."""
+    return math.floor(2.0 * radius / spec.spacing + 2.0 * _INDEX_TOL) ** spec.dim
 
 
 def integrate(f: GridFunction, region=None) -> float:

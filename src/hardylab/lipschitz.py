@@ -42,6 +42,11 @@ class LipschitzOrder:
     def k(self) -> int:
         return int(math.floor(self.gamma))
 
+    @property
+    def min_atom_s(self) -> int:
+        """2k: the vanishing moments the projection split needs of its atoms."""
+        return 2 * self.k
+
 
 def _as_steps(delta, dim: int) -> tuple[int, ...]:
     arr = np.atleast_1d(delta)

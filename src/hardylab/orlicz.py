@@ -34,7 +34,6 @@ _REL_TOL = 1e-9
 class OrliczFunction:
     """Continuous increasing map [0, inf) -> [0, inf), zero at zero."""
 
-    name: str
     eval: callable
 
     def __call__(self, t):
@@ -49,9 +48,9 @@ def phi(t):
     return t / np.log(math.e + t)
 
 
-PHI = OrliczFunction("t/log(e+t)", phi)
+PHI = OrliczFunction(phi)
 
-LINEAR = OrliczFunction("t", lambda t: np.asarray(t, dtype=float))
+LINEAR = OrliczFunction(lambda t: np.asarray(t, dtype=float))
 
 
 def _bracket(gauge, k0: float) -> tuple[float, float]:

@@ -28,8 +28,9 @@ from .atoms import (
     validate_atom,
 )
 from .grid import Ball, GridFunction, ball_mean, integrate, lp_norm
-from .lipschitz import LipschitzOrder
+from .lipschitz import LipschitzOrder, lambda_gamma_norm
 from .orlicz import PHI, hardy_phi_star_quasinorm, hardy_quasinorm, luxembourg_norm
+from .oscillation import bmo_local_norm
 from .projection import poly_project
 
 __all__ = [
@@ -83,10 +84,8 @@ def _regime(kind: str, local: bool) -> Regime:
 
 @dataclass(frozen=True)
 class SplitLedgerEntry:
-    """Per-atom record of what was subtracted and with what residuals."""
+    """Per-atom record of what was subtracted and with what residuals, in term order."""
 
-    lam: float
-    ball: Ball
     subtracted: dict
     rescale_constant: float | None
     moment_residuals: dict
@@ -182,11 +181,9 @@ def _split_mean(
 ) -> ProductSplit:
     """Subtract the ball mean of b under each atom."""
     subtractors = []
-    for lam, atom in decomp.terms:
+    for _, atom in decomp.terms:
         m = ball_mean(b, atom.ball)
         entry = SplitLedgerEntry(
-            lam=lam,
-            ball=atom.ball,
             subtracted={"type": "mean", "value": m},
             rescale_constant=abs(m) * atom.ball.measure ** (1.0 / decomp.p),
             moment_residuals={},
@@ -199,7 +196,7 @@ def split_bmo(
     b: GridFunction, decomp: AtomicDecomposition, local: bool = False
 ) -> ProductSplit:
     """p = 1 split: subtract the ball mean of b under each atom."""
-    if abs(decomp.p - 1.0) > 1e-12:
+    if not REGIMES["p1"].admits(decomp.p, b.spec.dim):
         raise ValueError("split_bmo requires p = 1")
     _validate_terms(decomp, allow_local=local)
     return _split_mean(b, decomp, _regime("p1", local))
@@ -218,11 +215,10 @@ def split_lipschitz(
         return _split_mean(b, decomp, _regime("mean", local))
 
     k = order.k
-    s_min = 2 * k
     subtractors = []
-    for idx, (lam, atom) in enumerate(decomp.terms):
-        if not atom.local and atom.s < s_min:
-            raise ValueError(f"need s >= 2*floor(gamma) = {s_min} (atom {idx})")
+    for idx, (_, atom) in enumerate(decomp.terms):
+        if not atom.local and atom.s < order.min_atom_s:
+            raise ValueError(f"need s >= 2*floor(gamma) = {order.min_atom_s} (atom {idx})")
         proj = poly_project(b, atom.ball, k)
         m_vals = proj.as_gridfunction(b.spec).values
         term = GridFunction(b.spec, m_vals * atom.values.values)
@@ -230,8 +226,6 @@ def split_lipschitz(
             1.0 / decomp.p
         )
         entry = SplitLedgerEntry(
-            lam=lam,
-            ball=atom.ball,
             subtracted={
                 "type": "projection",
                 "degree": k,
@@ -298,20 +292,24 @@ def _ratio(num: float, denom: float) -> float:
 
 def verify_split(
     split: ProductSplit,
-    b_scale: float,
+    b: GridFunction,
     decomp: AtomicDecomposition,
 ) -> SplitReport:
-    """Measure ||h1||_1 and the regime's target quasi-norm of h2."""
+    """Measure ||h1||_1, the regime's target quasi-norm of h2 and the norm of b
+    in the dual of H^p: bmo at p = 1, Lambda_gamma with gamma = n(1/p - 1) below."""
     local = split.regime.local
     h1_norm = lp_norm(split.h1, 1.0)
     if split.regime.kind == "p1":
         h2_norm = hardy_phi_star_quasinorm(split.h2, local=local)
+        b_scale = bmo_local_norm(b)
         lam_scale = decomp.lambda_sum
         gamma = None
     else:
         h2_norm = hardy_quasinorm(split.h2, decomp.p, local=local)
+        order = LipschitzOrder.dual_to(decomp.p, b.spec.dim)
+        b_scale = lambda_gamma_norm(b, order)
         lam_scale = decomp.lambda_p_sum
-        gamma = LipschitzOrder.dual_to(decomp.p, split.h1.spec.dim).gamma
+        gamma = order.gamma
     return SplitReport(
         regime=split.regime.name,
         p=decomp.p,

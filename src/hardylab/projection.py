@@ -31,6 +31,7 @@ __all__ = [
     "projection_sup_ratio",
     "campanato_ratio",
     "multi_indices",
+    "enough_nodes",
 ]
 
 
@@ -81,18 +82,22 @@ def _monomials(spec: GridSpec, ball: Ball, degree: int) -> list[np.ndarray]:
     return terms
 
 
+def enough_nodes(dim: int, degree: int, nodes: int) -> bool:
+    """Whether a ball of this many nodes resolves a degree-k projection: twice its basis."""
+    return nodes >= 2 * len(multi_indices(dim, degree))
+
+
 def poly_project(f: GridFunction, ball: Ball, degree: int) -> PolyProjection:
     """Weighted least-squares projection of f onto polynomials of degree <= k on B."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     vals, w = region_values(f, ball)
-    basis_size = len(multi_indices(f.spec.dim, degree))
-    if vals.size < 2 * basis_size:
+    if not enough_nodes(f.spec.dim, degree, vals.size):
         raise ValueError("under-resolved ball")
     A = np.column_stack([t.ravel() for t in _monomials(f.spec, ball, degree)])
     sw = np.sqrt(w).ravel()
     coeffs, _, rank, _ = np.linalg.lstsq(A * sw[:, None], vals.ravel() * sw, rcond=None)
-    if rank < basis_size:
+    if rank < A.shape[1]:
         raise ValueError("degenerate node set")
     return PolyProjection(ball=ball, degree=degree, coefficients=coeffs)
 

@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ def _sign_atom(spec, ball, p):
     sl = region_slices(spec, ball)
     vals[sl] = np.sign(x[sl[0]] - ball.center[0])
     vals *= ball.measure ** (-1.0 / p)
-    return Atom(GridFunction(spec, vals), ball, p, math.inf, 0)
+    return Atom(GridFunction(spec, vals), ball, p, 0)
 
 
 def test_validate_two_level_atom(spec1d):
@@ -40,7 +39,7 @@ def test_validate_indicator_fails_moment(spec1d):
     ball = Ball((0.0,), 1.0)
     vals = np.zeros(spec1d.shape)
     vals[region_slices(spec1d, ball)] = ball.measure ** (-1.0)
-    atom = Atom(GridFunction(spec1d, vals), ball, 1.0, math.inf, 0)
+    atom = Atom(GridFunction(spec1d, vals), ball, 1.0, 0)
     report = validate_atom(atom)
     assert "moment (0,)" in report.failures
 
@@ -49,7 +48,7 @@ def test_validate_oversized_fails_size(spec1d):
     atom = _sign_atom(spec1d, Ball((0.0,), 1.0), 1.0)
     big = Atom(
         atom.values.with_values(2.0 * atom.values.values),
-        atom.ball, atom.p, atom.q, atom.s,
+        atom.ball, atom.p, atom.s,
     )
     report = validate_atom(big)
     assert "size" in report.failures
@@ -60,7 +59,7 @@ def test_validate_support_leakage(spec1d):
     atom = _sign_atom(spec1d, Ball((0.0,), 1.0), 1.0)
     leaky_vals = np.array(atom.values.values)
     leaky_vals[0] = 1e-3
-    leaky = Atom(GridFunction(spec1d, leaky_vals), atom.ball, 1.0, math.inf, 0)
+    leaky = Atom(GridFunction(spec1d, leaky_vals), atom.ball, 1.0, 0)
     assert "support" in validate_atom(leaky).failures
 
 
@@ -148,5 +147,5 @@ def test_save_load_roundtrip(tmp_path, spec1d):
     for (lam0, a0), (lam1, a1) in zip(decomp.terms, loaded.terms):
         assert lam0 == lam1
         assert a0.ball == a1.ball
-        assert (a0.p, a0.q, a0.s, a0.local) == (a1.p, a1.q, a1.s, a1.local)
+        assert (a0.p, a0.s, a0.local) == (a1.p, a1.s, a1.local)
         assert np.array_equal(a0.values.values, a1.values.values)

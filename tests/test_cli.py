@@ -134,6 +134,7 @@ def test_split_unknown_regime_exit2(tmp_path):
 
 
 INF_GRID = {**GRID, "halfwidth": "inf"}
+GRID_257 = {**GRID, "points_per_axis": 257}
 
 # (command, config, exit code, regime name written to rows.csv)
 EXIT_CASES = [
@@ -189,6 +190,20 @@ EXIT_CASES = [
                "p": 0.4}, 2, None),
     ("norm", {"grid": {**GRID, "points_per_axis": 33}, "input": {"generator": "step"},
               "which": "hardy", "params": {"p": 1.0, "local": True}}, 2, None),
+    # params is an object and local a boolean: the string "false" is not false
+    ("norm", {"grid": GRID, "input": {"generator": "step"}, "which": "hardy", "params": [1]},
+     2, None),
+    ("norm", {"grid": GRID, "input": {"generator": "step"}, "which": "hardy",
+              "params": {"p": 1.0, "local": "false"}}, 2, None),
+    # atoms.s is checked before the first draw: below 2*floor(gamma) = 2 at p = 0.4, or
+    # above what the sparsest ball of the smallest radius, 0.5, resolves: it holds 16
+    # nodes, and degree s needs twice its s + 1 monomials (s = 8: 18; s = 7: 16)
+    ("split", {"grid": GRID_257, "regime": "projection", "p": 0.4, "atoms": {"s": 0}}, 2, None),
+    ("split", {"grid": GRID_257, "regime": "p1", "atoms": {"count": 2, "s": 8}}, 2, None),
+    ("split", {"grid": GRID_257, "regime": "p1", "atoms": {"count": 2, "s": 7}}, 0, "p1_bmo"),
+    # the decomposition path is a string
+    ("validate", {}, 2, None),
+    ("validate", {"decomposition": 5}, 2, None),
 ]
 
 
@@ -296,6 +311,59 @@ def test_validate_corrupted_moment(tmp_path):
 def test_validate_missing_file_exit1(tmp_path):
     cfg = _write(tmp_path, "cfg.json", {"decomposition": str(tmp_path / "absent")})
     assert _run(["validate", "--config", cfg]) == 1
+
+
+def _with_term(**edit):
+    return lambda doc: {**doc, "terms": [{**doc["terms"][0], **edit}]}
+
+
+# edits of a saved one-atom decomposition document, each malformed
+MALFORMED_DECOMPOSITIONS = {
+    "grid-null": lambda doc: {**doc, "grid": None},
+    "p-string": _with_term(p="one"),
+    "terms-string": lambda doc: {**doc, "terms": "x"},
+    "list-document": lambda doc: [doc],
+    "s-float": _with_term(s=1.5),
+    "finite-q": _with_term(q=2.0),  # only (p, inf, s)-atoms are read
+}
+
+
+def _malformed_decomposition(tmp_path, name):
+    base = Path(_sample_decomposition(tmp_path))
+    doc = json.loads(base.with_suffix(".json").read_text())
+    base.with_suffix(".json").write_text(json.dumps(MALFORMED_DECOMPOSITIONS[name](doc)))
+    return str(base)
+
+
+@pytest.mark.parametrize("name", MALFORMED_DECOMPOSITIONS)
+def test_validate_malformed_decomposition(tmp_path, capsys, name):
+    """A malformed decomposition exits 1 with one error line, not a traceback."""
+    out = tmp_path / "validation.json"
+    cfg = _write(tmp_path, "cfg.json", {
+        "decomposition": _malformed_decomposition(tmp_path, name), "output": str(out),
+    })
+    assert _run(["validate", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
+def test_lab_process_never_prints_a_traceback(tmp_path):
+    """What the terminal shows of a malformed decomposition and a non-object params."""
+    cases = [
+        ("validate", {"decomposition": _malformed_decomposition(tmp_path, "grid-null")}, 1),
+        ("norm", {"grid": GRID, "input": {"generator": "step"}, "which": "hardy",
+                  "params": [1]}, 2),
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for command, doc, code in cases:
+        cfg = _write(tmp_path, "cfg.json", doc)
+        done = subprocess.run([sys.executable, "-m", "hardylab.cli", command, "--config", cfg],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error:")
 
 
 def test_cli_import_loads_no_scipy():

@@ -22,7 +22,6 @@ from hardylab.generators import (
 from hardylab.grid import Ball, GridFunction, ball_mean
 from hardylab.maximal import bump_profile
 from hardylab.orlicz import luxembourg_scan_oracle, PHI
-from hardylab.oscillation import bmo_local_norm
 from hardylab.product import (
     REGIMES,
     duality_identity_check,
@@ -118,7 +117,7 @@ def test_split_bmo_requires_p1(spec1d, rng):
 def test_split_rejects_invalid_atom(spec1d, rng):
     good = make_atom(Ball((0.0,), 1.0), 1.0, 0, spec1d)
     bad_vals = good.values.with_values(good.values.values * 3.0)
-    bad = Atom(bad_vals, good.ball, 1.0, math.inf, 0)
+    bad = Atom(bad_vals, good.ball, 1.0, 0)
     decomp = AtomicDecomposition(p=1.0, terms=((1.0, good), (1.0, bad)))
     b = random_smooth_field(spec1d, rng)
     with pytest.raises(ValueError, match="atom 1"):
@@ -179,12 +178,12 @@ def test_split_lipschitz_projection_regime(spec1d, rng):
     b = random_lipschitz_field(spec1d, rng, gamma)
     split = split_lipschitz(b, decomp)
     assert split.regime == REGIMES["projection"]
-    for entry in split.ledger:
+    for entry, (_, atom) in zip(split.ledger, decomp.terms):
         assert entry.subtracted["type"] == "projection"
         assert entry.subtracted["degree"] == 1
-        term_sup = entry.rescale_constant * entry.ball.measure ** (-1.0 / p)
+        term_sup = entry.rescale_constant * atom.ball.measure ** (-1.0 / p)
         for alpha, value in entry.moment_residuals.items():
-            assert abs(value) <= moment_tolerance(term_sup, entry.ball, sum(alpha))
+            assert abs(value) <= moment_tolerance(term_sup, atom.ball, sum(alpha))
 
 
 def test_split_lipschitz_needs_moments(spec1d, rng):
@@ -241,7 +240,7 @@ def test_verify_split_empty(spec1d):
     decomp = AtomicDecomposition(p=1.0, terms=())
     b = GridFunction.constant(spec1d, 1.0)
     split = split_bmo(b, decomp)
-    report = verify_split(split, b_scale=1.0, decomp=decomp)
+    report = verify_split(split, b, decomp)
     assert report.norm_h1_L1 == 0.0
     assert report.norm_h2_target == 0.0
     assert report.C1 == 0.0 and report.C2 == 0.0
@@ -251,7 +250,7 @@ def test_verify_split_report_fields(spec1d, rng):
     decomp = random_decomposition(spec1d, rng, p=1.0, s=0)
     b = b_field(spec1d, "random-bmo", rng)
     split = split_bmo(b, decomp)
-    report = verify_split(split, bmo_local_norm(b), decomp)
+    report = verify_split(split, b, decomp)
     assert report.regime == REGIMES["p1"].name == "p1_bmo"
     assert report.C1 >= 0 and np.isfinite(report.C1)
     assert report.C2 >= 0 and np.isfinite(report.C2)
@@ -264,7 +263,7 @@ def test_verify_split_local_regimes(spec1d, rng):
     b = b_field(spec1d, "random-bmo", rng)
     split = split_bmo(b, decomp, local=True)
     assert split.regime.local
-    report = verify_split(split, bmo_local_norm(b), decomp)
+    report = verify_split(split, b, decomp)
     assert np.isfinite(report.C2)
 
 

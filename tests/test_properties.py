@@ -1,7 +1,8 @@
 """Property tests over random grids and fields: the unit-cube partition, the
-positive homogeneity of the norms, the bmo norm of constants and constants as
-fixed points of the dilated convolution.  Examples are derandomized, so every
-run checks the same cases."""
+fewest nodes of a ball, the positive homogeneity of the norms, the bmo norm of
+constants, constants as fixed points of the dilated convolution, and the
+product splits (exact reconstruction, C1 = 0 for constant b).  Examples are
+derandomized, so every run checks the same cases."""
 
 import functools
 
@@ -10,12 +11,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hardylab.generators import b_field
-from hardylab.grid import GridSpec, dyadic_scales, unit_cubes
+from hardylab.atoms import synthesize
+from hardylab.generators import b_field, random_decomposition
+from hardylab.grid import Ball, GridSpec, dyadic_scales, fewest_ball_nodes, region_node_count, unit_cubes
 from hardylab.lipschitz import LipschitzOrder, lambda_gamma_norm
 from hardylab.maximal import convolve_dilated
 from hardylab.orlicz import hardy_quasinorm, lphi_star_norm
 from hardylab.oscillation import bmo_local_norm, lmo_norm
+from hardylab.product import REGIMES, split_bmo, split_lipschitz, verify_split
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 # a norm example scans a ball family or bisects every unit cube: tens of ms
@@ -92,3 +95,60 @@ def test_convolution_fixes_constants(spec, c):
         inside = np.all([np.abs(x) < spec.halfwidth - t for x in spec.meshes()], axis=0)
         out = convolve_dilated(f, t).values[inside]
         assert np.all(np.abs(out - c) <= 1e-12 * abs(c))
+
+
+@PROPERTY
+@given(specs, st.integers(1, 64))
+def test_fewest_ball_nodes_is_the_minimum_over_centres(spec, eighths):
+    """No in-box ball of the radius holds fewer nodes, and some placement holds that few.
+
+    The node count is periodic in the centre with period one grid step, and the
+    radius, a multiple of spacing/8, leaves each count on an interval of at least
+    spacing/4, so 41 centres across one step see both counts.
+    """
+    radius = eighths * spec.spacing / 8.0
+    free = spec.halfwidth - radius
+    assume(free >= spec.spacing)
+    counts = []
+    for c in -free + spec.spacing * np.linspace(0.0, 1.0, 41):
+        try:
+            counts.append(region_node_count(spec, Ball((c,) * spec.dim, radius)))
+        except ValueError:  # a ball narrower than a step can miss every node
+            counts.append(0)
+    assert min(counts) == fewest_ball_nodes(spec, radius)
+
+
+# a split example draws four atoms on a small grid; a verify_split example also
+# measures b and h2 (a ball-family scan or a difference scan, and a maximal function)
+SPLIT_PROPERTY = settings(PROPERTY, max_examples=4)
+split_specs = st.sampled_from([GridSpec(1, 8.0, 129), GridSpec(2, 4.0, 33)])
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _split(b, p, rng):
+    """A random decomposition at p, with the moments its regime needs, and its split of b."""
+    s = 0 if p == 1.0 else LipschitzOrder.dual_to(p, b.spec.dim).min_atom_s
+    decomp = random_decomposition(b.spec, rng, p=p, s=s)
+    return decomp, (split_bmo if p == 1.0 else split_lipschitz)(b, decomp)
+
+
+@SPLIT_PROPERTY
+@given(split_specs, kinds, seeds)
+@pytest.mark.parametrize("p, regime", [(1.0, "p1"), (0.8, "mean"), (0.4, "projection")])
+def test_split_h2_is_the_exact_complement(p, regime, spec, kind, seed):
+    """h2 is b * h - h1 bit for bit."""
+    rng = np.random.default_rng(seed)
+    b = b_field(spec, kind, rng)
+    decomp, split = _split(b, p, rng)
+    assert split.regime == REGIMES[regime]
+    assert np.array_equal(split.h2.values, b.values * synthesize(decomp).values - split.h1.values)
+
+
+@SPLIT_PROPERTY
+@given(split_specs, st.floats(-1e3, 1e3), seeds)
+@pytest.mark.parametrize("p", [1.0, 0.8])
+def test_constant_b_gives_zero_c1(p, spec, c, seed):
+    """A constant b is its own mean on every ball, so h1 and C1 vanish."""
+    b = b_field(spec, "constant", None, value=c)
+    decomp, split = _split(b, p, np.random.default_rng(seed))
+    assert verify_split(split, b, decomp).C1 == 0.0
