@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import statistics
 import sys
@@ -67,14 +68,30 @@ def _generate(spec: GridSpec, section, key: str, rng: np.random.Generator) -> Gr
     kind = section.get(key) if isinstance(section, dict) else None
     if not isinstance(kind, str) or kind not in B_GENERATORS:
         raise ConfigError(f"unknown generator {kind!r}; known: {sorted(B_GENERATORS)}")
+    params = section.get("params", {})
+    if isinstance(params, dict) and not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        for v in params.values()
+    ):
+        raise ConfigError(f"params of generator {kind!r} must be finite numbers, got {params!r}")
     try:
-        return b_field(spec, kind, rng, **section.get("params", {}))
+        return b_field(spec, kind, rng, **params)
     except TypeError as exc:  # a missing, unknown or malformed parameter
         raise ConfigError(f"bad params for generator {kind!r}: {exc!r}") from exc
 
 
+def _path(config: dict, key: str) -> str | None:
+    """config[key] as a path, None when it is not set; ConfigError otherwise."""
+    value = config.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{key} must be a path, got {value!r}")
+    return value
+
+
 def _input_function(config: dict, spec: GridSpec) -> GridFunction:
     section = config.get("input", {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"input must be an object, got {section!r}")
     if "file" in section:
         return load_gridfunction(section["file"])
     if "generator" in section:
@@ -114,6 +131,7 @@ def _require_local_scales(spec: GridSpec) -> None:
 
 def cmd_norm(config: dict) -> int:
     spec = _grid_from(config)
+    out = _path(config, "output")
     f = _input_function(config, spec)
     which = config.get("which")
     params = config.get("params", {})
@@ -152,7 +170,7 @@ def cmd_norm(config: dict) -> int:
         "grid": spec.to_dict(),
         **extra,
     }
-    _emit(doc, config.get("output"))
+    _emit(doc, out)
     return 0
 
 
@@ -218,6 +236,7 @@ def _run_draw(
 
 def cmd_split(config: dict) -> int:
     spec = _grid_from(config)
+    out_dir = Path(_path(config, "output_dir") or ".")
     regime, atoms = _split_config(spec, config)
     b_section = config.get("b_generator", {"kind": "random-smooth"})
     draws = _number(config, "draws", 1, int)
@@ -244,7 +263,6 @@ def cmd_split(config: dict) -> int:
         writer.writerow([draw] + report.to_csv_row())
     # created once every draw has succeeded and both outputs are built (so a
     # failed run writes nothing), each replaced whole
-    out_dir = Path(config.get("output_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in (("rows.csv", rows.getvalue()), ("summary.json", summary)):
         _write_atomic(out_dir / name, text)
@@ -255,6 +273,7 @@ def cmd_validate(config: dict) -> int:
     path = config.get("decomposition")
     if not isinstance(path, str):
         raise ConfigError(f"decomposition must be a path, got {path!r}")
+    out = _path(config, "output")
     decomp = load_decomposition(path)  # OSError or ValueError: exit 1
     rows = []
     for idx, (lam, atom) in enumerate(decomp.terms):
@@ -274,7 +293,7 @@ def cmd_validate(config: dict) -> int:
             }
         )
     doc = {"p": decomp.p, "atoms": rows, "all_passed": all(r["passed"] for r in rows)}
-    _emit(doc, config.get("output"))
+    _emit(doc, out)
     return 0
 
 

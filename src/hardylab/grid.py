@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "GridSpec",
@@ -36,6 +37,8 @@ __all__ = [
     "region_weights",
     "region_coords",
     "region_values",
+    "box_rows",
+    "shape_groups",
     "fewest_ball_nodes",
     "integrate",
     "ball_mean",
@@ -214,6 +217,38 @@ def region_values(f: GridFunction, region=None) -> tuple[np.ndarray, np.ndarray]
         return f.values, f.spec.weights()
     slices = region_slices(f.spec, region)
     return f.values[slices], region_weights(f.spec, slices)
+
+
+def box_rows(f: GridFunction, starts: np.ndarray, shape: tuple[int, ...], batch_floats: int):
+    """(members, values, weights) of f on index boxes of one shape, in batches.
+
+    Box k starts at node starts[k].  A batch takes the boxes in `members` (a
+    slice of the starts), as many as fit in batch_floats values (one at
+    least), and holds one row per box in C order, so a row's reduction
+    matches, bit for bit, np.sum over region_values of that box.  The rows
+    are fresh arrays that the caller may overwrite.
+    """
+    size = math.prod(shape)
+    batch = max(1, batch_floats // size)
+    values = sliding_window_view(f.values, shape)
+    weights = sliding_window_view(f.spec.weights(), shape)
+    for lo in range(0, len(starts), batch):
+        members = slice(lo, lo + batch)
+        index = tuple(starts[members].T)
+        yield members, values[index].reshape(-1, size), weights[index].reshape(-1, size)
+
+
+def shape_groups(shapes: np.ndarray):
+    """(shape, member indices) for each distinct row of an (n, dim) shape array.
+
+    Members are increasing, and the shapes come in lexicographic order.
+    """
+    kinds, inverse, counts = np.unique(
+        shapes, axis=0, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(inverse.ravel(), kind="stable")
+    for shape, members in zip(kinds, np.split(order, np.cumsum(counts)[:-1])):
+        yield tuple(int(h) for h in shape), members
 
 
 def region_node_count(spec: GridSpec, region) -> int:

@@ -4,6 +4,12 @@ Suprema over "all balls" are taken over a finite dyadic family: dyadic radii
 in [4*spacing, 2R], centers on a sub-lattice of stride max(spacing, r/8).
 The family density is the accuracy knob and is reported with every norm.
 The family depends only on the grid, so it is built once per grid.
+
+The family is held as arrays: one row of center coordinates and radius per
+ball, and per radius the clipped index window of each axis center.  Balls of
+one radius whose clipped windows share a shape are gathered in small batches
+and reduced row by row, so every statistic equals, bit for bit, the one-ball
+computation of `_ball_stats`, which stays as the oracle for the batched pass.
 """
 
 from __future__ import annotations
@@ -19,10 +25,13 @@ from .grid import (
     Ball,
     GridFunction,
     GridSpec,
+    _ball_axis_slice,
     _quadrature_mean,
+    box_rows,
     dyadic_scales,
     region_node_count,
     region_values,
+    shape_groups,
 )
 
 __all__ = [
@@ -37,6 +46,10 @@ __all__ = [
 
 _MEASURE_TOL = 1e-9
 
+# values per batch of same-shape windows; a batch's temporaries stay in the
+# tens of kilobytes, so the statistics pass adds little to the peak memory
+_BATCH_FLOATS = 8192
+
 
 @dataclass(frozen=True)
 class NormReport:
@@ -45,14 +58,23 @@ class NormReport:
     argmax_ball: Ball | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BallFamily:
-    """Dyadic-radius ball family split by analytic measure below/above 1."""
+    """Dyadic-radius ball family split by analytic measure below/above 1.
 
-    balls: tuple[Ball, ...]
+    balls: (n, dim + 1) rows of center coordinates, then radius.  The radii
+    increase, and the centers of one radius run in raster order (last axis
+    fastest).  windows[i]: (k, 2) start and length of the clipped index
+    window of each of the k axis centers of radii[i]; a ball's window is the
+    product of its centers' windows.
+    """
+
+    balls: np.ndarray
+    radii: tuple[float, ...]
+    windows: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if not self.balls:
+        if not len(self.balls):
             raise ValueError("ball family must be nonempty")
 
     # a lab run uses one grid; the size of 1 bounds memory for grid sweeps
@@ -62,17 +84,58 @@ class BallFamily:
         # every center is a node and r >= 4 * spacing, so each ball covers
         # at least 5 nodes per axis and none is under-resolved
         step = spec.spacing
-        balls: list[Ball] = []
-        for r in dyadic_scales(4.0 * step, 2.0 * spec.halfwidth):
+        radii = dyadic_scales(4.0 * step, 2.0 * spec.halfwidth)
+        rows, windows = [], []
+        for r in radii:
             stride_steps = max(1, int(round((r / 8.0) / step)))
             centers = np.arange(0, spec.points_per_axis, stride_steps) * step - spec.halfwidth
-            balls.extend(Ball(c, r) for c in itertools.product(centers, repeat=spec.dim))
-        return cls(tuple(balls))
+            slices = [_ball_axis_slice(spec, c, r) for c in centers.tolist()]
+            windows.append(np.array([(s.start, s.stop - s.start) for s in slices]))
+            grid = np.meshgrid(*[centers] * spec.dim, indexing="ij")
+            rows.append(np.stack([*grid, np.full(grid[0].shape, r)], axis=-1))
+        balls = np.concatenate([row.reshape(-1, spec.dim + 1) for row in rows])
+        return cls(balls, tuple(radii), tuple(windows))
+
+    @property
+    def dim(self) -> int:
+        return self.balls.shape[1] - 1
+
+    def ball(self, i: int) -> Ball:
+        *center, radius = self.balls[i].tolist()
+        return Ball(tuple(center), radius)
+
+    def per_ball(self, per_radius) -> np.ndarray:
+        """One value per radius spread over that radius's balls, in family order."""
+        counts = [len(w) ** self.dim for w in self.windows]
+        return np.repeat(np.asarray(per_radius, dtype=float), counts)
+
+    def measures(self) -> list[float]:
+        """Analytic measure (2r)^n of the balls of each radius."""
+        return [(2.0 * r) ** self.dim for r in self.radii]
 
     def halves(self) -> tuple[np.ndarray, np.ndarray]:
         """Masks of the small (|B| <= 1) and large (|B| >= 1) balls; |B| = 1 is in both."""
-        measure = np.array([ball.measure for ball in self.balls])
+        measure = self.per_ball(self.measures())
         return measure <= 1.0 + _MEASURE_TOL, measure >= 1.0 - _MEASURE_TOL
+
+    def groups(self):
+        """(family indices, window starts, window shape) of each set of balls of
+        one radius whose clipped windows share a shape.
+
+        A ball's window is the product of its centers' axis windows, so each
+        set is a product of per-axis sets of centers with one window length.
+        """
+        offset = 0
+        for window in self.windows:
+            k = len(window)
+            lengths = list(shape_groups(window[:, 1:]))
+            for per_axis in itertools.product(lengths, repeat=self.dim):
+                centers = np.ix_(*[members for _, members in per_axis])
+                index = offset + np.ravel_multi_index(centers, (k,) * self.dim).ravel()
+                starts = np.broadcast_arrays(*[window[c, 0] for c in centers])
+                starts = np.stack(starts, axis=-1).reshape(-1, self.dim)
+                yield index, starts, tuple(length for (length,), _ in per_axis)
+            offset += k**self.dim
 
 
 def _ball_stats(f: GridFunction, ball: Ball) -> tuple[float, float, float]:
@@ -87,10 +150,36 @@ def _ball_stats(f: GridFunction, ball: Ball) -> tuple[float, float, float]:
     return mean, osc, float(np.sum(w * np.abs(vals)) / wsum)
 
 
+def _row_stats(vals: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_ball_stats of each row of window values and weights; overwrites vals."""
+    add = np.add.reduce
+    wsum = add(w, axis=-1)
+    mean = add(w * vals, axis=-1) / wsum
+    # means of constants are exact, as in _quadrature_mean
+    vmax = np.maximum.reduce(vals, axis=-1)
+    constant = np.minimum.reduce(vals, axis=-1) == vmax
+    mean[constant] = vmax[constant]
+    dev = np.abs(vals - mean[:, None])
+    flat = ~np.logical_or.reduce(dev, axis=-1)
+    dev *= w
+    osc = add(dev, axis=-1) / wsum
+    flat &= osc == 0.0  # f is constant (osc alone can underflow)
+    vals = np.abs(vals, out=vals)
+    vals *= w
+    abs_mean = add(vals, axis=-1) / wsum
+    abs_mean[flat] = np.abs(mean[flat])
+    return mean, osc, abs_mean
+
+
 def _family_stats(b: GridFunction, family: BallFamily) -> np.ndarray:
     """One _ball_stats row per ball of the family, in family order."""
-    rows = (_ball_stats(b, ball) for ball in family.balls)
-    return np.fromiter(rows, np.dtype((float, 3)), len(family.balls))
+    stats = np.empty((len(family.balls), 3))
+    for index, starts, shape in family.groups():
+        for members, vals, w in box_rows(b, starts, shape, _BATCH_FLOATS):
+            rows = index[members]
+            for column, values in enumerate(_row_stats(vals, w)):
+                stats[rows, column] = values
+    return stats
 
 
 def _sup(values: np.ndarray, mask: np.ndarray) -> float:
@@ -110,7 +199,7 @@ def bmo_report(b: GridFunction) -> NormReport:
     family = BallFamily.build(b.spec)
     osc = _family_stats(b, family)[:, 1]
     i = int(np.argmax(osc))  # the first maximum
-    arg = family.balls[i] if osc[i] > 0 else None
+    arg = family.ball(i) if osc[i] > 0 else None
     return NormReport(float(osc[i]), len(family.balls), arg)
 
 
@@ -127,7 +216,7 @@ def lmo_norm(b: GridFunction) -> float:
     family = BallFamily.build(b.spec)
     stats = _family_stats(b, family)
     small, large = family.halves()
-    weight = np.array([math.log(math.e + 1.0 / ball.measure) for ball in family.balls])
+    weight = family.per_ball([math.log(math.e + 1.0 / mu) for mu in family.measures()])
     return _sup(weight * stats[:, 1], small) + _sup(stats[:, 2], large)
 
 

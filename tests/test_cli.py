@@ -400,3 +400,36 @@ def test_split_rerun_failure_keeps_old_outputs(tmp_path, monkeypatch):
     assert _run(["split", "--config", cfg]) == 1
     assert len(rows_written) == 2
     assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
+
+
+# a path or a section of the wrong JSON type, and a generator parameter that
+# is not a finite number: each is a config error (exit 2) with one error line
+WRONG_TYPES = {
+    "norm-output": ("norm", {"grid": GRID, "input": {"generator": "step"}, "which": "lp",
+                             "output": 5}),
+    "validate-output": ("validate", {"output": 5}),
+    "norm-input-string": ("norm", {"grid": GRID, "input": "generator", "which": "lp"}),
+    "norm-input-list": ("norm", {"grid": GRID, "input": ["file"], "which": "lp"}),
+    "split-output_dir": ("split", {"grid": GRID, "regime": "p1", "output_dir": 5}),
+    "split-param-string": ("split", {"grid": GRID, "regime": "p1", "b_generator": {
+        "kind": "step", "params": {"height": "x"}}}),
+    "norm-param-string": ("norm", {"grid": GRID, "which": "lp", "input": {
+        "generator": "constant", "params": {"value": "2"}}}),
+    "norm-param-nan": ("norm", {"grid": GRID, "which": "lp", "input": {
+        "generator": "constant", "params": {"value": float("nan")}}}),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_TYPES)
+def test_wrong_type_is_one_error_line(tmp_path, capsys, monkeypatch, name):
+    command, doc = WRONG_TYPES[name]
+    if command == "validate":
+        doc = {**doc, "decomposition": _sample_decomposition(tmp_path)}
+    if name == "split-output_dir":  # rejected before the first draw
+        monkeypatch.setattr(cli, "_run_draw", lambda *args: pytest.fail("a draw ran"))
+    cfg = _write(tmp_path, "cfg.json", {"draws": 1, "atoms": {"count": 2}, **doc})
+    assert _run([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

@@ -5,8 +5,18 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from hardylab.grid import GridFunction, GridSpec, integrate, lp_norm, unit_cubes
+from hardylab.grid import (
+    GridFunction,
+    GridSpec,
+    box_rows,
+    integrate,
+    lp_norm,
+    shape_groups,
+    unit_cubes,
+)
+from hardylab.maximal import maximal_fn
 from hardylab.orlicz import (
+    _luxembourg_rows,
     LINEAR,
     PHI,
     hardy_phi_star_quasinorm,
@@ -149,9 +159,33 @@ def test_lphi_star_zero_and_single_cube(spec1d):
     vals = np.zeros(spec1d.shape)
     vals[cube] = 1.5
     f = GridFunction(spec1d, vals)
-    assert lphi_star_norm(f) == pytest.approx(
-        luxembourg_norm(f, PHI, cube), rel=1e-12
-    )
+    assert lphi_star_norm(f) == luxembourg_norm(f, PHI, cube)
+
+
+@pytest.mark.parametrize("spec_name", ["spec1d", "spec2d"])
+def test_lphi_star_lockstep_matches_cube_loop(request, spec_name, rng):
+    """The lockstep bisection gives every cube its one-cube norm, bit for bit:
+    on a maximal function, on all-zero cubes and on the two underflow cases of
+    the bracket (one node at 1e-194, and one at the subnormal 2.4e-321)."""
+    spec = request.getfixturevalue(spec_name)
+    boxes = list(unit_cubes(spec).values())
+    vals = np.array(maximal_fn(GridFunction(spec, rng.normal(size=spec.shape))).values)
+    for box in boxes[:2] + boxes[-2:]:
+        vals[box] = 0.0
+    for box, tiny in zip(boxes[1:3], (1e-194, 2.4e-321)):
+        vals[box] = 0.0
+        vals[box][(1,) * spec.dim] = tiny
+    f = GridFunction(spec, vals)
+    norms = [luxembourg_norm(f, PHI, box) for box in boxes]
+    assert norms[0] == 0.0 and 0.0 < norms[2] < sys.float_info.min
+    assert lphi_star_norm(f) == sum(norms)
+    # and cube by cube, for each cube shape: the lockstep rows are the scalar norms
+    starts = np.array([[s.start for s in box] for box in boxes])
+    shapes = np.array([[s.stop - s.start for s in box] for box in boxes])
+    for shape, cubes in shape_groups(shapes):
+        ((members, v, w),) = box_rows(f, starts[cubes], shape, f.values.size)
+        rows = _luxembourg_rows(np.abs(v), w)
+        assert rows.tolist() == [norms[i] for i in cubes]
 
 
 def test_lphi_star_translation_additivity(spec1d):

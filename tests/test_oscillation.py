@@ -1,16 +1,28 @@
 import functools
+import itertools
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from hardylab.generators import b_field, random_smooth_field, step_field
-from hardylab.grid import Ball, GridFunction, region_node_count, region_values
+from hardylab import oscillation
+from hardylab.grid import (
+    Ball,
+    GridFunction,
+    GridSpec,
+    dyadic_scales,
+    region_node_count,
+    region_slices,
+    region_values,
+)
 from hardylab.maximal import bump_profile
 from hardylab.oscillation import (
     BallFamily,
     _ball_stats,
+    _family_stats,
     bmo_local_norm,
     bmo_report,
     jn_check,
@@ -20,32 +32,55 @@ from hardylab.oscillation import (
 )
 
 
+def _balls(family):
+    return [family.ball(i) for i in range(len(family.balls))]
+
+
+def _former_family(spec):
+    """The Ball tuple BallFamily.build held before the family became arrays."""
+    step = spec.spacing
+    balls = []
+    for r in dyadic_scales(4.0 * step, 2.0 * spec.halfwidth):
+        stride_steps = max(1, int(round((r / 8.0) / step)))
+        centers = np.arange(0, spec.points_per_axis, stride_steps) * step - spec.halfwidth
+        balls.extend(Ball(c, r) for c in itertools.product(centers, repeat=spec.dim))
+    return balls
+
+
 def test_family_structure(spec1d, spec2d):
     for spec in (spec1d, spec2d):
         family = BallFamily.build(spec)
-        assert family.balls
+        balls = _balls(family)
+        assert balls == _former_family(spec)  # same balls, same order
+        assert family.balls.shape == (len(balls), spec.dim + 1)
         assert BallFamily.build(spec) is family  # built once per grid
-        radii = {b.radius for b in family.balls}
+        radii = {b.radius for b in balls}
         for r in radii:
             assert abs(math.log2(r) - round(math.log2(r))) < 1e-12
         small, large = family.halves()
         assert small.any() and large.any()
         # small/large split keyed on the analytic measure; unit balls in both
-        for ball, is_small, is_large in zip(family.balls, small, large):
+        for ball, is_small, is_large in zip(balls, small, large):
             assert is_small == (ball.measure <= 1.0 + 1e-9)
             assert is_large == (ball.measure >= 1.0 - 1e-9)
         # no ball is under-resolved: each covers 5 nodes per axis or more
-        assert all(region_node_count(spec, b) >= 5**spec.dim for b in family.balls)
+        assert all(region_node_count(spec, b) >= 5**spec.dim for b in balls)
+        # each group's windows are the balls' in-box index slices
+        for index, starts, shape in family.groups():
+            for i, start in zip(index, starts):
+                box = tuple(slice(a, a + h) for a, h in zip(start, shape))
+                assert region_slices(spec, balls[i]) == box
 
 
 def _loop_norms(b, family):
     """bmo_report, bmo_local_norm and lmo_norm as the per-norm family loops
     the single statistics pass replaced (per-ball statistics memoized)."""
     stats = functools.cache(lambda ball: _ball_stats(b, ball))
-    small = [ball for ball in family.balls if ball.measure <= 1.0 + 1e-9]
-    large = [ball for ball in family.balls if ball.measure >= 1.0 - 1e-9]
+    balls = _balls(family)
+    small = [ball for ball in balls if ball.measure <= 1.0 + 1e-9]
+    large = [ball for ball in balls if ball.measure >= 1.0 - 1e-9]
     best, arg = 0.0, None
-    for ball in family.balls:
+    for ball in balls:
         osc = stats(ball)[1]
         if osc > best:
             best, arg = osc, ball
@@ -69,6 +104,48 @@ def test_family_norms_match_loops(request, spec_name, kind):
         bmo_local_norm(b),
         lmo_norm(b),
     )
+
+
+@pytest.mark.parametrize("spec", [GridSpec(1, 8.0, 2049), GridSpec(2, 4.0, 65)], ids=str)
+def test_family_stats_match_ball_stats(spec):
+    """Every batched row is the one-ball _ball_stats row, bit for bit: on
+    boundary-clipped balls, on a step (constant halves: exact means and the
+    early exit), on a step too small for its oscillation to survive the
+    weights, and on groups that span more than one batch."""
+    family = BallFamily.build(spec)
+    groups = list(family.groups())
+    assert any(len(index) * math.prod(shape) > oscillation._BATCH_FLOATS
+               for index, _, shape in groups)
+    assert any(0 in starts or (starts + shape).max() == spec.points_per_axis
+               for _, starts, shape in groups)
+    balls = _balls(family)
+    flat = {}
+    for height in (1.0, 5e-324):
+        b = step_field(spec, height)
+        stats = _family_stats(b, family)
+        assert np.array_equal(stats, np.array([_ball_stats(b, ball) for ball in balls]))
+        flat[height] = stats[:, 1] == 0.0
+    assert flat[1.0].any() and not flat[1.0].all()  # balls on one side of the step
+    assert flat[5e-324].all()  # every oscillation underflows
+
+
+def test_family_memory_guard():
+    """At 2d m=129 the family holds under 2 MB (its former Ball tuple took
+    7.4 MB), and the batched statistics pass peaks under 2 MB above it."""
+    spec = GridSpec(2, 8.0, 129)
+    b = b_field(spec, "random-smooth", np.random.default_rng(5))
+    BallFamily.build(GridSpec(1, 1.0, 16))  # evicts a cached 2d m=129 family
+    tracemalloc.start()
+    try:
+        BallFamily.build(spec)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        bmo_local_norm(b)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert held < 2e6
+    assert peak < 2e6
 
 
 def test_mean_oscillation_constant(spec1d):

@@ -1,7 +1,8 @@
 """Property tests over random grids and fields: the unit-cube partition, the
 fewest nodes of a ball, the positive homogeneity of the norms, the bmo norm of
-constants, constants as fixed points of the dilated convolution, and the
-product splits (exact reconstruction, C1 = 0 for constant b).  Examples are
+constants, exact lattice-translation invariance of the ball statistics,
+constants as fixed points of the dilated convolution, and the product splits
+(exact reconstruction, C1 = 0 for constant b).  Examples are
 derandomized, so every run checks the same cases."""
 
 import functools
@@ -13,11 +14,19 @@ from hypothesis import strategies as st
 
 from hardylab.atoms import synthesize
 from hardylab.generators import b_field, random_decomposition
-from hardylab.grid import Ball, GridSpec, dyadic_scales, fewest_ball_nodes, region_node_count, unit_cubes
+from hardylab.grid import (
+    Ball,
+    GridFunction,
+    GridSpec,
+    dyadic_scales,
+    fewest_ball_nodes,
+    region_node_count,
+    unit_cubes,
+)
 from hardylab.lipschitz import LipschitzOrder, lambda_gamma_norm
 from hardylab.maximal import convolve_dilated
 from hardylab.orlicz import hardy_quasinorm, lphi_star_norm
-from hardylab.oscillation import bmo_local_norm, lmo_norm
+from hardylab.oscillation import BallFamily, _family_stats, bmo_local_norm, lmo_norm
 from hardylab.product import REGIMES, split_bmo, split_lipschitz, verify_split
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
@@ -84,6 +93,44 @@ def test_positive_homogeneity(norm, rel, spec, field, lam):
 @given(specs, st.floats(-1e6, 1e6))
 def test_bmo_local_of_constant(spec, c):
     assert bmo_local_norm(b_field(spec, "constant", None, value=c)) == abs(c)
+
+
+@NORM_PROPERTY
+@given(
+    st.one_of(
+        st.builds(GridSpec, st.just(1), st.floats(1.0, 8.0), st.integers(33, 257)),
+        st.builds(GridSpec, st.just(2), st.floats(1.0, 8.0), st.integers(33, 49)),
+    ),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 1),
+    st.integers(1, 8),
+)
+def test_family_rows_are_lattice_translation_invariant(spec, seed, axis, nodes):
+    """A field moved by whole nodes along an axis has, on each family ball moved
+    with it, the batched row of the original ball, bit for bit.  Both balls hold
+    interior nodes only, so their windows carry the same weights."""
+    axis %= spec.dim
+    m = spec.points_per_axis
+    vals = np.zeros(spec.shape)
+    inner = (slice(1, m - 1 - nodes),) * spec.dim  # room to move, away from the edge
+    vals[inner] = np.random.default_rng(seed).normal(size=vals[inner].shape)
+    family = BallFamily.build(spec)
+    before = _family_stats(GridFunction(spec, vals), family)
+    after = _family_stats(GridFunction(spec, np.roll(vals, nodes, axis=axis)), family)
+    ball_at = {}  # (window start, window shape) -> a family ball with that window
+    for index, starts, shape in family.groups():
+        for i, start in zip(index.tolist(), starts.tolist()):
+            ball_at[(tuple(start), shape)] = i
+    move = np.eye(spec.dim, dtype=int)[axis] * nodes
+    pairs = []
+    for (start, shape), i in ball_at.items():
+        moved = tuple(np.add(start, move).tolist())
+        interior = min(start) >= 1 and max(np.add(moved, shape)) <= m - 1
+        if interior and (moved, shape) in ball_at:
+            pairs.append((i, ball_at[(moved, shape)]))
+    assert pairs
+    i, j = np.array(pairs).T
+    assert np.array_equal(after[j], before[i])
 
 
 @PROPERTY
