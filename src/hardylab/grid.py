@@ -238,6 +238,35 @@ def box_rows(f: GridFunction, starts: np.ndarray, shape: tuple[int, ...], batch_
         yield members, values[index].reshape(-1, size), weights[index].reshape(-1, size)
 
 
+def _row_stats(vals: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mean, mean oscillation, mean of |f|) of each row of region values and
+    weights, with the quadrature measure; overwrites vals."""
+    add = np.add.reduce
+    wsum = add(w, axis=-1)
+    mean = add(w * vals, axis=-1) / wsum
+    # means of constants are exact by contract, not up to rounding
+    vmax = np.maximum.reduce(vals, axis=-1)
+    constant = np.minimum.reduce(vals, axis=-1) == vmax
+    mean[constant] = vmax[constant]
+    dev = np.abs(vals - mean[:, None])
+    flat = ~np.logical_or.reduce(dev, axis=-1)
+    dev *= w
+    osc = add(dev, axis=-1) / wsum
+    flat &= osc == 0.0  # f is constant (osc alone can underflow)
+    vals = np.abs(vals, out=vals)
+    vals *= w
+    abs_mean = add(vals, axis=-1) / wsum
+    abs_mean[flat] = np.abs(mean[flat])
+    return mean, osc, abs_mean
+
+
+def _one_row_stats(vals: np.ndarray, w: np.ndarray) -> tuple[float, float, float]:
+    """_row_stats of one region, run on a copy: the values of a 1d ball or of
+    the whole box are a view of f.values, which _row_stats would overwrite."""
+    stats = _row_stats(vals.reshape(1, -1).copy(), w.reshape(1, -1))
+    return tuple(float(s) for (s,) in stats)
+
+
 def shape_groups(shapes: np.ndarray):
     """(shape, member indices) for each distinct row of an (n, dim) shape array.
 
@@ -276,16 +305,7 @@ def ball_mean(f: GridFunction, ball: Ball) -> float:
     vals, w = region_values(f, ball)
     if vals.size < 2:
         raise ValueError("under-resolved ball")
-    return _quadrature_mean(vals, w, np.sum(w))
-
-
-def _quadrature_mean(vals: np.ndarray, w: np.ndarray, wsum: float) -> float:
-    """Mean of region values with weights w summing to wsum; exact for constants."""
-    vmin, vmax = float(np.min(vals)), float(np.max(vals))
-    if vmin == vmax:
-        # means of constants are exact by contract, not up to rounding
-        return vmax
-    return float(np.sum(w * vals) / wsum)
+    return _one_row_stats(vals, w)[0]
 
 
 def lp_norm(f: GridFunction, p: float, region=None) -> float:

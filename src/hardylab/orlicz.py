@@ -1,11 +1,12 @@
 """Orlicz function Phi, Luxembourg norms, cube-summed norms and Hardy layers.
 
 The Luxembourg norm inf{k > 0 : integral of P(|f|/k) <= 1} is located by
-bisection on log k.  A dense log-spaced scan oracle is provided separately so
-tests can cross-check the bisection against an independent search path.  The
-cube-summed norm runs the same bracket and bisection on all cubes of one
-shape at once; each cube's norm equals the one-cube `luxembourg_norm` bit for
-bit, and that scalar routine is the oracle for the batched one.
+bisection on log k, written once: `_luxembourg_rows` runs the bracket and the
+bisection on many rows in lockstep.  `luxembourg_norm` is its one-row call,
+and the cube-summed norm calls it on all cubes of one shape at once.  A dense
+log-spaced scan oracle is provided separately so tests can cross-check the
+bisection against an independent search path; the bit-for-bit oracle of the
+lockstep bisection is a scalar one in the test suite (`tests/scalar_oracles.py`).
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ __all__ = [
 _REL_TOL = 1e-9
 
 
+# a class, not a bare function: perfbench's tracer counts gauge evaluations by
+# patching the `eval` attribute of PHI
 @dataclass(frozen=True)
 class OrliczFunction:
     """Continuous increasing map [0, inf) -> [0, inf), zero at zero."""
@@ -72,6 +75,50 @@ def _bracket(gauge, k0: float) -> tuple[float, float]:
     return k_lo, k_hi
 
 
+def _luxembourg_rows(v: np.ndarray, w: np.ndarray, P: OrliczFunction) -> np.ndarray:
+    """Luxembourg norm under P of each row of |values| v with weights w.
+
+    The two loops of _bracket and the bisection on log k each run on all rows
+    in lockstep: per round, the rows still in the loop evaluate their gauge in
+    one P call, and each row leaves a loop on its own test, so a row's norm
+    does not depend on the rows batched with it; `luxembourg_norm` is the
+    one-row call.
+    """
+
+    def within(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """gauge(k) <= 1 for the given rows, one k each."""
+        return (w[rows] * P(v[rows] / k[:, None])).sum(axis=-1) <= 1.0
+
+    k_hi = v.max(axis=-1, initial=0.0)
+    rows = np.flatnonzero(k_hi > 0.0)  # the norm of a zero row is 0
+    todo = rows
+    with np.errstate(over="ignore"):  # k_hi doubles up to inf, as a float does
+        while len(todo := todo[k_hi[todo] < math.inf]):
+            todo = todo[~within(todo, k_hi[todo])]
+            k_hi[todo] *= 2.0
+    k_lo = np.where(k_hi < math.inf, k_hi / 2.0, sys.float_info.max)
+    todo = rows
+    while len(todo := todo[k_lo[todo] != 0.0]):
+        todo = todo[within(todo, k_lo[todo])]
+        k_hi[todo] = k_lo[todo]
+        k_lo[todo] /= 2.0
+    todo = rows
+    while True:
+        lo, hi = k_lo[todo], k_hi[todo]
+        with np.errstate(over="ignore", under="ignore"):
+            prod = lo * hi
+            normal = (sys.float_info.min <= prod) & (prod < math.inf)
+            # where the product under- or overflows: split the root
+            mid = np.where(normal, np.sqrt(prod), np.sqrt(lo) * np.sqrt(hi))
+        keep = (hi - lo > _REL_TOL * hi) & (lo < mid) & (mid < hi)
+        todo, mid = todo[keep], mid[keep]
+        if not len(todo):
+            return k_hi
+        inside = within(todo, mid)
+        k_hi[todo[inside]] = mid[inside]
+        k_lo[todo[~inside]] = mid[~inside]
+
+
 def luxembourg_norm(f: GridFunction, P: OrliczFunction, region=None) -> float:
     """inf{k > 0 : integral_region P(|f|/k) <= 1}, by bisection on log k.
 
@@ -80,28 +127,7 @@ def luxembourg_norm(f: GridFunction, P: OrliczFunction, region=None) -> float:
     normal float; a subnormal k is bracketed to 1e-9 or to adjacent floats.
     """
     v, w = region_values(f, region)
-    v = np.abs(v)
-    vmax = float(v.max(initial=0.0))
-    if vmax == 0.0:
-        return 0.0
-
-    def gauge(k: float) -> float:
-        return float(np.sum(w * P(v / k)))
-
-    k_lo, k_hi = _bracket(gauge, vmax)
-    while k_hi - k_lo > _REL_TOL * k_hi:
-        prod = k_lo * k_hi
-        if sys.float_info.min <= prod < math.inf:
-            k_mid = math.sqrt(prod)
-        else:  # the product under- or overflows: split the root
-            k_mid = math.sqrt(k_lo) * math.sqrt(k_hi)
-        if not k_lo < k_mid < k_hi:
-            break  # no float left between the bracket ends
-        if gauge(k_mid) <= 1.0:
-            k_hi = k_mid
-        else:
-            k_lo = k_mid
-    return k_hi
+    return float(_luxembourg_rows(np.abs(v).reshape(1, -1), w.reshape(1, -1), P)[0])
 
 
 def luxembourg_scan_oracle(
@@ -137,49 +163,6 @@ def luxembourg_scan_oracle(
     return k_hi
 
 
-def _luxembourg_rows(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """luxembourg_norm under PHI of each row of |values| v with weights w.
-
-    The two loops of _bracket and the bisection each run on all rows in
-    lockstep: per round, the rows still in the loop evaluate their gauge in
-    one PHI call, and a row leaves where its own scalar loop would, so each
-    row's norm is the scalar one bit for bit.
-    """
-
-    def within(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """gauge(k) <= 1 for the given rows, one k each."""
-        return (w[rows] * PHI(v[rows] / k[:, None])).sum(axis=-1) <= 1.0
-
-    k_hi = v.max(axis=-1, initial=0.0)
-    rows = np.flatnonzero(k_hi > 0.0)  # the norm of a zero row is 0
-    todo = rows
-    with np.errstate(over="ignore"):  # k_hi doubles up to inf, as a float does
-        while len(todo := todo[k_hi[todo] < math.inf]):
-            todo = todo[~within(todo, k_hi[todo])]
-            k_hi[todo] *= 2.0
-    k_lo = np.where(k_hi < math.inf, k_hi / 2.0, sys.float_info.max)
-    todo = rows
-    while len(todo := todo[k_lo[todo] != 0.0]):
-        todo = todo[within(todo, k_lo[todo])]
-        k_hi[todo] = k_lo[todo]
-        k_lo[todo] /= 2.0
-    todo = rows
-    while True:
-        lo, hi = k_lo[todo], k_hi[todo]
-        with np.errstate(over="ignore", under="ignore"):
-            prod = lo * hi
-            normal = (sys.float_info.min <= prod) & (prod < math.inf)
-            # where the product under- or overflows: split the root
-            mid = np.where(normal, np.sqrt(prod), np.sqrt(lo) * np.sqrt(hi))
-        keep = (hi - lo > _REL_TOL * hi) & (lo < mid) & (mid < hi)
-        todo, mid = todo[keep], mid[keep]
-        if not len(todo):
-            return k_hi
-        inside = within(todo, mid)
-        k_hi[todo[inside]] = mid[inside]
-        k_lo[todo[~inside]] = mid[~inside]
-
-
 def lphi_star_norm(f: GridFunction) -> float:
     """Sum over unit lattice cubes of the per-cube Luxembourg norms under PHI."""
     boxes = list(unit_cubes(f.spec).values())
@@ -189,7 +172,7 @@ def lphi_star_norm(f: GridFunction) -> float:
     for shape, cubes in shape_groups(shapes):
         # the cubes partition the grid: one batch holds no more than f does
         for members, v, w in box_rows(f, starts[cubes], shape, f.values.size):
-            norms[cubes[members]] = _luxembourg_rows(np.abs(v), w)
+            norms[cubes[members]] = _luxembourg_rows(np.abs(v), w, PHI)
     # summed in raster order, as the one-cube norms were
     return sum(norms.tolist())
 

@@ -8,8 +8,10 @@ The family depends only on the grid, so it is built once per grid.
 The family is held as arrays: one row of center coordinates and radius per
 ball, and per radius the clipped index window of each axis center.  Balls of
 one radius whose clipped windows share a shape are gathered in small batches
-and reduced row by row, so every statistic equals, bit for bit, the one-ball
-computation of `_ball_stats`, which stays as the oracle for the batched pass.
+and reduced row by row by `grid._row_stats`, the one rule for a ball's mean,
+oscillation and |f|-mean; `mean_oscillation` and `jn_check` read a one-row
+call of it.  The bit-for-bit oracle of the batched pass is a one-ball loop in
+the test suite (`tests/scalar_oracles.py`).
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from .grid import (
     GridFunction,
     GridSpec,
     _ball_axis_slice,
-    _quadrature_mean,
+    _one_row_stats,
+    _row_stats,
     box_rows,
     dyadic_scales,
     region_node_count,
@@ -138,41 +141,8 @@ class BallFamily:
             offset += k**self.dim
 
 
-def _ball_stats(f: GridFunction, ball: Ball) -> tuple[float, float, float]:
-    """(mean of f, mean oscillation of f, mean of |f|) on the ball."""
-    vals, w = region_values(f, ball)
-    wsum = float(np.sum(w))
-    mean = _quadrature_mean(vals, w, wsum)
-    dev = np.abs(vals - mean)
-    osc = float(np.sum(w * dev) / wsum)
-    if osc == 0.0 and not dev.any():  # f is constant (osc alone can underflow)
-        return mean, 0.0, abs(mean)
-    return mean, osc, float(np.sum(w * np.abs(vals)) / wsum)
-
-
-def _row_stats(vals: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_ball_stats of each row of window values and weights; overwrites vals."""
-    add = np.add.reduce
-    wsum = add(w, axis=-1)
-    mean = add(w * vals, axis=-1) / wsum
-    # means of constants are exact, as in _quadrature_mean
-    vmax = np.maximum.reduce(vals, axis=-1)
-    constant = np.minimum.reduce(vals, axis=-1) == vmax
-    mean[constant] = vmax[constant]
-    dev = np.abs(vals - mean[:, None])
-    flat = ~np.logical_or.reduce(dev, axis=-1)
-    dev *= w
-    osc = add(dev, axis=-1) / wsum
-    flat &= osc == 0.0  # f is constant (osc alone can underflow)
-    vals = np.abs(vals, out=vals)
-    vals *= w
-    abs_mean = add(vals, axis=-1) / wsum
-    abs_mean[flat] = np.abs(mean[flat])
-    return mean, osc, abs_mean
-
-
 def _family_stats(b: GridFunction, family: BallFamily) -> np.ndarray:
-    """One _ball_stats row per ball of the family, in family order."""
+    """One (mean, oscillation, |f|-mean) row per ball, in family order."""
     stats = np.empty((len(family.balls), 3))
     for index, starts, shape in family.groups():
         for members, vals, w in box_rows(b, starts, shape, _BATCH_FLOATS):
@@ -191,7 +161,7 @@ def mean_oscillation(b: GridFunction, ball: Ball) -> float:
     """(1/|B|) integral over B of |b - b_B|, with the quadrature measure."""
     if region_node_count(b.spec, ball) < 2:
         raise ValueError("under-resolved ball")
-    return _ball_stats(b, ball)[1]
+    return _one_row_stats(*region_values(b, ball))[1]
 
 
 def bmo_report(b: GridFunction) -> NormReport:
@@ -240,7 +210,7 @@ def jn_check(
     if bmo_local <= 0:
         raise ValueError("bmo-local norm must be positive")
     vals, w = region_values(b, ball)
-    mean = _quadrature_mean(vals, w, np.sum(w))
+    mean = _one_row_stats(vals, w)[0]
     return float(np.sum(w * np.exp(np.abs(vals - mean) / (c * bmo_local))))
 
 

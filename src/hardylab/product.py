@@ -156,16 +156,20 @@ def _assemble(
     prod = b.values * h.values
     h1 = np.zeros(b.spec.shape)
     mean_part = np.zeros(b.spec.shape)
+    scale = 0.0
     entries = []
     for (lam, atom), (m_vals, entry) in zip(decomp.terms, subtractors):
-        h1 += lam * ((b.values - m_vals) * atom.values.values)
-        mean_part += lam * (m_vals * atom.values.values)
+        a = atom.values.values
+        m_a = m_vals * a
+        h1 += lam * ((b.values - m_vals) * a)
+        mean_part += lam * m_a
+        scale += abs(lam) * (np.max(np.abs(b.values * a)) + np.max(np.abs(m_a)))
         entries.append(entry)
     h2 = prod - h1
     # the independently accumulated mean part must agree with the stored
-    # complement at rounding level; anything larger means a logic error
+    # complement at rounding level, which scales with the terms however much
+    # they cancel; anything larger means a logic error
     drift = np.max(np.abs(mean_part - h2), initial=0.0)
-    scale = max(np.max(np.abs(prod), initial=0.0), np.max(np.abs(h1), initial=0.0))
     if drift > 1e-9 * max(scale, 1.0):
         raise AssertionError("split rearrangement leaked mass")
     return ProductSplit(

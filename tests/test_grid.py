@@ -24,7 +24,8 @@ from hardylab.grid import (
     sup_norm,
     unit_cubes,
 )
-from hardylab.oscillation import BallFamily
+from hardylab.orlicz import LINEAR, PHI, luxembourg_norm
+from hardylab.oscillation import BallFamily, jn_check, mean_oscillation
 
 
 def test_spec_validation():
@@ -108,6 +109,21 @@ def test_ball_mean_under_resolved(spec1d):
     with pytest.raises(ValueError, match="under-resolved"):
         # radius below half a spacing captures at most one node
         ball_mean(f, Ball((0.001,), spec1d.spacing / 4.0))
+
+
+def test_one_row_statistics_leave_f_alone(spec1d, rng):
+    """The one-row calls work on copies: on a 1d ball and on the whole box,
+    region_values returns a view of f.values, which the rows would overwrite."""
+    f = GridFunction(spec1d, rng.normal(size=spec1d.shape))
+    before = f.values.copy()
+    ball = Ball((0.25,), 0.5)  # unit measure, for jn_check
+    ball_mean(f, ball)
+    mean_oscillation(f, ball)
+    jn_check(f, ball, c=1.0, bmo_local=1.0)
+    luxembourg_norm(f, PHI, ball)
+    luxembourg_norm(f, PHI)
+    luxembourg_norm(f, LINEAR)
+    assert f.values.tobytes() == before.tobytes()
 
 
 def test_region_errors(spec1d):

@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import brentq
 
 from hardylab.grid import (
+    Ball,
     GridFunction,
     GridSpec,
     box_rows,
@@ -26,6 +27,7 @@ from hardylab.orlicz import (
     luxembourg_scan_oracle,
     phi,
 )
+from scalar_oracles import luxembourg_bisection
 
 
 def test_phi_values():
@@ -122,6 +124,17 @@ def test_luxembourg_extreme_scale_homogeneity(spec1d, value):
     assert k == pytest.approx(value * unit, rel=2e-9)
 
 
+def _regions_at_spike(spec):
+    """The box (None), a ball and the unit cube around node 100 of _spike."""
+    node = np.unravel_index(100, spec.shape)
+    center = tuple(spec.axis()[i] for i in node)
+    (cube,) = [
+        box for box in unit_cubes(spec).values()
+        if all(s.start <= i < s.stop for s, i in zip(box, node))
+    ]
+    return [None, Ball(center, 0.75), cube]
+
+
 @pytest.mark.parametrize(
     "spec_name, value, count",
     [
@@ -129,13 +142,24 @@ def test_luxembourg_extreme_scale_homogeneity(spec1d, value):
         ("spec1d", 1e-322, 1),
         ("spec2d", 1e-320, 40),
         ("spec1d", 1e308, 257),
+        *[(name, value, 1) for name in ("spec1d", "spec2d")
+          for value in (0.0, 1e-194, 2.4e-321, 1e300)],
     ],
 )
 def test_luxembourg_float_range_ends(request, spec_name, value, count):
-    """Subnormal norms and norms beyond the float range still give gauge(k) <= 1."""
-    f = _spike(request.getfixturevalue(spec_name), value, count)
+    """Subnormal norms and norms beyond the float range still give gauge(k) <= 1.
+    On the box, a ball and a unit cube, under PHI and LINEAR, the one-row
+    lockstep bisection equals the scalar bisection bit for bit."""
+    spec = request.getfixturevalue(spec_name)
+    f = _spike(spec, value, count)
     k = luxembourg_norm(f, PHI)
-    assert k > 0 and _gauge(f, k) <= 1.0
+    if value == 0.0:
+        assert k == 0.0
+    else:
+        assert k > 0 and _gauge(f, k) <= 1.0
+    for region in _regions_at_spike(spec):
+        for P in (PHI, LINEAR):
+            assert luxembourg_norm(f, P, region) == luxembourg_bisection(f, P, region)
 
 
 def test_luxembourg_huge_box():
@@ -159,14 +183,15 @@ def test_lphi_star_zero_and_single_cube(spec1d):
     vals = np.zeros(spec1d.shape)
     vals[cube] = 1.5
     f = GridFunction(spec1d, vals)
-    assert lphi_star_norm(f) == luxembourg_norm(f, PHI, cube)
+    assert lphi_star_norm(f) == luxembourg_bisection(f, PHI, cube)
 
 
 @pytest.mark.parametrize("spec_name", ["spec1d", "spec2d"])
 def test_lphi_star_lockstep_matches_cube_loop(request, spec_name, rng):
-    """The lockstep bisection gives every cube its one-cube norm, bit for bit:
-    on a maximal function, on all-zero cubes and on the two underflow cases of
-    the bracket (one node at 1e-194, and one at the subnormal 2.4e-321)."""
+    """The lockstep bisection gives every cube its scalar-bisection norm, bit
+    for bit: on a maximal function, on all-zero cubes and on the two underflow
+    cases of the bracket (one node at 1e-194, and one at the subnormal
+    2.4e-321)."""
     spec = request.getfixturevalue(spec_name)
     boxes = list(unit_cubes(spec).values())
     vals = np.array(maximal_fn(GridFunction(spec, rng.normal(size=spec.shape))).values)
@@ -176,7 +201,7 @@ def test_lphi_star_lockstep_matches_cube_loop(request, spec_name, rng):
         vals[box] = 0.0
         vals[box][(1,) * spec.dim] = tiny
     f = GridFunction(spec, vals)
-    norms = [luxembourg_norm(f, PHI, box) for box in boxes]
+    norms = [luxembourg_bisection(f, PHI, box) for box in boxes]
     assert norms[0] == 0.0 and 0.0 < norms[2] < sys.float_info.min
     assert lphi_star_norm(f) == sum(norms)
     # and cube by cube, for each cube shape: the lockstep rows are the scalar norms
@@ -184,7 +209,7 @@ def test_lphi_star_lockstep_matches_cube_loop(request, spec_name, rng):
     shapes = np.array([[s.stop - s.start for s in box] for box in boxes])
     for shape, cubes in shape_groups(shapes):
         ((members, v, w),) = box_rows(f, starts[cubes], shape, f.values.size)
-        rows = _luxembourg_rows(np.abs(v), w)
+        rows = _luxembourg_rows(np.abs(v), w, PHI)
         assert rows.tolist() == [norms[i] for i in cubes]
 
 

@@ -13,6 +13,7 @@ from hardylab.grid import (
     Ball,
     GridFunction,
     GridSpec,
+    ball_mean,
     dyadic_scales,
     region_node_count,
     region_slices,
@@ -21,7 +22,6 @@ from hardylab.grid import (
 from hardylab.maximal import bump_profile
 from hardylab.oscillation import (
     BallFamily,
-    _ball_stats,
     _family_stats,
     bmo_local_norm,
     bmo_report,
@@ -30,6 +30,7 @@ from hardylab.oscillation import (
     mean_oscillation,
     multiplier_check,
 )
+from scalar_oracles import ball_stats
 
 
 def _balls(family):
@@ -75,7 +76,7 @@ def test_family_structure(spec1d, spec2d):
 def _loop_norms(b, family):
     """bmo_report, bmo_local_norm and lmo_norm as the per-norm family loops
     the single statistics pass replaced (per-ball statistics memoized)."""
-    stats = functools.cache(lambda ball: _ball_stats(b, ball))
+    stats = functools.cache(lambda ball: ball_stats(b, ball))
     balls = _balls(family)
     small = [ball for ball in balls if ball.measure <= 1.0 + 1e-9]
     large = [ball for ball in balls if ball.measure >= 1.0 - 1e-9]
@@ -108,10 +109,11 @@ def test_family_norms_match_loops(request, spec_name, kind):
 
 @pytest.mark.parametrize("spec", [GridSpec(1, 8.0, 2049), GridSpec(2, 4.0, 65)], ids=str)
 def test_family_stats_match_ball_stats(spec):
-    """Every batched row is the one-ball _ball_stats row, bit for bit: on
+    """Every batched row is the scalar ball_stats row, bit for bit: on
     boundary-clipped balls, on a step (constant halves: exact means and the
     early exit), on a step too small for its oscillation to survive the
-    weights, and on groups that span more than one batch."""
+    weights, and on groups that span more than one batch.  So are the
+    one-row ball_mean and mean_oscillation of a sample of the balls."""
     family = BallFamily.build(spec)
     groups = list(family.groups())
     assert any(len(index) * math.prod(shape) > oscillation._BATCH_FLOATS
@@ -123,7 +125,11 @@ def test_family_stats_match_ball_stats(spec):
     for height in (1.0, 5e-324):
         b = step_field(spec, height)
         stats = _family_stats(b, family)
-        assert np.array_equal(stats, np.array([_ball_stats(b, ball) for ball in balls]))
+        oracle = np.array([ball_stats(b, ball) for ball in balls])
+        assert np.array_equal(stats, oracle)
+        for i in range(0, len(balls), 7):
+            assert ball_mean(b, balls[i]) == oracle[i, 0]
+            assert mean_oscillation(b, balls[i]) == oracle[i, 1]
         flat[height] = stats[:, 1] == 0.0
     assert flat[1.0].any() and not flat[1.0].all()  # balls on one side of the step
     assert flat[5e-324].all()  # every oscillation underflows

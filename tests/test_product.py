@@ -20,6 +20,7 @@ from hardylab.generators import (
     regularized_log_field,
 )
 from hardylab.grid import Ball, GridFunction, ball_mean
+from hardylab import product
 from hardylab.maximal import bump_profile
 from hardylab.orlicz import luxembourg_scan_oracle, PHI
 from hardylab.product import (
@@ -135,6 +136,35 @@ def test_split_reconstruction_is_complement(spec1d, rng):
         np.maximum.reduce([np.abs(prod), np.abs(split.h1.values), np.abs(split.h2.values)])
     )
     assert np.all(np.abs(recon - prod) <= tol)
+
+
+def _cancelling_pair(spec, lam):
+    """One atom taken with lambda and -lambda (1 + 1e-15): b*h and h1 nearly
+    vanish, while each term's rounding error scales with lambda."""
+    atom = make_atom(Ball((0.3,), 1.0), 1.0, 0, spec)
+    return AtomicDecomposition(p=1.0, terms=((lam, atom), (-lam * (1.0 + 1e-15), atom)))
+
+
+@pytest.mark.parametrize("lam", [1e7, 1e9])
+def test_split_near_cancelling_terms(spec1d, lam):
+    """The drift check scales with the terms, not with the cancelled sums, so
+    rounding does not read as leaked mass."""
+    for kind, seed in (("random-bmo", 0), ("random-smooth", 0), ("random-smooth", 1)):
+        b = b_field(spec1d, kind, np.random.default_rng(seed))
+        split = split_bmo(b, _cancelling_pair(spec1d, lam))
+        assert np.isfinite(split.h2.values).all()
+
+
+def test_split_leak_still_raises(spec1d):
+    """A subtractor list that misses the last term leaves that term's whole
+    product in h2 but out of the mean part: a real leak, caught also where
+    the terms nearly cancel."""
+    b = b_field(spec1d, "random-bmo", np.random.default_rng(0))
+    for decomp in (random_decomposition(spec1d, np.random.default_rng(1), p=1.0, s=0),
+                   _cancelling_pair(spec1d, 1e7)):
+        subtractors = [(ball_mean(b, atom.ball), None) for _, atom in decomp.terms]
+        with pytest.raises(AssertionError, match="leaked mass"):
+            product._assemble(b, decomp, REGIMES["p1"], subtractors[:-1])
 
 
 def test_split_bilinearity_power_of_two(spec1d, rng):
