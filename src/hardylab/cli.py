@@ -24,7 +24,7 @@ from .atoms import load_decomposition, resolves_atom, validate_atom
 from .generators import B_GENERATORS, b_field, moment_radius, random_decomposition
 from .grid import GridFunction, GridSpec, fewest_ball_nodes, load_gridfunction, lp_norm
 from .lipschitz import LipschitzOrder, lambda_gamma_norm
-from .maximal import maximal_scales
+from .maximal import convolution_path, maximal_scales
 from .orlicz import PHI, hardy_quasinorm, lphi_star_norm, luxembourg_norm
 from .oscillation import BallFamily, bmo_local_norm, bmo_report, lmo_norm
 from .product import REGIMES, Regime, SplitReport, split_bmo, split_lipschitz, verify_split
@@ -151,6 +151,10 @@ def cmd_norm(config: dict) -> int:
         if local:
             _require_local_scales(spec)
         value = hardy_quasinorm(f, _number(params, "p", 1.0), local=local)
+        extra = {
+            "maximal_scales": maximal_scales(spec, local),
+            "convolution": convolution_path(local),
+        }
     elif which == "bmo":
         report = bmo_report(f)
         value = report.norm

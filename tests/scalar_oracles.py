@@ -5,6 +5,8 @@ The library computes each Luxembourg norm with the lockstep bisection
 single region is a one-row call of them.  The routines here handle one region
 at a time, in Python floats where they can, so that the tests compare the
 batched rows with an independent scalar path under `==`, not with themselves.
+`maximal_taps` is the tap-sum maximal function the full ladder's FFT path
+replaced; the two agree to round-off, not bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import sys
 import numpy as np
 
 from hardylab.grid import Ball, GridFunction, region_values
+from hardylab.maximal import convolve_dilated, maximal_scales
 from hardylab.orlicz import _REL_TOL, OrliczFunction, _bracket
 
 
@@ -58,3 +61,11 @@ def ball_stats(f: GridFunction, ball: Ball) -> tuple[float, float, float]:
     if osc == 0.0 and not dev.any():  # f is constant (osc alone can underflow)
         return mean, 0.0, abs(mean)
     return mean, osc, float(np.sum(w * np.abs(vals)) / wsum)
+
+
+def maximal_taps(f: GridFunction) -> GridFunction:
+    """max over the full ladder of |convolve_dilated(f, t)|, scale by scale."""
+    out = np.zeros(f.spec.shape)
+    for t in maximal_scales(f.spec, local=False):
+        np.maximum(out, np.abs(convolve_dilated(f, t).values), out=out)
+    return f.with_values(out)

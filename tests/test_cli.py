@@ -68,6 +68,26 @@ def test_norm_refinement_stability(tmp_path):
     assert values[1] == pytest.approx(values[0], rel=0.25)
 
 
+@pytest.mark.parametrize("local, scales, path", [
+    (False, [0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0], "fft"),
+    (True, [0.25, 0.5], "taps"),
+])
+def test_norm_hardy_reports_ladder_and_path(tmp_path, local, scales, path):
+    out = tmp_path / "report.json"
+    cfg = _write(tmp_path, "cfg.json", {
+        "grid": GRID,
+        "input": {"generator": "step"},
+        "which": "hardy",
+        "params": {"p": 1.0, "local": local},
+        "output": str(out),
+    })
+    assert _run(["norm", "--config", cfg]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["maximal_scales"] == scales
+    assert doc["convolution"] == path
+    assert doc["value"] > 0.0
+
+
 def test_norm_unknown_tag_exit2(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", {
         "grid": GRID,

@@ -1,7 +1,8 @@
 """Property tests over random grids and fields: the unit-cube partition, the
 fewest nodes of a ball, the positive homogeneity of the norms, the bmo norm of
 constants, exact lattice-translation invariance of the ball statistics,
-constants as fixed points of the dilated convolution, and the product splits
+constants as fixed points of the dilated convolution, the FFT maximal function
+against the tap sum, and the product splits
 (exact reconstruction, C1 = 0 for constant b).  Examples are
 derandomized, so every run checks the same cases."""
 
@@ -24,10 +25,11 @@ from hardylab.grid import (
     unit_cubes,
 )
 from hardylab.lipschitz import LipschitzOrder, lambda_gamma_norm
-from hardylab.maximal import convolve_dilated
+from hardylab.maximal import convolve_dilated, maximal_fn
 from hardylab.orlicz import hardy_quasinorm, lphi_star_norm
 from hardylab.oscillation import BallFamily, _family_stats, bmo_local_norm, lmo_norm
 from hardylab.product import REGIMES, split_bmo, split_lipschitz, verify_split
+from scalar_oracles import maximal_taps
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 # a norm example scans a ball family or bisects every unit cube: tens of ms
@@ -142,6 +144,19 @@ def test_convolution_fixes_constants(spec, c):
         inside = np.all([np.abs(x) < spec.halfwidth - t for x in spec.meshes()], axis=0)
         out = convolve_dilated(f, t).values[inside]
         assert np.all(np.abs(out - c) <= 1e-12 * abs(c))
+
+
+@NORM_PROPERTY
+@given(specs, fields)
+def test_fft_maximal_matches_tap_sum(spec, field):
+    """The full ladder through numpy.fft is the tap-sum maximal function up to
+    1e-13 of its maximum, with the same exact zeros."""
+    kind, seed = field
+    f = b_field(spec, kind, np.random.default_rng(seed))
+    oracle = maximal_taps(f).values
+    out = maximal_fn(f).values
+    assert np.max(np.abs(out - oracle)) <= 1e-13 * np.max(oracle, initial=0.0)
+    assert np.array_equal(out == 0.0, oracle == 0.0)
 
 
 @PROPERTY
