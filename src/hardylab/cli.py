@@ -22,7 +22,9 @@ import numpy as np
 
 from .atoms import load_decomposition, resolves_atom, validate_atom
 from .generators import B_GENERATORS, b_field, moment_radius, random_decomposition
-from .grid import GridFunction, GridSpec, fewest_ball_nodes, load_gridfunction, lp_norm
+from .grid import (
+    GridFunction, GridSpec, as_integer, fewest_ball_nodes, load_gridfunction, lp_norm,
+)
 from .lipschitz import LipschitzOrder, lambda_gamma_norm
 from .maximal import convolution_path, maximal_scales
 from .orlicz import PHI, hardy_quasinorm, lphi_star_norm, luxembourg_norm
@@ -55,12 +57,14 @@ def _grid_from(config: dict) -> GridSpec:
 
 
 def _number(section: dict, key: str, default, kind=float):
-    """section[key] (or the default) as a number of the given kind."""
+    """section[key] (or the default) as a number of the given kind; an int
+    must be finite and integral."""
     value = section.get(key, default)
     try:
-        return kind(value)
+        return as_integer(value, key) if kind is int else kind(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {what}, got {value!r}") from exc
 
 
 def _generate(spec: GridSpec, section, key: str, rng: np.random.Generator) -> GridFunction:
@@ -92,8 +96,9 @@ def _input_function(config: dict, spec: GridSpec) -> GridFunction:
     section = config.get("input", {})
     if not isinstance(section, dict):
         raise ConfigError(f"input must be an object, got {section!r}")
-    if "file" in section:
-        return load_gridfunction(section["file"])
+    path = _path(section, "file")
+    if path is not None:
+        return load_gridfunction(path)
     if "generator" in section:
         rng = np.random.default_rng(_number(section, "seed", 0, int))
         return _generate(spec, section, "generator", rng)
@@ -132,14 +137,23 @@ def _require_local_scales(spec: GridSpec) -> None:
 def cmd_norm(config: dict) -> int:
     spec = _grid_from(config)
     out = _path(config, "output")
-    f = _input_function(config, spec)
     which = config.get("which")
     params = config.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"params must be an object, got {params!r}")
+    # the exponent and order ranges are checked before the input is read
+    if which in ("lp", "hardy"):
+        p = _number(params, "p", 1.0)
+        if not (p > 0 and (which == "lp" or p <= 1)):
+            raise ConfigError(f"p = {p} is outside the range of norm {which!r}")
+    if which == "lambda_gamma":
+        gamma = _number(params, "gamma", None)
+        if not 0 < gamma < math.inf:
+            raise ConfigError(f"gamma = {gamma} is not a finite positive order")
+    f = _input_function(config, spec)
     extra: dict = {}
     if which == "lp":
-        value = lp_norm(f, _number(params, "p", 1.0))
+        value = lp_norm(f, p)
     elif which == "luxembourg":
         value = luxembourg_norm(f, PHI)
     elif which == "lphi_star":
@@ -150,7 +164,7 @@ def cmd_norm(config: dict) -> int:
             raise ConfigError(f"local must be true or false, got {local!r}")
         if local:
             _require_local_scales(spec)
-        value = hardy_quasinorm(f, _number(params, "p", 1.0), local=local)
+        value = hardy_quasinorm(f, p, local=local)
         extra = {
             "maximal_scales": maximal_scales(spec, local),
             "convolution": convolution_path(local),
@@ -165,7 +179,7 @@ def cmd_norm(config: dict) -> int:
     elif which == "lmo":
         value = lmo_norm(f)
     elif which == "lambda_gamma":
-        value = lambda_gamma_norm(f, LipschitzOrder(_number(params, "gamma", None)))
+        value = lambda_gamma_norm(f, LipschitzOrder(gamma))
     else:
         raise ConfigError(f"unknown norm tag {which!r}")
     doc = {

@@ -30,6 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
+    "as_integer",
     "GridSpec",
     "GridFunction",
     "Ball",
@@ -55,6 +56,14 @@ __all__ = [
 _INDEX_TOL = 1e-9
 
 
+def as_integer(value, name: str) -> int:
+    """value as an int; an integral float such as 2.0 is read as 2, while a
+    fractional or non-finite one raises ValueError instead of being truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid over the box [-halfwidth, halfwidth]^dim."""
@@ -78,9 +87,9 @@ class GridSpec:
     @classmethod
     def from_dict(cls, header: dict) -> "GridSpec":
         return cls(
-            int(header["dim"]),
+            as_integer(header["dim"], "dim"),
             float(header["halfwidth"]),
-            int(header["points_per_axis"]),
+            as_integer(header["points_per_axis"], "points_per_axis"),
         )
 
     @property

@@ -9,9 +9,9 @@ in the target Hardy-type space:
 
 with m_j the ball mean or projection.  h2 is stored as the pointwise
 complement of h1 in the product, which makes the reconstruction identity
-h1 + h2 = b * synthesize(decomp) exact by construction; the independently
-accumulated mean part is kept in the ledger and agrees with h2 to a few ulps
-of the working precision.
+h1 + h2 = b * synthesize(decomp) exact by construction; the mean part
+sum_j lambda_j m_j a_j, accumulated independently, is checked to agree with
+h2 to a few ulps of the working precision.
 """
 
 from __future__ import annotations
@@ -21,12 +21,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .atoms import (
-    AtomicDecomposition,
-    moment_residuals,
-    synthesize,
-    validate_atom,
-)
+from .atoms import AtomicDecomposition, synthesize, validate_atom
 from .grid import Ball, GridFunction, ball_mean, integrate, lp_norm
 from .lipschitz import LipschitzOrder, lambda_gamma_norm
 from .orlicz import PHI, hardy_phi_star_quasinorm, hardy_quasinorm, luxembourg_norm
@@ -37,7 +32,6 @@ __all__ = [
     "Regime",
     "REGIMES",
     "ProductSplit",
-    "SplitLedgerEntry",
     "SplitReport",
     "truncate",
     "pairing_limit_check",
@@ -83,20 +77,10 @@ def _regime(kind: str, local: bool) -> Regime:
 
 
 @dataclass(frozen=True)
-class SplitLedgerEntry:
-    """Per-atom record of what was subtracted and with what residuals, in term order."""
-
-    subtracted: dict
-    rescale_constant: float | None
-    moment_residuals: dict
-
-
-@dataclass(frozen=True)
 class ProductSplit:
     h1: GridFunction
     h2: GridFunction
     regime: Regime
-    ledger: tuple[SplitLedgerEntry, ...]
 
 
 def truncate(b: GridFunction, level: float) -> GridFunction:
@@ -149,22 +133,23 @@ def _assemble(
     b: GridFunction,
     decomp: AtomicDecomposition,
     regime: Regime,
-    subtractors,
+    subtracted,
 ) -> ProductSplit:
-    """Accumulate h1 in fixed term order and store h2 as its complement."""
+    """Accumulate h1 in fixed term order and store h2 as its complement.
+
+    subtracted holds one m_j per term: a float mean, or the projection's
+    values on the grid."""
     h = synthesize(decomp, b.spec)
     prod = b.values * h.values
     h1 = np.zeros(b.spec.shape)
     mean_part = np.zeros(b.spec.shape)
     scale = 0.0
-    entries = []
-    for (lam, atom), (m_vals, entry) in zip(decomp.terms, subtractors):
+    for (lam, atom), m_vals in zip(decomp.terms, subtracted):
         a = atom.values.values
         m_a = m_vals * a
         h1 += lam * ((b.values - m_vals) * a)
         mean_part += lam * m_a
         scale += abs(lam) * (np.max(np.abs(b.values * a)) + np.max(np.abs(m_a)))
-        entries.append(entry)
     h2 = prod - h1
     # the independently accumulated mean part must agree with the stored
     # complement at rounding level, which scales with the terms however much
@@ -173,10 +158,7 @@ def _assemble(
     if drift > 1e-9 * max(scale, 1.0):
         raise AssertionError("split rearrangement leaked mass")
     return ProductSplit(
-        h1=GridFunction(b.spec, h1),
-        h2=GridFunction(b.spec, h2),
-        regime=regime,
-        ledger=tuple(entries),
+        h1=GridFunction(b.spec, h1), h2=GridFunction(b.spec, h2), regime=regime
     )
 
 
@@ -184,16 +166,8 @@ def _split_mean(
     b: GridFunction, decomp: AtomicDecomposition, regime: Regime
 ) -> ProductSplit:
     """Subtract the ball mean of b under each atom."""
-    subtractors = []
-    for _, atom in decomp.terms:
-        m = ball_mean(b, atom.ball)
-        entry = SplitLedgerEntry(
-            subtracted={"type": "mean", "value": m},
-            rescale_constant=abs(m) * atom.ball.measure ** (1.0 / decomp.p),
-            moment_residuals={},
-        )
-        subtractors.append((m, entry))
-    return _assemble(b, decomp, regime, subtractors)
+    means = [ball_mean(b, atom.ball) for _, atom in decomp.terms]
+    return _assemble(b, decomp, regime, means)
 
 
 def split_bmo(
@@ -218,30 +192,13 @@ def split_lipschitz(
     if REGIMES["mean"].admits(decomp.p, n):
         return _split_mean(b, decomp, _regime("mean", local))
 
-    k = order.k
-    subtractors = []
+    projections = []
     for idx, (_, atom) in enumerate(decomp.terms):
         if not atom.local and atom.s < order.min_atom_s:
             raise ValueError(f"need s >= 2*floor(gamma) = {order.min_atom_s} (atom {idx})")
-        proj = poly_project(b, atom.ball, k)
-        m_vals = proj.as_gridfunction(b.spec).values
-        term = GridFunction(b.spec, m_vals * atom.values.values)
-        rescale = float(np.max(np.abs(term.values))) * atom.ball.measure ** (
-            1.0 / decomp.p
-        )
-        entry = SplitLedgerEntry(
-            subtracted={
-                "type": "projection",
-                "degree": k,
-                "coefficients": proj.coefficients.tolist(),
-            },
-            rescale_constant=rescale,
-            moment_residuals={}
-            if atom.local
-            else moment_residuals(term, atom.ball, k),
-        )
-        subtractors.append((m_vals, entry))
-    return _assemble(b, decomp, _regime("projection", local), subtractors)
+        proj = poly_project(b, atom.ball, order.k)
+        projections.append(proj.as_gridfunction(b.spec).values)
+    return _assemble(b, decomp, _regime("projection", local), projections)
 
 
 def exp_class_product_bound(

@@ -26,7 +26,7 @@ from hardylab.generators import (
     random_decomposition,
     random_smooth_field,
 )
-from hardylab.grid import Ball, GridFunction, GridSpec, integrate, lp_norm
+from hardylab.grid import Ball, GridFunction, GridSpec, ball_mean, integrate, lp_norm
 from hardylab.lipschitz import LipschitzOrder, difference_op, lambda_gamma_norm
 from hardylab.maximal import maximal_fn
 from hardylab.orlicz import (
@@ -44,7 +44,7 @@ from hardylab.product import (
     split_lipschitz,
     verify_split,
 )
-from hardylab.projection import campanato_ratio, projection_sup_ratio
+from hardylab.projection import campanato_ratio, poly_project, projection_sup_ratio
 
 
 def _spread(values) -> tuple[float, float]:
@@ -362,16 +362,16 @@ def _p_lt1_campaign(m: int, seed: int, p: float, s: int, draws: int = 50):
         report = verify_split(split, b, decomp)
         c1s.append(report.C1)
         c2s.append(report.C2)
-        for entry, (lam, atom) in zip(split.ledger, decomp.terms):
-            if entry.subtracted["type"] == "mean":
-                term = atom.values.with_values(
-                    entry.subtracted["value"] * atom.values.values
-                )
-                residuals = moment_residuals(term, atom.ball, order.k)
-                sup = float(np.max(np.abs(term.values)))
+        # the moments of each subtracted part m_j * a_j, with m_j derived
+        # through the calls the split makes
+        for _, atom in decomp.terms:
+            if split.regime.kind == "mean":
+                m = ball_mean(b, atom.ball)
             else:
-                residuals = entry.moment_residuals
-                sup = entry.rescale_constant * atom.ball.measure ** (-1.0 / p)
+                m = poly_project(b, atom.ball, order.k).as_gridfunction(spec).values
+            term = atom.values.with_values(m * atom.values.values)
+            residuals = moment_residuals(term, atom.ball, order.k)
+            sup = float(np.max(np.abs(term.values)))
             for alpha, res in residuals.items():
                 tol = moment_tolerance(sup, atom.ball, sum(alpha))
                 if tol > 0:

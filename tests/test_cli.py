@@ -224,6 +224,34 @@ EXIT_CASES = [
     # the decomposition path is a string
     ("validate", {}, 2, None),
     ("validate", {"decomposition": 5}, 2, None),
+    # an integer field is finite and integral: neither an overflow nor truncated
+    ("split", {"grid": GRID, "regime": "p1", "draws": float("inf")}, 2, None),
+    ("split", {"grid": GRID, "regime": "p1", "draws": 2.5}, 2, None),
+    ("split", {"grid": GRID, "regime": "p1", "seed": 1e400}, 2, None),
+    ("split", {"grid": GRID, "regime": "p1", "atoms": {"count": float("inf")}}, 2, None),
+    ("split", {"grid": GRID, "regime": "p1", "atoms": {"count": 2.5}}, 2, None),
+    ("norm", {"grid": GRID, "input": {"generator": "random-smooth", "seed": float("inf")},
+              "which": "lp"}, 2, None),
+    ("split", {"grid": {**GRID, "points_per_axis": float("inf")}, "regime": "p1"}, 2, None),
+    ("split", {"grid": {**GRID, "points_per_axis": 257.9}, "regime": "p1"}, 2, None),
+    ("split", {"grid": {**GRID, "dim": 1.5}, "regime": "p1"}, 2, None),
+    # a norm's exponent or order outside its range is a config error
+    ("norm", {"grid": GRID, "input": {"generator": "step"}, "which": "lp",
+              "params": {"p": 0}}, 2, None),
+    ("norm", {"grid": GRID, "input": {"generator": "step"}, "which": "lp",
+              "params": {"p": -1.0}}, 2, None),
+    ("norm", {"grid": GRID, "input": {"generator": "step"}, "which": "lp",
+              "params": {"p": float("nan")}}, 2, None),
+    ("norm", {"grid": GRID, "input": {"generator": "step"}, "which": "hardy",
+              "params": {"p": 1.5}}, 2, None),
+    ("norm", {"grid": GRID, "input": {"generator": "step"}, "which": "hardy",
+              "params": {"p": 0}}, 2, None),
+    ("norm", {"grid": GRID, "input": {"generator": "step"}, "which": "lambda_gamma",
+              "params": {"gamma": 0}}, 2, None),
+    ("norm", {"grid": GRID, "input": {"generator": "step"}, "which": "lambda_gamma",
+              "params": {"gamma": -0.5}}, 2, None),
+    ("norm", {"grid": GRID, "input": {"generator": "step"}, "which": "lambda_gamma",
+              "params": {"gamma": float("inf")}}, 2, None),
 ]
 
 
@@ -369,11 +397,15 @@ def test_validate_malformed_decomposition(tmp_path, capsys, name):
 
 
 def test_lab_process_never_prints_a_traceback(tmp_path):
-    """What the terminal shows of a malformed decomposition and a non-object params."""
+    """What the terminal shows of a malformed decomposition, a non-object params,
+    an infinite draw count and an input file that is not a path."""
     cases = [
         ("validate", {"decomposition": _malformed_decomposition(tmp_path, "grid-null")}, 1),
         ("norm", {"grid": GRID, "input": {"generator": "step"}, "which": "hardy",
                   "params": [1]}, 2),
+        ("split", {"grid": GRID, "regime": "p1", "draws": float("inf"),
+                   "output_dir": str(tmp_path / "out")}, 2),
+        ("norm", {"grid": GRID, "input": {"file": 5}, "which": "lp"}, 2),
     ]
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -430,6 +462,8 @@ WRONG_TYPES = {
     "validate-output": ("validate", {"output": 5}),
     "norm-input-string": ("norm", {"grid": GRID, "input": "generator", "which": "lp"}),
     "norm-input-list": ("norm", {"grid": GRID, "input": ["file"], "which": "lp"}),
+    "norm-input-file-number": ("norm", {"grid": GRID, "input": {"file": 5}, "which": "lp"}),
+    "norm-input-file-list": ("norm", {"grid": GRID, "input": {"file": ["a"]}, "which": "lp"}),
     "split-output_dir": ("split", {"grid": GRID, "regime": "p1", "output_dir": 5}),
     "split-param-string": ("split", {"grid": GRID, "regime": "p1", "b_generator": {
         "kind": "step", "params": {"height": "x"}}}),

@@ -271,6 +271,17 @@ def test_serialization_roundtrip(tmp_path, spec1d, rng):
     assert np.array_equal(g.values, f.values)
 
 
+def test_from_dict_integer_fields():
+    """An integral float is read as its integer; a fractional or infinite
+    dim or point count raises instead of being truncated."""
+    header = {"dim": 1.0, "halfwidth": 8, "points_per_axis": 257.0}
+    assert GridSpec.from_dict(header) == GridSpec(1, 8.0, 257)
+    for key, value in (("dim", 1.5), ("points_per_axis", 257.9),
+                       ("points_per_axis", math.inf), ("points_per_axis", math.nan)):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            GridSpec.from_dict({**header, key: value})
+
+
 def test_ball_dilate_translate():
     b = Ball((1.0,), 0.5)
     assert b.dilate(2.0) == Ball((2.0,), 1.0)

@@ -33,6 +33,7 @@ from hardylab.product import (
     truncate,
     verify_split,
 )
+from hardylab.projection import poly_project
 
 
 def test_truncate(spec1d, rng):
@@ -156,15 +157,15 @@ def test_split_near_cancelling_terms(spec1d, lam):
 
 
 def test_split_leak_still_raises(spec1d):
-    """A subtractor list that misses the last term leaves that term's whole
+    """A list of means that misses the last term leaves that term's whole
     product in h2 but out of the mean part: a real leak, caught also where
     the terms nearly cancel."""
     b = b_field(spec1d, "random-bmo", np.random.default_rng(0))
     for decomp in (random_decomposition(spec1d, np.random.default_rng(1), p=1.0, s=0),
                    _cancelling_pair(spec1d, 1e7)):
-        subtractors = [(ball_mean(b, atom.ball), None) for _, atom in decomp.terms]
+        means = [ball_mean(b, atom.ball) for _, atom in decomp.terms]
         with pytest.raises(AssertionError, match="leaked mass"):
-            product._assemble(b, decomp, REGIMES["p1"], subtractors[:-1])
+            product._assemble(b, decomp, REGIMES["p1"], means[:-1])
 
 
 def test_split_bilinearity_power_of_two(spec1d, rng):
@@ -197,8 +198,10 @@ def test_split_lipschitz_mean_regime(spec1d, rng):
     b = random_lipschitz_field(spec1d, rng, gamma)
     split = split_lipschitz(b, decomp)
     assert split.regime == REGIMES["mean"]
-    for entry in split.ledger:
-        assert entry.subtracted["type"] == "mean"
+    # h1 = sum_j lambda_j (b - m_j) a_j with m_j the ball mean, in term order
+    h1 = sum(lam * ((b.values - ball_mean(b, atom.ball)) * atom.values.values)
+             for lam, atom in decomp.terms)
+    assert np.array_equal(split.h1.values, h1)
 
 
 def test_split_lipschitz_projection_regime(spec1d, rng):
@@ -208,12 +211,17 @@ def test_split_lipschitz_projection_regime(spec1d, rng):
     b = random_lipschitz_field(spec1d, rng, gamma)
     split = split_lipschitz(b, decomp)
     assert split.regime == REGIMES["projection"]
-    for entry, (_, atom) in zip(split.ledger, decomp.terms):
-        assert entry.subtracted["type"] == "projection"
-        assert entry.subtracted["degree"] == 1
-        term_sup = entry.rescale_constant * atom.ball.measure ** (-1.0 / p)
-        for alpha, value in entry.moment_residuals.items():
+    # m_j is the degree-1 projection of b on the atom's ball: h1 subtracts it,
+    # and m_j a_j keeps the atom's vanishing moments up to degree 1
+    h1 = np.zeros(spec1d.shape)
+    for lam, atom in decomp.terms:
+        m = poly_project(b, atom.ball, 1).as_gridfunction(spec1d).values
+        h1 += lam * ((b.values - m) * atom.values.values)
+        term = atom.values.with_values(m * atom.values.values)
+        term_sup = float(np.max(np.abs(term.values)))
+        for alpha, value in moment_residuals(term, atom.ball, 1).items():
             assert abs(value) <= moment_tolerance(term_sup, atom.ball, sum(alpha))
+    assert np.array_equal(split.h1.values, h1)
 
 
 def test_split_lipschitz_needs_moments(spec1d, rng):
@@ -305,8 +313,8 @@ def test_pointwise_maximal_domination(spec1d, rng):
     b = random_smooth_field(spec1d, rng)
     split = split_bmo(b, decomp)
     bound = np.zeros(spec1d.shape)
-    for entry, (lam, atom) in zip(split.ledger, decomp.terms):
-        m = entry.subtracted["value"]
+    for lam, atom in decomp.terms:
+        m = ball_mean(b, atom.ball)
         bound += abs(lam) * abs(m) * maximal_fn(atom.values).values
     lhs = maximal_fn(split.h2).values
     assert np.all(lhs <= bound + 1e-9 * np.max(bound, initial=1.0))
