@@ -150,6 +150,10 @@ def cmd_norm(config: dict) -> int:
         gamma = _number(params, "gamma", None)
         if not 0 < gamma < math.inf:
             raise ConfigError(f"gamma = {gamma} is not a finite positive order")
+        order = LipschitzOrder(gamma)
+        if not order.fits(spec):
+            raise ConfigError(f"gamma = {gamma} is too large for {spec.points_per_axis} "
+                              "points per axis: no difference stencil fits")
     f = _input_function(config, spec)
     extra: dict = {}
     if which == "lp":
@@ -179,7 +183,7 @@ def cmd_norm(config: dict) -> int:
     elif which == "lmo":
         value = lmo_norm(f)
     elif which == "lambda_gamma":
-        value = lambda_gamma_norm(f, LipschitzOrder(gamma))
+        value = lambda_gamma_norm(f, order)
     else:
         raise ConfigError(f"unknown norm tag {which!r}")
     doc = {
@@ -219,7 +223,8 @@ def _split_config(spec: GridSpec, config: dict) -> tuple[Regime, dict]:
     s_min = 0
     if regime.kind != "p1":
         order = LipschitzOrder.dual_to(p, spec.dim)
-        if config.get("gamma") is not None and abs(_number(config, "gamma", None) - order.gamma) > 1e-12:
+        # `not <=` so that a NaN gamma, which compares False, is rejected too
+        if config.get("gamma") is not None and not abs(_number(config, "gamma", None) - order.gamma) <= 1e-12:
             raise ConfigError(f"gamma must equal n(1/p - 1) = {order.gamma}")
         s_min = order.min_atom_s if regime.kind == "projection" else 0
     s = _number(atoms_cfg, "s", s_min, int)

@@ -6,7 +6,10 @@ single region is a one-row call of them.  The routines here handle one region
 at a time, in Python floats where they can, so that the tests compare the
 batched rows with an independent scalar path under `==`, not with themselves.
 `maximal_taps` is the tap-sum maximal function the full ladder's FFT path
-replaced; the two agree to round-off, not bit for bit.
+replaced; the two agree to round-off, not bit for bit.  `seminorm_full_scan`
+is the Lipschitz scan over every displacement, in raster order, that the
+branch-and-bound `lipschitz.homogeneous_seminorm` replaced; they agree under
+`==`.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import sys
 import numpy as np
 
 from hardylab.grid import Ball, GridFunction, region_values
+from hardylab.lipschitz import LipschitzOrder, _delta_candidates, difference_op
 from hardylab.maximal import convolve_dilated, maximal_scales
 from hardylab.orlicz import _REL_TOL, OrliczFunction, _bracket
 
@@ -69,3 +73,16 @@ def maximal_taps(f: GridFunction) -> GridFunction:
     for t in maximal_scales(f.spec, local=False):
         np.maximum(out, np.abs(convolve_dilated(f, t).values), out=out)
     return f.with_values(out)
+
+
+def seminorm_full_scan(f: GridFunction, order: LipschitzOrder) -> float:
+    """max over every displacement of _delta_candidates, in raster order, of
+    max|D^(k+1) f| / (spacing |delta|)^gamma."""
+    k1 = order.k + 1
+    step = f.spec.spacing
+    best = 0.0
+    for steps in _delta_candidates(f, k1):
+        diff = difference_op(f, steps, k1)
+        delta_len = step * math.hypot(*steps)
+        best = max(best, float(np.max(np.abs(diff))) / delta_len**order.gamma)
+    return best

@@ -155,6 +155,9 @@ def test_split_unknown_regime_exit2(tmp_path):
 
 INF_GRID = {**GRID, "halfwidth": "inf"}
 GRID_257 = {**GRID, "points_per_axis": 257}
+# spacing 1: (spacing |delta|)^gamma stays in float range at any gamma, so a large
+# gamma reaches the binomial coefficients of the difference
+GRID_4097_UNIT = {**GRID, "halfwidth": 2048.0, "points_per_axis": 4097}
 
 # (command, config, exit code, regime name written to rows.csv)
 EXIT_CASES = [
@@ -252,6 +255,16 @@ EXIT_CASES = [
               "params": {"gamma": -0.5}}, 2, None),
     ("norm", {"grid": GRID, "input": {"generator": "step"}, "which": "lambda_gamma",
               "params": {"gamma": float("inf")}}, 2, None),
+    # an order with no difference stencil on the grid, or with binomial coefficients
+    # C(1101, s) beyond float range, and a gamma that no comparison can match
+    ("norm", {"grid": GRID, "input": {"generator": "step"}, "which": "lambda_gamma",
+              "params": {"gamma": 1e300}}, 2, None),
+    ("norm", {"grid": GRID_4097_UNIT, "input": {"generator": "step"}, "which": "lambda_gamma",
+              "params": {"gamma": 1100}}, 1, None),
+    ("split", {"grid": GRID, "regime": "mean", "p": 0.8, "gamma": float("nan")}, 2, None),
+    # (spacing |delta|)^gamma beyond float range: 1.6e8^40 overflows
+    ("norm", {"grid": {**GRID, "halfwidth": 1e10}, "input": {"generator": "step"},
+              "which": "lambda_gamma", "params": {"gamma": 40}}, 1, None),
 ]
 
 
@@ -398,7 +411,8 @@ def test_validate_malformed_decomposition(tmp_path, capsys, name):
 
 def test_lab_process_never_prints_a_traceback(tmp_path):
     """What the terminal shows of a malformed decomposition, a non-object params,
-    an infinite draw count and an input file that is not a path."""
+    an infinite draw count, an input file that is not a path and two Lipschitz
+    orders too large for the grid or for float binomial coefficients."""
     cases = [
         ("validate", {"decomposition": _malformed_decomposition(tmp_path, "grid-null")}, 1),
         ("norm", {"grid": GRID, "input": {"generator": "step"}, "which": "hardy",
@@ -406,6 +420,11 @@ def test_lab_process_never_prints_a_traceback(tmp_path):
         ("split", {"grid": GRID, "regime": "p1", "draws": float("inf"),
                    "output_dir": str(tmp_path / "out")}, 2),
         ("norm", {"grid": GRID, "input": {"file": 5}, "which": "lp"}, 2),
+        # the order is checked against the grid before the (absent) input is read
+        ("norm", {"grid": GRID, "input": {"file": str(tmp_path / "absent.npz")},
+                  "which": "lambda_gamma", "params": {"gamma": 1e300}}, 2),
+        ("norm", {"grid": GRID_4097_UNIT, "input": {"generator": "step"},
+                  "which": "lambda_gamma", "params": {"gamma": 1100}}, 1),
     ]
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -1,14 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
+from hardylab import lipschitz
+from hardylab.generators import b_field
 from hardylab.grid import GridFunction, GridSpec
 from hardylab.lipschitz import (
     LipschitzOrder,
     _delta_candidates,
+    _difference_cap,
+    _visiting_order,
     difference_op,
     homogeneous_seminorm,
     lambda_gamma_norm,
 )
+from scalar_oracles import seminorm_full_scan
 
 
 def test_order_fields():
@@ -141,3 +148,128 @@ def test_delta_candidates_match_former_branches(dim, m):
         assert candidates == list(_former_delta_candidates(f, k))
         # no stencil spans the box, so no difference has an empty domain
         assert all(difference_op(f, steps, k).size > 0 for steps in candidates)
+
+
+def _field(spec, kind, gamma):
+    if kind == "affine":
+        return GridFunction.from_callable(
+            spec, lambda *x: 0.5 + sum((j + 1.5) * xj for j, xj in enumerate(x))
+        )
+    params = {"random-lipschitz": {"gamma": gamma}, "constant": {"value": -3.0}}.get(kind, {})
+    return b_field(spec, kind, np.random.default_rng(7), **params)
+
+
+# the constant and affine fields visit every displacement, so they skip the costly m=129
+ORACLE_CASES = [
+    (dim, m, gamma, kind)
+    for dim, m in [(1, 4097), (2, 65), (2, 129)]
+    for gamma in (0.5, 1.5, 2.0)
+    for kind in ("random-smooth", "random-lipschitz", "random-bmo", "constant", "affine")
+    if m < 129 or kind.startswith("random")
+]
+
+
+@pytest.mark.parametrize("dim, m, gamma, kind", ORACLE_CASES)
+def test_seminorm_equals_full_scan(dim, m, gamma, kind):
+    """The branch-and-bound returns the full raster scan's float."""
+    f = _field(GridSpec(dim, 8.0, m), kind, gamma)
+    order = LipschitzOrder(gamma)
+    assert homogeneous_seminorm(f, order) == seminorm_full_scan(f, order)
+
+
+def _visits(monkeypatch, f, order):
+    calls = []
+
+    def counted(g, delta, k):
+        calls.append(delta)
+        return difference_op(g, delta, k)
+
+    monkeypatch.setattr(lipschitz, "difference_op", counted)
+    homogeneous_seminorm(f, order)
+    monkeypatch.undo()
+    return len(calls)
+
+
+@pytest.mark.parametrize("dim, m", [(1, 1025), (2, 65)])
+def test_seminorm_stops_early_on_rough_fields(monkeypatch, dim, m):
+    """A random-bmo field wins at the shortest displacements and the cap ends the
+    scan there; a constant field never beats 0, so the scan visits every one."""
+    spec = GridSpec(dim, 8.0, m)
+    order = LipschitzOrder(0.5)
+    total = len(list(_delta_candidates(GridFunction.zeros(spec), order.k + 1)))
+    assert _visits(monkeypatch, _field(spec, "random-bmo", 0.5), order) < total // 100
+    assert _visits(monkeypatch, _field(spec, "constant", 0.5), order) == total
+
+
+@pytest.mark.parametrize("dim, m", [(1, 17), (1, 4097), (2, 17), (2, 65), (2, 129)])
+def test_denominators_nondecreasing_in_visiting_order(dim, m):
+    """(spacing |delta|)^gamma never falls along the visiting order, and ties in
+    |delta|^2 give equal floats: the stop rule relies on both."""
+    spec = GridSpec(dim, 8.0, m)
+    f = GridFunction.zeros(spec)
+    for gamma in (0.3, 0.5, 0.999, 1.0, 1.5, 2.0, 2.7, 3.9):
+        order = LipschitzOrder(gamma)
+        pairs = [
+            (sum(s * s for s in steps), (spec.spacing * math.hypot(*steps)) ** gamma)
+            for steps in _visiting_order(f, order.k + 1)
+        ]
+        for (n0, d0), (n1, d1) in zip(pairs, pairs[1:]):
+            assert n0 <= n1 and d0 <= d1
+            assert n0 < n1 or d0 == d1
+
+
+def test_visiting_order_is_a_stable_sort():
+    """Increasing |delta|^2, ties in the raster order of _delta_candidates."""
+    f = GridFunction.zeros(GridSpec(2, 8.0, 17))
+    order = _visiting_order(f, 2)
+    assert sorted(order) == sorted(_delta_candidates(f, 2))
+    assert order[:10] == [
+        (0, 1), (1, 0), (1, -1), (1, 1), (0, 2), (2, 0), (1, -2), (1, 2), (2, -1), (2, 1),
+    ]
+
+
+def test_seminorm_without_displacements_raises():
+    """gamma too large for the grid: no stencil fits, and 0 would be no answer."""
+    spec = GridSpec(1, 8.0, 129)
+    f = GridFunction.from_callable(spec, lambda x: x**2)
+    for gamma in (127.5, 1e300):
+        assert not LipschitzOrder(gamma).fits(spec)
+        with pytest.raises(ValueError, match="no lattice displacement"):
+            homogeneous_seminorm(f, LipschitzOrder(gamma))
+    assert LipschitzOrder(126.5).fits(spec)  # one displacement, of one step
+    assert homogeneous_seminorm(f, LipschitzOrder(126.5)) >= 0.0
+
+
+@pytest.mark.parametrize("m", [16, 17, 129])
+def test_fits_matches_candidates(m):
+    for dim in (1, 2):
+        spec = GridSpec(dim, 8.0, m)
+        f = GridFunction.zeros(spec)
+        for gamma in (0.5, 1.0, 1.5, m - 3.5, m - 2.5, m - 1.5, m + 0.5):
+            order = LipschitzOrder(gamma)
+            assert order.fits(spec) == bool(list(_delta_candidates(f, order.k + 1)))
+
+
+def test_cap_overflow_means_full_scan():
+    """Where 2^(k+1) overflows the cap is inf: no displacement is pruned."""
+    # spacing 1, and values small enough that C(1024, 512) ~ 4e305 times them is finite
+    f = GridFunction(GridSpec(1, 549.5, 1100), 1e-300 * np.random.default_rng(3).normal(size=1100))
+    assert _difference_cap(f, 1023) == math.inf
+    assert _difference_cap(f, 10**6) == math.inf
+    order = LipschitzOrder(1023.5)
+    assert homogeneous_seminorm(f, order) == seminorm_full_scan(f, order)
+
+
+def test_difference_coefficients_beyond_float_range():
+    f = GridFunction.zeros(GridSpec(1, 8.0, 4097))
+    with pytest.raises(ValueError, match="beyond float range"):
+        difference_op(f, (1,), 1101)
+
+
+@pytest.mark.parametrize("halfwidth, m, gamma", [(8.0, 4097, 200.5), (1e10, 129, 40.0)])
+def test_denominator_beyond_float_range_raises(halfwidth, m, gamma):
+    """(spacing |delta|)^gamma underflows to 0 or overflows at the first
+    displacement: no quotient is a float."""
+    f = GridFunction.from_callable(GridSpec(1, halfwidth, m), lambda x: np.cos(x / halfwidth))
+    with pytest.raises(ValueError, match="beyond float range"):
+        homogeneous_seminorm(f, LipschitzOrder(gamma))
