@@ -23,7 +23,7 @@ import numpy as np
 from .atoms import load_decomposition, resolves_atom, validate_atom
 from .generators import B_GENERATORS, b_field, moment_radius, random_decomposition
 from .grid import (
-    GridFunction, GridSpec, as_integer, fewest_ball_nodes, load_gridfunction, lp_norm,
+    GridFunction, GridSpec, as_integer, as_number, fewest_ball_nodes, load_gridfunction, lp_norm,
 )
 from .lipschitz import LipschitzOrder, lambda_gamma_norm
 from .maximal import convolution_path, maximal_scales
@@ -57,14 +57,12 @@ def _grid_from(config: dict) -> GridSpec:
 
 
 def _number(section: dict, key: str, default, kind=float):
-    """section[key] (or the default) as a number of the given kind; an int
-    must be finite and integral."""
-    value = section.get(key, default)
+    """section[key] (or the default) as a JSON number of the given kind: a
+    bool or a string is not a number, and an int must be finite and integral."""
     try:
-        return as_integer(value, key) if kind is int else kind(value)
-    except (TypeError, ValueError) as exc:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key} must be {what}, got {value!r}") from exc
+        return (as_integer if kind is int else as_number)(section.get(key, default), key)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _generate(spec: GridSpec, section, key: str, rng: np.random.Generator) -> GridFunction:
@@ -215,7 +213,7 @@ def _split_config(spec: GridSpec, config: dict) -> tuple[Regime, dict]:
         if radius_range is not None:
             if not isinstance(radius_range, list):
                 raise TypeError("not a list")
-            radius_range = tuple(float(v) for v in radius_range)
+            radius_range = tuple(as_number(v, "radius_range") for v in radius_range)
         radius = moment_radius(spec, radius_range, regime.local)
     except (TypeError, ValueError) as exc:
         shown = atoms_cfg.get("radius_range", "default")

@@ -30,6 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
+    "as_number",
     "as_integer",
     "GridSpec",
     "GridFunction",
@@ -56,12 +57,26 @@ __all__ = [
 _INDEX_TOL = 1e-9
 
 
+def as_number(value, name: str) -> float:
+    """A JSON number as a float; a bool, a string, null or an integer beyond
+    float range raises ValueError instead of being converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} = {value} is beyond float range") from None
+
+
 def as_integer(value, name: str) -> int:
-    """value as an int; an integral float such as 2.0 is read as 2, while a
-    fractional or non-finite one raises ValueError instead of being truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    """A JSON number as an int; an integral float such as 2.0 is read as 2,
+    while a bool, a string, a fractional or a non-finite value raises
+    ValueError instead of being converted or truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -75,8 +90,9 @@ class GridSpec:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if not (self.halfwidth > 0 and math.isfinite(self.halfwidth)):
-            raise ValueError("halfwidth must be positive and finite")
+        # the box width 2 * halfwidth sets the spacing and the node coordinates
+        if not (self.halfwidth > 0 and math.isfinite(2.0 * self.halfwidth)):
+            raise ValueError("halfwidth must be positive, and twice it finite")
         if self.points_per_axis < 16:
             raise ValueError("points_per_axis must be >= 16")
 
@@ -88,7 +104,7 @@ class GridSpec:
     def from_dict(cls, header: dict) -> "GridSpec":
         return cls(
             as_integer(header["dim"], "dim"),
-            float(header["halfwidth"]),
+            as_number(header["halfwidth"], "halfwidth"),
             as_integer(header["points_per_axis"], "points_per_axis"),
         )
 
@@ -279,14 +295,14 @@ def _one_row_stats(vals: np.ndarray, w: np.ndarray) -> tuple[float, float, float
 def shape_groups(shapes: np.ndarray):
     """(shape, member indices) for each distinct row of an (n, dim) shape array.
 
-    Members are increasing, and the shapes come in lexicographic order.
+    Members are increasing, and the shapes come in lexicographic order: the
+    rows are sorted on one integer key each, their C-order index in a box
+    that holds every shape.
     """
-    kinds, inverse, counts = np.unique(
-        shapes, axis=0, return_inverse=True, return_counts=True
-    )
-    order = np.argsort(inverse.ravel(), kind="stable")
-    for shape, members in zip(kinds, np.split(order, np.cumsum(counts)[:-1])):
-        yield tuple(int(h) for h in shape), members
+    key = np.ravel_multi_index(tuple(shapes.T), tuple(shapes.max(axis=0) + 1))
+    order = np.argsort(key, kind="stable")
+    for members in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        yield tuple(shapes[members[0]].tolist()), members
 
 
 def region_node_count(spec: GridSpec, region) -> int:

@@ -6,18 +6,18 @@ The family density is the accuracy knob and is reported with every norm.
 The family depends only on the grid, so it is built once per grid.
 
 The family is held as arrays: one row of center coordinates and radius per
-ball, and per radius the clipped index window of each axis center.  Balls of
-one radius whose clipped windows share a shape are gathered in small batches
-and reduced row by row by `grid._row_stats`, the one rule for a ball's mean,
-oscillation and |f|-mean; `mean_oscillation` and `jn_check` read a one-row
-call of it.  The bit-for-bit oracle of the batched pass is a one-ball loop in
-the test suite (`tests/scalar_oracles.py`).
+ball, and its shape groups, built with it: the balls whose clipped index
+windows share a shape, with the start of each window.  A statistics pass only
+reads them: it gathers each group's windows in small batches and reduces them
+row by row by `grid._row_stats`, the one rule for a ball's mean, oscillation
+and |f|-mean; `mean_oscillation` and `jn_check` read a one-row call of it.
+The bit-for-bit oracle of the batched pass is a one-ball loop in the test
+suite (`tests/scalar_oracles.py`).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -67,14 +67,13 @@ class BallFamily:
 
     balls: (n, dim + 1) rows of center coordinates, then radius.  The radii
     increase, and the centers of one radius run in raster order (last axis
-    fastest).  windows[i]: (k, 2) start and length of the clipped index
-    window of each of the k axis centers of radii[i]; a ball's window is the
-    product of its centers' windows.
+    fastest).  groups: (family indices, window starts, window shape) of each
+    set of balls whose clipped index windows share a shape, the shapes in
+    lexicographic order and the indices increasing.
     """
 
     balls: np.ndarray
-    radii: tuple[float, ...]
-    windows: tuple[np.ndarray, ...]
+    groups: tuple[tuple[np.ndarray, np.ndarray, tuple[int, ...]], ...]
 
     def __post_init__(self):
         if not len(self.balls):
@@ -87,17 +86,24 @@ class BallFamily:
         # every center is a node and r >= 4 * spacing, so each ball covers
         # at least 5 nodes per axis and none is under-resolved
         step = spec.spacing
-        radii = dyadic_scales(4.0 * step, 2.0 * spec.halfwidth)
-        rows, windows = [], []
-        for r in radii:
+        balls, starts, shapes = [], [], []
+        for r in dyadic_scales(4.0 * step, 2.0 * spec.halfwidth):
             stride_steps = max(1, int(round((r / 8.0) / step)))
             centers = np.arange(0, spec.points_per_axis, stride_steps) * step - spec.halfwidth
             slices = [_ball_axis_slice(spec, c, r) for c in centers.tolist()]
-            windows.append(np.array([(s.start, s.stop - s.start) for s in slices]))
-            grid = np.meshgrid(*[centers] * spec.dim, indexing="ij")
-            rows.append(np.stack([*grid, np.full(grid[0].shape, r)], axis=-1))
-        balls = np.concatenate([row.reshape(-1, spec.dim + 1) for row in rows])
-        return cls(balls, tuple(radii), tuple(windows))
+            axis = np.array([(s.start, s.stop - s.start) for s in slices], dtype=np.int32)
+            # one row per ball, in raster order: the index of its center on each axis
+            grid = np.meshgrid(*[np.arange(len(centers))] * spec.dim, indexing="ij")
+            index = np.stack([g.ravel() for g in grid], axis=-1)
+            balls.append(np.column_stack([centers[index], np.full(len(index), r)]))
+            starts.append(axis[index, 0])
+            shapes.append(axis[index, 1])
+        starts = np.concatenate(starts)
+        groups = tuple(
+            (members.astype(np.int32), starts[members], shape)
+            for shape, members in shape_groups(np.concatenate(shapes))
+        )
+        return cls(np.concatenate(balls), groups)
 
     @property
     def dim(self) -> int:
@@ -107,44 +113,16 @@ class BallFamily:
         *center, radius = self.balls[i].tolist()
         return Ball(tuple(center), radius)
 
-    def per_ball(self, per_radius) -> np.ndarray:
-        """One value per radius spread over that radius's balls, in family order."""
-        counts = [len(w) ** self.dim for w in self.windows]
-        return np.repeat(np.asarray(per_radius, dtype=float), counts)
-
-    def measures(self) -> list[float]:
-        """Analytic measure (2r)^n of the balls of each radius."""
-        return [(2.0 * r) ** self.dim for r in self.radii]
-
     def halves(self) -> tuple[np.ndarray, np.ndarray]:
         """Masks of the small (|B| <= 1) and large (|B| >= 1) balls; |B| = 1 is in both."""
-        measure = self.per_ball(self.measures())
+        measure = (2.0 * self.balls[:, -1]) ** self.dim
         return measure <= 1.0 + _MEASURE_TOL, measure >= 1.0 - _MEASURE_TOL
-
-    def groups(self):
-        """(family indices, window starts, window shape) of each set of balls of
-        one radius whose clipped windows share a shape.
-
-        A ball's window is the product of its centers' axis windows, so each
-        set is a product of per-axis sets of centers with one window length.
-        """
-        offset = 0
-        for window in self.windows:
-            k = len(window)
-            lengths = list(shape_groups(window[:, 1:]))
-            for per_axis in itertools.product(lengths, repeat=self.dim):
-                centers = np.ix_(*[members for _, members in per_axis])
-                index = offset + np.ravel_multi_index(centers, (k,) * self.dim).ravel()
-                starts = np.broadcast_arrays(*[window[c, 0] for c in centers])
-                starts = np.stack(starts, axis=-1).reshape(-1, self.dim)
-                yield index, starts, tuple(length for (length,), _ in per_axis)
-            offset += k**self.dim
 
 
 def _family_stats(b: GridFunction, family: BallFamily) -> np.ndarray:
     """One (mean, oscillation, |f|-mean) row per ball, in family order."""
     stats = np.empty((len(family.balls), 3))
-    for index, starts, shape in family.groups():
+    for index, starts, shape in family.groups:
         for members, vals, w in box_rows(b, starts, shape, _BATCH_FLOATS):
             rows = index[members]
             for column, values in enumerate(_row_stats(vals, w)):
@@ -186,8 +164,10 @@ def lmo_norm(b: GridFunction) -> float:
     family = BallFamily.build(b.spec)
     stats = _family_stats(b, family)
     small, large = family.halves()
-    weight = family.per_ball([math.log(math.e + 1.0 / mu) for mu in family.measures()])
-    return _sup(weight * stats[:, 1], small) + _sup(stats[:, 2], large)
+    # the weight log(e + 1/|B|), once per radius
+    radii, per_ball = np.unique(family.balls[:, -1], return_inverse=True)
+    weight = [math.log(math.e + 1.0 / (2.0 * r) ** family.dim) for r in radii.tolist()]
+    return _sup(np.array(weight)[per_ball] * stats[:, 1], small) + _sup(stats[:, 2], large)
 
 
 def jn_check(

@@ -47,24 +47,18 @@ def multi_indices(dim: int, degree: int) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class PolyProjection:
-    """Polynomial in the shifted-scaled monomial basis on a ball."""
+    """Polynomial in the shifted-scaled monomial basis on a ball, with its
+    values at the grid nodes in the ball (ball-shaped)."""
 
     ball: Ball
     degree: int
     coefficients: np.ndarray
-
-    def evaluate(self, spec: GridSpec) -> np.ndarray:
-        """Values of the polynomial at the grid nodes in the ball (ball-shaped)."""
-        terms = _monomials(spec, self.ball, self.degree)
-        out = np.zeros(terms[0].shape)
-        for coeff, term in zip(self.coefficients, terms):
-            out += coeff * term
-        return out
+    values: np.ndarray
 
     def as_gridfunction(self, spec: GridSpec) -> GridFunction:
         """The polynomial on the ball, extended by zero to the whole grid."""
         vals = np.zeros(spec.shape)
-        vals[region_slices(spec, self.ball)] = self.evaluate(spec)
+        vals[region_slices(spec, self.ball)] = self.values
         return GridFunction(spec, vals)
 
 
@@ -94,12 +88,16 @@ def poly_project(f: GridFunction, ball: Ball, degree: int) -> PolyProjection:
     vals, w = region_values(f, ball)
     if not enough_nodes(f.spec.dim, degree, vals.size):
         raise ValueError("under-resolved ball")
-    A = np.column_stack([t.ravel() for t in _monomials(f.spec, ball, degree)])
+    terms = _monomials(f.spec, ball, degree)
+    A = np.column_stack([t.ravel() for t in terms])
     sw = np.sqrt(w).ravel()
     coeffs, _, rank, _ = np.linalg.lstsq(A * sw[:, None], vals.ravel() * sw, rcond=None)
     if rank < A.shape[1]:
         raise ValueError("degenerate node set")
-    return PolyProjection(ball=ball, degree=degree, coefficients=coeffs)
+    fit = np.zeros(terms[0].shape)
+    for coeff, term in zip(coeffs, terms):
+        fit += coeff * term
+    return PolyProjection(ball=ball, degree=degree, coefficients=coeffs, values=fit)
 
 
 def projection_sup_ratio(f: GridFunction, ball: Ball, degree: int) -> float:
@@ -108,7 +106,7 @@ def projection_sup_ratio(f: GridFunction, ball: Ball, degree: int) -> float:
     if f_sup == 0:
         raise ValueError("f vanishes on the ball")
     proj = poly_project(f, ball, degree)
-    p_sup = float(np.max(np.abs(proj.evaluate(f.spec))))
+    p_sup = float(np.max(np.abs(proj.values)))
     return p_sup / f_sup
 
 
@@ -134,7 +132,7 @@ def campanato_ratio(
         raise ValueError("degenerate Lipschitz norm")
     vals, w = region_values(f, ball)
     proj = poly_project(f, ball, degree)
-    resid = np.abs(vals - proj.evaluate(f.spec))
+    resid = np.abs(vals - proj.values)
     mean_resid = float(np.sum(w * resid) / np.sum(w))
     scale = ball.measure ** (order.gamma / f.spec.dim)
     return mean_resid / (lambda_norm * scale)

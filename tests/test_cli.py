@@ -265,6 +265,27 @@ EXIT_CASES = [
     # (spacing |delta|)^gamma beyond float range: 1.6e8^40 overflows
     ("norm", {"grid": {**GRID, "halfwidth": 1e10}, "input": {"generator": "step"},
               "which": "lambda_gamma", "params": {"gamma": 40}}, 1, None),
+    # a number is a JSON number: neither a bool nor a string, nor beyond float range
+    ("split", {"grid": GRID, "regime": "p1", "p": True}, 2, None),
+    ("split", {"grid": GRID, "regime": "p1", "draws": "1"}, 2, None),
+    ("split", {"grid": GRID, "regime": "p1", "draws": True}, 2, None),
+    ("split", {"grid": GRID, "regime": "p1", "seed": True}, 2, None),
+    ("split", {"grid": {**GRID, "dim": True}, "regime": "p1"}, 2, None),
+    ("split", {"grid": {**GRID, "halfwidth": "8", "points_per_axis": "129"}, "regime": "p1"},
+     2, None),
+    ("split", {"grid": {**GRID, "points_per_axis": "129"}, "regime": "p1"}, 2, None),
+    ("split", {"grid": GRID, "regime": "p1", "atoms": {"count": True}}, 2, None),
+    ("split", {"grid": GRID, "regime": "p1", "atoms": {"radius_range": [True, "4"]}}, 2, None),
+    ("split", {"grid": GRID, "regime": "p1", "p": 10**400}, 2, None),
+    ("norm", {"grid": GRID, "input": {"generator": "random-smooth", "seed": True},
+              "which": "lp"}, 2, None),
+    ("norm", {"grid": GRID, "input": {"generator": "step"}, "which": "lp",
+              "params": {"p": True}}, 2, None),
+    ("norm", {"grid": GRID, "input": {"generator": "step"}, "which": "lambda_gamma",
+              "params": {"gamma": "1"}}, 2, None),
+    # a box width 2 * halfwidth beyond float range
+    ("norm", {"grid": {"dim": 1, "halfwidth": 1e308, "points_per_axis": 129},
+              "input": {"generator": "step"}, "which": "lp"}, 2, None),
 ]
 
 
@@ -411,8 +432,9 @@ def test_validate_malformed_decomposition(tmp_path, capsys, name):
 
 def test_lab_process_never_prints_a_traceback(tmp_path):
     """What the terminal shows of a malformed decomposition, a non-object params,
-    an infinite draw count, an input file that is not a path and two Lipschitz
-    orders too large for the grid or for float binomial coefficients."""
+    an infinite draw count, an input file that is not a path, two Lipschitz
+    orders too large for the grid or for float binomial coefficients and a
+    halfwidth whose box width overflows."""
     cases = [
         ("validate", {"decomposition": _malformed_decomposition(tmp_path, "grid-null")}, 1),
         ("norm", {"grid": GRID, "input": {"generator": "step"}, "which": "hardy",
@@ -425,6 +447,9 @@ def test_lab_process_never_prints_a_traceback(tmp_path):
                   "which": "lambda_gamma", "params": {"gamma": 1e300}}, 2),
         ("norm", {"grid": GRID_4097_UNIT, "input": {"generator": "step"},
                   "which": "lambda_gamma", "params": {"gamma": 1100}}, 1),
+        # the box width overflows: rejected before numpy warns of inf in the nodes
+        ("norm", {"grid": {"dim": 1, "halfwidth": 1e308, "points_per_axis": 129},
+                  "input": {"generator": "step"}, "which": "lp"}, 2),
     ]
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -435,6 +460,7 @@ def test_lab_process_never_prints_a_traceback(tmp_path):
         assert done.returncode == code, done.stderr
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error:")
+        assert len(done.stderr.splitlines()) == 1, done.stderr
 
 
 def test_cli_import_loads_no_scipy():

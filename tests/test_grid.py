@@ -21,6 +21,7 @@ from hardylab.grid import (
     region_slices,
     region_weights,
     save_gridfunction,
+    shape_groups,
     sup_norm,
     unit_cubes,
 )
@@ -37,6 +38,16 @@ def test_spec_validation():
         GridSpec(1, 1.0, 8)
     with pytest.raises(ValueError, match="finite"):
         GridSpec(1, math.inf, 64)
+
+
+def test_spec_box_width_is_finite():
+    """A halfwidth whose box width 2 * halfwidth overflows is rejected: its
+    spacing and node coordinates would not be finite."""
+    for halfwidth in (1e308, 9e307):
+        with pytest.raises(ValueError, match="twice it finite"):
+            GridSpec(1, halfwidth, 129)
+    spec = GridSpec(1, 8e307, 129)  # a box width of 1.6e308 is still finite
+    assert math.isfinite(spec.spacing) and np.all(np.isfinite(spec.axis()))
 
 
 def test_gridfunction_rejects_nonfinite():
@@ -204,6 +215,25 @@ def test_unit_cubes_match_former_owner_search():
                 assert np.all(np.floor(spec.axis()[s] + 0.5) == ji)
 
 
+def _former_shape_groups(shapes):  # grouped on np.unique of the rows
+    kinds, inverse, counts = np.unique(shapes, axis=0, return_inverse=True, return_counts=True)
+    order = np.argsort(inverse.ravel(), kind="stable")
+    for shape, members in zip(kinds, np.split(order, np.cumsum(counts)[:-1])):
+        yield tuple(int(h) for h in shape), members
+
+
+def test_shape_groups_match_former_unique_rows(rng):
+    """Grouping on one integer key per row gives the groups np.unique(axis=0)
+    gave: the same shapes in lexicographic order, with increasing members."""
+    cases = [rng.integers(1, 6, size=(n, dim)) for n in (1, 7, 500) for dim in (1, 2)]
+    cases.append(np.array([[3, 9], [9, 3], [3, 9], [1, 40], [40, 1]], dtype=np.int32))
+    for shapes in cases:
+        groups = list(shape_groups(shapes))
+        former = list(_former_shape_groups(shapes))
+        assert [shape for shape, _ in groups] == [shape for shape, _ in former]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(groups, former))
+
+
 # the per-dimension branches that region_weights and region_coords replaced,
 # kept as their reference; GridSpec.weights was the first on the whole box
 
@@ -269,6 +299,16 @@ def test_serialization_roundtrip(tmp_path, spec1d, rng):
     g = load_gridfunction(base)
     assert g.spec == f.spec
     assert np.array_equal(g.values, f.values)
+
+
+def test_from_dict_reads_json_numbers():
+    """A grid field is a JSON number: a bool or a string is not read as one."""
+    header = {"dim": 1, "halfwidth": 8.0, "points_per_axis": 257}
+    for key, value, what in (("dim", True, "integer"), ("points_per_axis", "257", "integer"),
+                             ("halfwidth", "8", "number"), ("halfwidth", True, "number"),
+                             ("halfwidth", None, "number")):
+        with pytest.raises(ValueError, match=f"{key} must be an? {what}"):
+            GridSpec.from_dict({**header, key: value})
 
 
 def test_from_dict_integer_fields():

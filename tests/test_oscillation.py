@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hardylab.generators import b_field, random_smooth_field, step_field
-from hardylab import oscillation
+from hardylab import grid, oscillation
 from hardylab.grid import (
     Ball,
     GridFunction,
@@ -67,7 +67,7 @@ def test_family_structure(spec1d, spec2d):
         # no ball is under-resolved: each covers 5 nodes per axis or more
         assert all(region_node_count(spec, b) >= 5**spec.dim for b in balls)
         # each group's windows are the balls' in-box index slices
-        for index, starts, shape in family.groups():
+        for index, starts, shape in family.groups:
             for i, start in zip(index, starts):
                 box = tuple(slice(a, a + h) for a, h in zip(start, shape))
                 assert region_slices(spec, balls[i]) == box
@@ -115,7 +115,7 @@ def test_family_stats_match_ball_stats(spec):
     weights, and on groups that span more than one batch.  So are the
     one-row ball_mean and mean_oscillation of a sample of the balls."""
     family = BallFamily.build(spec)
-    groups = list(family.groups())
+    groups = family.groups
     assert any(len(index) * math.prod(shape) > oscillation._BATCH_FLOATS
                for index, _, shape in groups)
     assert any(0 in starts or (starts + shape).max() == spec.points_per_axis
@@ -133,6 +133,35 @@ def test_family_stats_match_ball_stats(spec):
         flat[height] = stats[:, 1] == 0.0
     assert flat[1.0].any() and not flat[1.0].all()  # balls on one side of the step
     assert flat[5e-324].all()  # every oscillation underflows
+
+
+def test_family_groups_partition_the_family(spec1d, spec2d):
+    for spec in (spec1d, spec2d):
+        family = BallFamily.build(spec)
+        index = np.concatenate([index for index, _, _ in family.groups])
+        assert np.array_equal(np.sort(index), np.arange(len(family.balls)))
+        for index, starts, shape in family.groups:
+            assert np.all(np.diff(index) > 0)
+            assert starts.shape == (len(index), spec.dim) and len(shape) == spec.dim
+
+
+def test_family_norms_only_read_the_groups(spec2d, monkeypatch):
+    """The window groups are built with the family, once per grid: a norm on a
+    built family groups nothing."""
+    b = b_field(spec2d, "random-bmo", np.random.default_rng(3))
+    BallFamily.build(spec2d)
+    calls, shape_groups = [], grid.shape_groups
+
+    def counted(shapes):
+        calls.append(len(shapes))
+        return shape_groups(shapes)
+
+    monkeypatch.setattr(oscillation, "shape_groups", counted)
+    monkeypatch.setattr(grid, "shape_groups", counted)
+    bmo_local_norm(b)
+    lmo_norm(b)
+    bmo_report(b)
+    assert calls == []
 
 
 def test_family_memory_guard():

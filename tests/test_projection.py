@@ -47,7 +47,7 @@ def test_reproduces_polynomials(spec1d):
     ball = Ball((0.5,), 2.0)
     proj = poly_project(f, ball, 2)
     sl = region_slices(spec1d, ball)
-    err = np.max(np.abs(proj.evaluate(spec1d) - f.values[sl]))
+    err = np.max(np.abs(proj.values - f.values[sl]))
     assert err < 1e-10
 
 
@@ -85,7 +85,7 @@ def test_residual_orthogonality(spec1d, rng):
     proj = poly_project(f, ball, 2)
     sl = region_slices(spec1d, ball)
     w = region_weights(spec1d, sl)
-    resid = f.values[sl] - proj.evaluate(spec1d)
+    resid = f.values[sl] - proj.values
     x = spec1d.axis()[sl[0]]
     scale = np.sum(w * np.abs(f.values[sl]))
     for a in range(3):
@@ -100,7 +100,7 @@ def test_best_approximation(spec1d, rng):
     sl = region_slices(spec1d, ball)
     w = region_weights(spec1d, sl)
     x = spec1d.axis()[sl[0]]
-    best = float(np.sum(w * (f.values[sl] - proj.evaluate(spec1d)) ** 2))
+    best = float(np.sum(w * (f.values[sl] - proj.values) ** 2))
     for _ in range(20):
         c0, c1 = rng.normal(size=2)
         probe = c0 + c1 * (x / ball.radius)
@@ -155,7 +155,7 @@ def test_campanato_abs_value_oracle():
     proj = poly_project(f, ball, 1)
     sl = region_slices(spec, ball)
     w = region_weights(spec, sl)
-    resid = np.abs(f.values[sl] - proj.evaluate(spec))
+    resid = np.abs(f.values[sl] - proj.values)
     mean_resid = float(np.sum(w * resid) / np.sum(w))
     assert mean_resid == pytest.approx(r / 4.0, rel=0.02)
 

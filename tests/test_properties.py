@@ -4,9 +4,15 @@ constants, exact lattice-translation invariance of the ball statistics,
 constants as fixed points of the dilated convolution, the FFT maximal function
 against the tap sum, and the product splits
 (exact reconstruction, C1 = 0 for constant b).  Examples are
-derandomized, so every run checks the same cases."""
+derandomized, so every run checks the same cases.  A last test checks that a
+failing property test under the repo's pytest config fails alone and does not
+end the session."""
 
 import functools
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,7 +126,7 @@ def test_family_rows_are_lattice_translation_invariant(spec, seed, axis, nodes):
     before = _family_stats(GridFunction(spec, vals), family)
     after = _family_stats(GridFunction(spec, np.roll(vals, nodes, axis=axis)), family)
     ball_at = {}  # (window start, window shape) -> a family ball with that window
-    for index, starts, shape in family.groups():
+    for index, starts, shape in family.groups:
         for i, start in zip(index.tolist(), starts.tolist()):
             ball_at[(tuple(start), shape)] = i
     move = np.eye(spec.dim, dtype=int)[axis] * nodes
@@ -214,3 +220,33 @@ def test_constant_b_gives_zero_c1(p, spec, c, seed):
     b = b_field(spec, "constant", None, value=c)
     decomp, split = _split(b, p, np.random.default_rng(seed))
     assert verify_split(split, b, decomp).C1 == 0.0
+
+
+FAILING_PROPERTY_MODULE = textwrap.dedent("""
+    from hypothesis import given, settings, strategies as st
+
+
+    @settings(database=None, derandomize=True)
+    @given(st.integers())
+    def test_fails(n):
+        assert n < 10
+
+
+    def test_passes():
+        pass
+""")
+
+
+def test_failing_property_does_not_end_the_session(tmp_path):
+    """hypothesis explains a failing example, and the repo's warning filters
+    still let it: the session reports the failure and runs the next test."""
+    (tmp_path / "test_probe.py").write_text(FAILING_PROPERTY_MODULE)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout
+    assert done.returncode == 1
