@@ -90,9 +90,15 @@ class GridSpec:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        # the box width 2 * halfwidth sets the spacing and the node coordinates
-        if not (self.halfwidth > 0 and math.isfinite(2.0 * self.halfwidth)):
-            raise ValueError("halfwidth must be positive, and twice it finite")
+        # the widest family ball, of radius up to 2 * halfwidth, has measure
+        # (4 * halfwidth)^dim; it bounds the box width, the spacing and the
+        # cell measure spacing^dim, so they are finite too
+        try:
+            widest = (4.0 * self.halfwidth) ** self.dim
+        except OverflowError:
+            widest = math.inf
+        if not (self.halfwidth > 0 and math.isfinite(widest)):
+            raise ValueError("halfwidth must be positive, with (4 * halfwidth)^dim finite")
         if self.points_per_axis < 16:
             raise ValueError("points_per_axis must be >= 16")
 
@@ -193,13 +199,6 @@ class Ball:
     def measure(self) -> float:
         """Analytic measure (2r)^n."""
         return (2.0 * self.radius) ** self.dim
-
-    def dilate(self, factor: float) -> "Ball":
-        return Ball(tuple(factor * c for c in self.center), factor * self.radius)
-
-    def translate(self, shift) -> "Ball":
-        shift = np.atleast_1d(shift)
-        return Ball(tuple(c + s for c, s in zip(self.center, shift)), self.radius)
 
 
 def _ball_axis_slice(spec: GridSpec, center: float, radius: float) -> slice:

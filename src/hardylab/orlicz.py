@@ -3,10 +3,10 @@
 The Luxembourg norm inf{k > 0 : integral of P(|f|/k) <= 1} is located by
 bisection on log k, written once: `_luxembourg_rows` runs the bracket and the
 bisection on many rows in lockstep.  `luxembourg_norm` is its one-row call,
-and the cube-summed norm calls it on all cubes of one shape at once.  A dense
-log-spaced scan oracle is provided separately so tests can cross-check the
-bisection against an independent search path; the bit-for-bit oracle of the
-lockstep bisection is a scalar one in the test suite (`tests/scalar_oracles.py`).
+and the cube-summed norm calls it on all cubes of one shape at once.  The test
+suite (`tests/scalar_oracles.py`) holds the bit-for-bit oracle of the lockstep
+bisection, a scalar one, and a dense log-spaced scan that cross-checks the
+bisection against an independent search path.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "PHI",
     "phi",
     "luxembourg_norm",
-    "luxembourg_scan_oracle",
     "lphi_star_norm",
     "hardy_quasinorm",
     "hardy_phi_star_quasinorm",
@@ -55,8 +54,6 @@ def phi(t):
 
 
 PHI = OrliczFunction(phi)
-
-LINEAR = OrliczFunction(lambda t: np.asarray(t, dtype=float))
 
 
 def _bracket(gauge, k0: float) -> tuple[float, float]:
@@ -128,39 +125,6 @@ def luxembourg_norm(f: GridFunction, P: OrliczFunction, region=None) -> float:
     """
     v, w = region_values(f, region)
     return float(_luxembourg_rows(np.abs(v).reshape(1, -1), w.reshape(1, -1), P)[0])
-
-
-def luxembourg_scan_oracle(
-    f: GridFunction,
-    P: OrliczFunction,
-    region=None,
-    points: int = 64,
-    passes: int = 5,
-) -> float:
-    """Log-spaced scan for the Luxembourg norm, independent of bisection.
-
-    Each pass evaluates the gauge on `points` log-spaced k values and keeps
-    the bracketing pair, shrinking the factor-2 start bracket by points - 1
-    in log k; five passes of 64 leave a relative width near 7e-10.
-    """
-    v, w = region_values(f, region)
-    v = np.abs(v)
-    vmax = float(v.max(initial=0.0))
-    if vmax == 0.0:
-        return 0.0
-
-    def gauge(k: float) -> float:
-        return float(np.sum(w * P(v / k)))
-
-    k_lo, k_hi = _bracket(gauge, vmax)
-    for _ in range(passes):
-        ks = np.geomspace(k_lo, k_hi, points)
-        vals = np.array([gauge(k) for k in ks])
-        idx = int(np.searchsorted(vals <= 1.0, True))  # gauge is decreasing
-        if idx == 0:
-            return float(ks[0])
-        k_lo, k_hi = float(ks[idx - 1]), float(ks[idx])
-    return k_hi
 
 
 def lphi_star_norm(f: GridFunction) -> float:

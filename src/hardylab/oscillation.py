@@ -7,11 +7,24 @@ The family depends only on the grid, so it is built once per grid.
 
 The family is held as arrays: one row of center coordinates and radius per
 ball, and its shape groups, built with it: the balls whose clipped index
-windows share a shape, with the start of each window.  A statistics pass only
-reads them: it gathers each group's windows in small batches and reduces them
-row by row by `grid._row_stats`, the one rule for a ball's mean, oscillation
-and |f|-mean; `mean_oscillation` and `jn_check` read a one-row call of it.
-The bit-for-bit oracle of the batched pass is a one-ball loop in the test
+windows share a shape, with the start of each window.  An evaluation only
+reads them: it gathers a group's windows in small batches and reduces them row
+by row by `grid._row_stats`, the one rule for a ball's mean, oscillation and
+|f|-mean; `mean_oscillation` and `jn_check` read a one-row call of it.
+
+Each family norm is a sup of one statistic over one half of the family, and
+is found by an exact bound-and-prune.  Summed-area tables give every ball an
+upper bound of its statistic in O(1): the mean oscillation is at most s times
+the weighted standard deviation of d = (b - c) / s (Cauchy-Schwarz), with c
+the midrange of b and s its half-range, and the |b|-mean is bounded by its
+box-sum estimate.  The margin of a bound covers the rounding of the tables
+(proportional to m eps times the grid's weight over the window weight) and of
+`_row_stats` on the window (n eps max|b| for n nodes); the oracle test of the
+pruned sups fails once the margins shrink about 300-fold.  The balls of the
+largest bounds are evaluated first, then every ball whose bound is >= the best
+value so far, so every ball that attains the sup is evaluated: the sup is the
+same float, and `bmo_report` the same first maximum, as a pass over every
+ball.  That full pass and the one-ball loop are the `==` oracles of the test
 suite (`tests/scalar_oracles.py`).
 """
 
@@ -53,11 +66,21 @@ _MEASURE_TOL = 1e-9
 # tens of kilobytes, so the statistics pass adds little to the peak memory
 _BATCH_FLOATS = 8192
 
+# the balls of the largest bounds that a pruned sup evaluates first
+_SEEDS = 64
+
+# balls per run of the bound pass; its temporaries stay near 100 KB
+_RUN = 1024
+
+_EPS = float(np.finfo(float).eps)
+_TINY = math.ulp(0.0)  # an underflow rounds by less than this
+
 
 @dataclass(frozen=True)
 class NormReport:
     norm: float
     family_size: int
+    balls_evaluated: int
     argmax_ball: Ball | None
 
 
@@ -119,20 +142,143 @@ class BallFamily:
         return measure <= 1.0 + _MEASURE_TOL, measure >= 1.0 - _MEASURE_TOL
 
 
-def _family_stats(b: GridFunction, family: BallFamily) -> np.ndarray:
-    """One (mean, oscillation, |f|-mean) row per ball, in family order."""
-    stats = np.empty((len(family.balls), 3))
+def _runs(groups):
+    """(family indices, window starts, window shapes) of about _RUN balls at a
+    time, one shape row per ball: small groups are merged and large ones cut."""
+    run, size = [], 0
+    for index, starts, shape in groups:
+        for lo in range(0, len(index), _RUN):
+            part = slice(lo, lo + _RUN)
+            run.append((index[part], starts[part], np.broadcast_to(shape, starts[part].shape)))
+            size += len(run[-1][0])
+            if size >= _RUN:
+                yield [np.concatenate(column) for column in zip(*run)]
+                run, size = [], 0
+    if run:
+        yield [np.concatenate(column) for column in zip(*run)]
+
+
+def _bounds(b: GridFunction, family: BallFamily, column: int) -> np.ndarray:
+    """Upper bound, per ball in family order, of the `column` statistic that
+    `_row_stats` computes on the ball's window: the mean oscillation (1) or the
+    |b|-mean (2).
+
+    The bounds come from box sums of summed-area tables.  The oscillation is
+    at most s times the standard deviation of d = (b - c) / s (Cauchy-Schwarz),
+    from tables of w, w d and w d^2, with c the midrange of b and s its
+    half-range: centring keeps the variance from cancelling, and scaling keeps
+    d^2 from overflowing.  The |b|-mean bound is its estimate from tables of w
+    and w |b| / max|b|.  The margins cover the rounding of the tables (rho,
+    the error of a box sum over the window weight) and of `_row_stats` on a
+    window of n nodes (slack: n roundings of max|b| and n underflows).
+    """
+    lo, hi = float(np.min(b.values)), float(np.max(b.values))
+    amax = max(-lo, hi)
+    if lo == hi:  # every window is flat: oscillation 0 and |b|-mean |b|, exactly
+        return np.full(len(family.balls), 0.0 if column == 1 else amax)
+    spec = b.spec
+    w = spec.weights()
+    if column == 1:
+        c = 0.5 * lo + 0.5 * hi
+        s = max(hi - c, c - lo)
+        d = (b.values - c) / s
+        terms = [w, w * d, w * d * d]
+    else:
+        terms = [w, w * (np.abs(b.values) / amax)]
+    tables = np.zeros((len(terms),) + tuple(m + 1 for m in spec.shape))
+    tables[(slice(None),) + (slice(1, None),) * spec.dim] = terms
+    del terms  # the tables hold them now; this keeps the peak memory down
+    for axis in range(1, spec.dim + 1):
+        np.cumsum(tables, axis=axis, out=tables)
+    # the error of a box sum: each of its 2^dim table entries sums, over m nodes
+    # per axis, terms of total at most the grid's weight, and each term may
+    # underflow once
+    total = float(tables[(0,) + (-1,) * spec.dim])
+    m, n_corners = spec.points_per_axis, 2**spec.dim
+    error = n_corners * ((spec.dim * m + n_corners) * _EPS * total + m**spec.dim * _TINY)
+    # box sums by inclusion-exclusion over the window corners, at flat indices
+    flat = tables.reshape(len(tables), -1)
+    strides = np.array(tables.strides[1:]) // tables.itemsize
+    corners = [(corner, (-1.0) ** (spec.dim - sum(corner)))
+               for corner in np.ndindex((2,) * spec.dim)]
+    bound = np.empty(len(family.balls))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for index, starts, shapes in _runs(family.groups):
+            origin, extent = starts @ strides, shapes * strides
+            wsum, *sums = sum(sign * flat[:, origin + extent @ corner] for corner, sign in corners)
+            rho = np.where(wsum > error, error / (wsum - error), np.inf)
+            slack = 8.0 * shapes.prod(axis=1) * (_EPS * amax + _TINY / wsum)
+            if column == 1:
+                d_mean = sums[0] / wsum
+                var = np.maximum(sums[1] / wsum - d_mean * d_mean, 0.0)
+                bound[index] = s * np.sqrt(var + 16.0 * rho) + slack
+            else:
+                bound[index] = amax * (sums[0] / wsum + 4.0 * rho) + slack
+    return bound
+
+
+def _evaluate(b: GridFunction, family: BallFamily, column: int, balls: np.ndarray) -> np.ndarray:
+    """The `column` statistic of `_row_stats` of the given balls (increasing
+    family indices), through the same window batches as a pass over the whole
+    family."""
+    values = np.empty(len(balls))
+    want = np.zeros(len(family.balls), dtype=bool)
+    want[balls] = True
     for index, starts, shape in family.groups:
-        for members, vals, w in box_rows(b, starts, shape, _BATCH_FLOATS):
-            rows = index[members]
-            for column, values in enumerate(_row_stats(vals, w)):
-                stats[rows, column] = values
-    return stats
+        chosen = want[index]
+        if chosen.any():
+            rows_of = index[chosen]
+            for members, vals, w in box_rows(b, starts[chosen], shape, _BATCH_FLOATS):
+                rows = rows_of[members]
+                values[np.searchsorted(balls, rows)] = _row_stats(vals, w)[column]
+    return values
 
 
-def _sup(values: np.ndarray, mask: np.ndarray) -> float:
-    """Largest of the masked values, 0 when the mask selects none."""
-    return float(np.max(values[mask], initial=0.0))
+def _candidates(
+    b: GridFunction,
+    family: BallFamily,
+    column: int,
+    mask: np.ndarray,
+    weight: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(balls, values) of every masked ball that can attain the sup of the
+    `column` statistic of `_row_stats`, times weight, over the mask.
+
+    The masked balls of the largest bounds are evaluated first; then every
+    other masked ball whose bound is >= the best value so far, so every ball
+    that attains the sup is evaluated, ties included.  A non-finite bound is
+    always evaluated, and a bound of 0 never is: the value under it is 0.
+    """
+
+    def evaluate(balls):
+        values = _evaluate(b, family, column, balls)
+        return values if weight is None else weight[balls] * values
+
+    bound = _bounds(b, family, column)
+    if weight is not None:
+        bound *= weight  # rounds up from weight * value, which is below it
+    bound[~mask] = 0.0
+    bound[np.isnan(bound)] = np.inf
+    top = min(_SEEDS, len(bound))
+    seeds = np.argpartition(bound, -top)[-top:]
+    seeds = np.sort(seeds[bound[seeds] > 0.0])
+    values = evaluate(seeds)
+    bound[seeds] = 0.0
+    # bound >= _TINY is bound > 0, for when the seeds' values are all 0
+    rest = np.flatnonzero(bound >= max(values.max(initial=0.0), _TINY))
+    return np.concatenate([seeds, rest]), np.concatenate([values, evaluate(rest)])
+
+
+def _sup(
+    b: GridFunction,
+    family: BallFamily,
+    column: int,
+    mask: np.ndarray,
+    weight: np.ndarray | None = None,
+) -> float:
+    """The sup over the mask of the `column` statistic times weight, 0 over no
+    ball."""
+    return float(np.max(_candidates(b, family, column, mask, weight)[1], initial=0.0))
 
 
 def mean_oscillation(b: GridFunction, ball: Ball) -> float:
@@ -145,29 +291,29 @@ def mean_oscillation(b: GridFunction, ball: Ball) -> float:
 def bmo_report(b: GridFunction) -> NormReport:
     """Sup of the mean oscillation over the full ball family."""
     family = BallFamily.build(b.spec)
-    osc = _family_stats(b, family)[:, 1]
-    i = int(np.argmax(osc))  # the first maximum
-    arg = family.ball(i) if osc[i] > 0 else None
-    return NormReport(float(osc[i]), len(family.balls), arg)
+    balls, osc = _candidates(b, family, 1, np.ones(len(family.balls), dtype=bool))
+    norm = float(np.max(osc, initial=0.0))
+    if not norm > 0:
+        return NormReport(0.0, len(family.balls), len(balls), None)
+    first = int(np.min(balls[osc == norm]))  # the first maximum in family order
+    return NormReport(norm, len(family.balls), len(balls), family.ball(first))
 
 
 def bmo_local_norm(b: GridFunction) -> float:
     """Oscillation sup over small balls plus |b|-mean sup over large balls."""
     family = BallFamily.build(b.spec)
-    stats = _family_stats(b, family)
     small, large = family.halves()
-    return _sup(stats[:, 1], small) + _sup(stats[:, 2], large)
+    return _sup(b, family, 1, small) + _sup(b, family, 2, large)
 
 
 def lmo_norm(b: GridFunction) -> float:
     """Log-weighted small-ball oscillation sup plus large-ball |b|-mean sup."""
     family = BallFamily.build(b.spec)
-    stats = _family_stats(b, family)
     small, large = family.halves()
     # the weight log(e + 1/|B|), once per radius
     radii, per_ball = np.unique(family.balls[:, -1], return_inverse=True)
     weight = [math.log(math.e + 1.0 / (2.0 * r) ** family.dim) for r in radii.tolist()]
-    return _sup(np.array(weight)[per_ball] * stats[:, 1], small) + _sup(stats[:, 2], large)
+    return _sup(b, family, 1, small, np.array(weight)[per_ball]) + _sup(b, family, 2, large)
 
 
 def jn_check(

@@ -1,15 +1,20 @@
-"""Scalar oracles for the batched library code.
+"""Scalar and full-pass oracles for the batched and pruned library code.
 
 The library computes each Luxembourg norm with the lockstep bisection
 `orlicz._luxembourg_rows` and each ball statistic with `grid._row_stats`; a
 single region is a one-row call of them.  The routines here handle one region
 at a time, in Python floats where they can, so that the tests compare the
 batched rows with an independent scalar path under `==`, not with themselves.
-`maximal_taps` is the tap-sum maximal function the full ladder's FFT path
-replaced; the two agree to round-off, not bit for bit.  `seminorm_full_scan`
-is the Lipschitz scan over every displacement, in raster order, that the
-branch-and-bound `lipschitz.homogeneous_seminorm` replaced; they agree under
-`==`.
+`luxembourg_scan_oracle` is a log-spaced scan that finds the Luxembourg norm
+by another search than bisection, to within its scan width; `LINEAR` is the
+identity gauge, whose Luxembourg norm is the L^1 norm.  `maximal_taps` is the
+tap-sum maximal function the full ladder's FFT path replaced; the two agree to
+round-off, not bit for bit.  `seminorm_full_scan` is the Lipschitz scan over
+every displacement, in raster order, that the branch-and-bound
+`lipschitz.homogeneous_seminorm` replaced; they agree under `==`.
+`family_stats` is the statistics pass over every ball of the family, and
+`family_norms` the BMO, bmo and lmo norms read from it, that the pruned sups
+of `oscillation` replaced; they agree under `==`, the argmax ball included.
 """
 
 from __future__ import annotations
@@ -19,10 +24,14 @@ import sys
 
 import numpy as np
 
-from hardylab.grid import Ball, GridFunction, region_values
+from hardylab.grid import Ball, GridFunction, _row_stats, box_rows, region_values
 from hardylab.lipschitz import LipschitzOrder, _delta_candidates, difference_op
 from hardylab.maximal import convolve_dilated, maximal_scales
 from hardylab.orlicz import _REL_TOL, OrliczFunction, _bracket
+from hardylab.oscillation import _BATCH_FLOATS, BallFamily
+
+
+LINEAR = OrliczFunction(lambda t: np.asarray(t, dtype=float))
 
 
 def luxembourg_bisection(f: GridFunction, P: OrliczFunction, region=None) -> float:
@@ -50,6 +59,39 @@ def luxembourg_bisection(f: GridFunction, P: OrliczFunction, region=None) -> flo
             k_hi = k_mid
         else:
             k_lo = k_mid
+    return k_hi
+
+
+def luxembourg_scan_oracle(
+    f: GridFunction,
+    P: OrliczFunction,
+    region=None,
+    points: int = 64,
+    passes: int = 5,
+) -> float:
+    """Log-spaced scan for the Luxembourg norm, independent of bisection.
+
+    Each pass evaluates the gauge on `points` log-spaced k values and keeps
+    the bracketing pair, shrinking the factor-2 start bracket by points - 1
+    in log k; five passes of 64 leave a relative width near 7e-10.
+    """
+    v, w = region_values(f, region)
+    v = np.abs(v)
+    vmax = float(v.max(initial=0.0))
+    if vmax == 0.0:
+        return 0.0
+
+    def gauge(k: float) -> float:
+        return float(np.sum(w * P(v / k)))
+
+    k_lo, k_hi = _bracket(gauge, vmax)
+    for _ in range(passes):
+        ks = np.geomspace(k_lo, k_hi, points)
+        vals = np.array([gauge(k) for k in ks])
+        idx = int(np.searchsorted(vals <= 1.0, True))  # gauge is decreasing
+        if idx == 0:
+            return float(ks[0])
+        k_lo, k_hi = float(ks[idx - 1]), float(ks[idx])
     return k_hi
 
 
@@ -86,3 +128,36 @@ def seminorm_full_scan(f: GridFunction, order: LipschitzOrder) -> float:
         delta_len = step * math.hypot(*steps)
         best = max(best, float(np.max(np.abs(diff))) / delta_len**order.gamma)
     return best
+
+
+def family_stats(b: GridFunction, family: BallFamily) -> np.ndarray:
+    """One (mean, oscillation, |f|-mean) row per ball, in family order: every
+    ball's window through the batches of `box_rows` and `_row_stats`."""
+    stats = np.empty((len(family.balls), 3))
+    for index, starts, shape in family.groups:
+        for members, vals, w in box_rows(b, starts, shape, _BATCH_FLOATS):
+            rows = index[members]
+            for column, values in enumerate(_row_stats(vals, w)):
+                stats[rows, column] = values
+    return stats
+
+
+def family_norms(b: GridFunction):
+    """((BMO norm, its first argmax ball or None), bmo norm, lmo norm) from the
+    statistics of every family ball: the full pass the pruned sups replaced."""
+    family = BallFamily.build(b.spec)
+    stats = family_stats(b, family)
+    small, large = family.halves()
+
+    def sup(values, mask):
+        return float(np.max(values[mask], initial=0.0))
+
+    osc = stats[:, 1]
+    i = int(np.argmax(osc))
+    bmo = (float(osc[i]), family.ball(i) if osc[i] > 0 else None)
+    radii, per_ball = np.unique(family.balls[:, -1], return_inverse=True)
+    weight = [math.log(math.e + 1.0 / (2.0 * r) ** family.dim) for r in radii.tolist()]
+    mean_sup = sup(stats[:, 2], large)
+    bmo_local = sup(osc, small) + mean_sup
+    lmo = sup(np.array(weight)[per_ball] * osc, small) + mean_sup
+    return bmo, bmo_local, lmo

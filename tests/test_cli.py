@@ -38,6 +38,8 @@ def test_norm_constant_bmo(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["value"] == 0.0
     assert doc["which"] == "bmo"
+    # every oscillation bound of a constant is 0: no ball is evaluated
+    assert doc["balls_evaluated"] == 0 < doc["family_size"]
 
 
 def test_norm_zero_function(tmp_path):
@@ -64,7 +66,9 @@ def test_norm_refinement_stability(tmp_path):
             "output": str(out),
         })
         assert _run(["norm", "--config", cfg]) == 0
-        values.append(json.loads(out.read_text())["value"])
+        doc = json.loads(out.read_text())
+        assert 0 < doc["balls_evaluated"] < doc["family_size"]
+        values.append(doc["value"])
     assert values[1] == pytest.approx(values[0], rel=0.25)
 
 
@@ -158,6 +162,7 @@ GRID_257 = {**GRID, "points_per_axis": 257}
 # spacing 1: (spacing |delta|)^gamma stays in float range at any gamma, so a large
 # gamma reaches the binomial coefficients of the difference
 GRID_4097_UNIT = {**GRID, "halfwidth": 2048.0, "points_per_axis": 4097}
+GRID_2D_HUGE = {"dim": 2, "halfwidth": 1e200, "points_per_axis": 17}
 
 # (command, config, exit code, regime name written to rows.csv)
 EXIT_CASES = [
@@ -192,14 +197,12 @@ EXIT_CASES = [
     # the default atom radii [max(8 * spacing, R/32), R/2] = [8, 4] hold no power of two
     ("split", {"grid": {**GRID, "points_per_axis": 17}, "regime": "p1"}, 2, None),
     # the Luxembourg bracket walks to the ends of the float range: a norm of
-    # about 4e200 is found, and an infinite one (infinite weights) exits 1
+    # about 4e200 is found; a grid whose cell measure (infinite weights) would
+    # overflow is rejected
     ("norm", {"grid": {"dim": 2, "halfwidth": 1e100, "points_per_axis": 17},
               "input": {"generator": "constant"}, "which": "luxembourg"}, 0, None),
-    pytest.param(
-        "norm", {"grid": {"dim": 2, "halfwidth": 1e200, "points_per_axis": 17},
-                 "input": {"generator": "constant"}, "which": "luxembourg"}, 1, None,
-        marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
-    ),
+    ("norm", {"grid": GRID_2D_HUGE, "input": {"generator": "constant"}, "which": "luxembourg"},
+     2, None),
     # a misspelled generator parameter is not silently replaced by its default
     ("split", {"grid": GRID, "regime": "p1",
                "b_generator": {"kind": "random-smooth", "params": {"amplitde": 5.0}}}, 2, None),
@@ -286,6 +289,10 @@ EXIT_CASES = [
     # a box width 2 * halfwidth beyond float range
     ("norm", {"grid": {"dim": 1, "halfwidth": 1e308, "points_per_axis": 129},
               "input": {"generator": "step"}, "which": "lp"}, 2, None),
+    # a cell measure spacing^2 and a widest ball measure (4 * halfwidth)^2 beyond it
+    ("norm", {"grid": GRID_2D_HUGE, "input": {"generator": "step"}, "which": "lmo"}, 2, None),
+    ("norm", {"grid": GRID_2D_HUGE, "input": {"generator": "step"}, "which": "bmo_local"},
+     2, None),
 ]
 
 
@@ -433,8 +440,8 @@ def test_validate_malformed_decomposition(tmp_path, capsys, name):
 def test_lab_process_never_prints_a_traceback(tmp_path):
     """What the terminal shows of a malformed decomposition, a non-object params,
     an infinite draw count, an input file that is not a path, two Lipschitz
-    orders too large for the grid or for float binomial coefficients and a
-    halfwidth whose box width overflows."""
+    orders too large for the grid or for float binomial coefficients, a
+    halfwidth whose box width overflows and one whose cell measure does."""
     cases = [
         ("validate", {"decomposition": _malformed_decomposition(tmp_path, "grid-null")}, 1),
         ("norm", {"grid": GRID, "input": {"generator": "step"}, "which": "hardy",
@@ -450,6 +457,10 @@ def test_lab_process_never_prints_a_traceback(tmp_path):
         # the box width overflows: rejected before numpy warns of inf in the nodes
         ("norm", {"grid": {"dim": 1, "halfwidth": 1e308, "points_per_axis": 129},
                   "input": {"generator": "step"}, "which": "lp"}, 2),
+        # the cell measure overflows: rejected before numpy warns, or (2r)^2 raises
+        ("norm", {"grid": GRID_2D_HUGE, "input": {"generator": "step"}, "which": "lmo"}, 2),
+        ("norm", {"grid": GRID_2D_HUGE, "input": {"generator": "step"},
+                  "which": "bmo_local"}, 2),
     ]
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -25,8 +25,9 @@ from hardylab.grid import (
     sup_norm,
     unit_cubes,
 )
-from hardylab.orlicz import LINEAR, PHI, luxembourg_norm
+from hardylab.orlicz import PHI, luxembourg_norm
 from hardylab.oscillation import BallFamily, jn_check, mean_oscillation
+from scalar_oracles import LINEAR
 
 
 def test_spec_validation():
@@ -41,13 +42,15 @@ def test_spec_validation():
 
 
 def test_spec_box_width_is_finite():
-    """A halfwidth whose box width 2 * halfwidth overflows is rejected: its
-    spacing and node coordinates would not be finite."""
-    for halfwidth in (1e308, 9e307):
-        with pytest.raises(ValueError, match="twice it finite"):
-            GridSpec(1, halfwidth, 129)
-    spec = GridSpec(1, 8e307, 129)  # a box width of 1.6e308 is still finite
-    assert math.isfinite(spec.spacing) and np.all(np.isfinite(spec.axis()))
+    """A halfwidth whose widest family ball measure (4 * halfwidth)^dim
+    overflows is rejected: with it go the box width 2 * halfwidth, the
+    spacing, the node coordinates and, in 2d, the cell measure spacing^2."""
+    for dim, halfwidth in ((1, 1e308), (1, 9e307), (1, 8e307), (2, 1e200), (2, 1e154)):
+        with pytest.raises(ValueError, match=r"\(4 \* halfwidth\)\^dim finite"):
+            GridSpec(dim, halfwidth, 129)
+    for dim, halfwidth in ((1, 4e307), (2, 1e153)):  # the widest measures are finite
+        spec = GridSpec(dim, halfwidth, 129)
+        assert math.isfinite(spec.spacing**dim) and np.all(np.isfinite(spec.axis()))
 
 
 def test_gridfunction_rejects_nonfinite():
@@ -322,10 +325,8 @@ def test_from_dict_integer_fields():
             GridSpec.from_dict({**header, key: value})
 
 
-def test_ball_dilate_translate():
+def test_ball_measure():
     b = Ball((1.0,), 0.5)
-    assert b.dilate(2.0) == Ball((2.0,), 1.0)
-    assert b.translate((0.25,)) == Ball((1.25,), 0.5)
     assert b.measure == 1.0
     assert Ball((0.0, 0.0), 1.0).measure == 4.0
 

@@ -21,16 +21,14 @@ from hardylab.lipschitz import LipschitzOrder
 from hardylab.maximal import maximal_fn
 from hardylab.orlicz import (
     _luxembourg_rows,
-    LINEAR,
     PHI,
     hardy_phi_star_quasinorm,
     hardy_quasinorm,
     lphi_star_norm,
     luxembourg_norm,
-    luxembourg_scan_oracle,
     phi,
 )
-from scalar_oracles import luxembourg_bisection, maximal_taps
+from scalar_oracles import LINEAR, luxembourg_bisection, luxembourg_scan_oracle, maximal_taps
 
 
 def test_phi_values():

@@ -22,7 +22,6 @@ from hardylab.grid import (
 from hardylab.maximal import bump_profile
 from hardylab.oscillation import (
     BallFamily,
-    _family_stats,
     bmo_local_norm,
     bmo_report,
     jn_check,
@@ -30,7 +29,7 @@ from hardylab.oscillation import (
     mean_oscillation,
     multiplier_check,
 )
-from scalar_oracles import ball_stats
+from scalar_oracles import ball_stats, family_norms, family_stats
 
 
 def _balls(family):
@@ -124,7 +123,7 @@ def test_family_stats_match_ball_stats(spec):
     flat = {}
     for height in (1.0, 5e-324):
         b = step_field(spec, height)
-        stats = _family_stats(b, family)
+        stats = family_stats(b, family)
         oracle = np.array([ball_stats(b, ball) for ball in balls])
         assert np.array_equal(stats, oracle)
         for i in range(0, len(balls), 7):
@@ -162,6 +161,69 @@ def test_family_norms_only_read_the_groups(spec2d, monkeypatch):
     lmo_norm(b)
     bmo_report(b)
     assert calls == []
+
+
+# the fields of the pruned-sup oracle test: the named generators; a field near
+# 1e6, whose variance the centring keeps from cancelling; one near 1e150, whose
+# squares the scaling keeps from overflowing; a step of the least subnormal,
+# whose every oscillation underflows; and a field near 1 whose |b|-means differ
+# by less than the rounding of their bounds, so that the margins decide
+PRUNED_FIELDS = {
+    "random-smooth": lambda spec, rng: b_field(spec, "random-smooth", rng),
+    "random-bmo": lambda spec, rng: b_field(spec, "random-bmo", rng),
+    "random-lipschitz": lambda spec, rng: b_field(spec, "random-lipschitz", rng, gamma=0.5),
+    "step": lambda spec, rng: step_field(spec),
+    "regularized-log": lambda spec, rng: b_field(spec, "regularized-log", rng),
+    "constant": lambda spec, rng: GridFunction.constant(spec, -2.5),
+    "1e6+smooth": lambda spec, rng: GridFunction(
+        spec, 1e6 + 1e-3 * b_field(spec, "random-smooth", rng).values),
+    "1e150*bmo": lambda spec, rng: GridFunction(
+        spec, 1e150 * b_field(spec, "random-bmo", rng).values),
+    "subnormal-step": lambda spec, rng: step_field(spec, 5e-324),
+    "1+1e-15*smooth": lambda spec, rng: GridFunction(
+        spec, 1.0 + 1e-15 * b_field(spec, "random-smooth", rng).values),
+}
+
+
+@pytest.mark.parametrize("field", PRUNED_FIELDS)
+@pytest.mark.parametrize("spec", [
+    GridSpec(1, 8.0, 2049),
+    GridSpec(2, 4.0, 65),
+    GridSpec(2, 8.0, 65),  # no ball of measure <= 1: the small half is empty
+    GridSpec(2, 8.0, 129),
+], ids=str)
+def test_pruned_sups_equal_full_pass(spec, field):
+    """The pruned sups are the full pass's floats, and bmo_report's argmax is
+    the full pass's first maximum in family order."""
+    b = PRUNED_FIELDS[field](spec, np.random.default_rng(7))
+    report = bmo_report(b)
+    assert ((report.norm, report.argmax_ball), bmo_local_norm(b), lmo_norm(b)) == family_norms(b)
+    assert 0 <= report.balls_evaluated <= report.family_size
+    if spec == GridSpec(2, 8.0, 65):
+        assert not BallFamily.build(spec).halves()[0].any()
+
+
+def test_pruned_sup_work_guard(monkeypatch):
+    """On a smooth field at 2d m=129, bmo_local_norm evaluates windows of under
+    5% of the family's total window volume, and bmo_report's balls_evaluated
+    counts the windows it evaluates."""
+    spec = GridSpec(2, 8.0, 129)
+    b = b_field(spec, "random-smooth", np.random.default_rng(5))
+    family = BallFamily.build(spec)
+    total = sum(len(index) * math.prod(shape) for index, _, shape in family.groups)
+    rows, box_rows = [], grid.box_rows
+
+    def counted(*args):
+        for members, vals, w in box_rows(*args):
+            rows.append(vals.shape)
+            yield members, vals, w
+
+    monkeypatch.setattr(oscillation, "box_rows", counted)
+    bmo_local_norm(b)
+    assert 0 < sum(math.prod(shape) for shape in rows) < 0.05 * total
+    rows.clear()
+    report = bmo_report(b)
+    assert sum(k for k, _ in rows) == report.balls_evaluated > 0
 
 
 def test_family_memory_guard():
@@ -248,7 +310,7 @@ def test_translation_invariance_exact(spec1d, rng):
     shifted_vals[shift_nodes:] = b.values[:-shift_nodes]
     shifted = GridFunction(spec1d, shifted_vals)
     ball = Ball((-2.0,), 1.0)
-    moved = ball.translate((shift_nodes * spec1d.spacing,))
+    moved = Ball((-2.0 + shift_nodes * spec1d.spacing,), 1.0)
     assert mean_oscillation(shifted, moved) == mean_oscillation(b, ball)
 
 

@@ -22,7 +22,7 @@ from hardylab.generators import (
 from hardylab.grid import Ball, GridFunction, ball_mean
 from hardylab import product
 from hardylab.maximal import bump_profile
-from hardylab.orlicz import luxembourg_scan_oracle, PHI
+from hardylab.orlicz import PHI
 from hardylab.product import (
     REGIMES,
     duality_identity_check,
@@ -34,6 +34,7 @@ from hardylab.product import (
     verify_split,
 )
 from hardylab.projection import poly_project
+from scalar_oracles import luxembourg_scan_oracle
 
 
 def test_truncate(spec1d, rng):

@@ -33,9 +33,9 @@ from hardylab.grid import (
 from hardylab.lipschitz import LipschitzOrder, lambda_gamma_norm
 from hardylab.maximal import convolve_dilated, maximal_fn
 from hardylab.orlicz import hardy_quasinorm, lphi_star_norm
-from hardylab.oscillation import BallFamily, _family_stats, bmo_local_norm, lmo_norm
+from hardylab.oscillation import BallFamily, bmo_local_norm, lmo_norm
 from hardylab.product import REGIMES, split_bmo, split_lipschitz, verify_split
-from scalar_oracles import maximal_taps
+from scalar_oracles import family_stats, maximal_taps
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 # a norm example scans a ball family or bisects every unit cube: tens of ms
@@ -59,9 +59,10 @@ local_hardy = functools.partial(hardy_quasinorm, p=1.0, local=True)
 
 @PROPERTY
 @given(_specs(st.floats(0.1, 20.0)))
-# cube indices beyond 2^63 stay exact: they are not cast to int64
+# cube indices beyond 2^63 stay exact: they are not cast to int64 (2d grids
+# end where (4 * halfwidth)^2 overflows, near halfwidth 3e153)
 @example(GridSpec(1, 1e19, 17))
-@example(GridSpec(2, 1e200, 17))
+@example(GridSpec(2, 1e150, 17))
 def test_unit_cubes_partition_nodes(spec):
     hits = np.zeros(spec.shape, dtype=int)
     for j, box in unit_cubes(spec).items():
@@ -123,8 +124,8 @@ def test_family_rows_are_lattice_translation_invariant(spec, seed, axis, nodes):
     inner = (slice(1, m - 1 - nodes),) * spec.dim  # room to move, away from the edge
     vals[inner] = np.random.default_rng(seed).normal(size=vals[inner].shape)
     family = BallFamily.build(spec)
-    before = _family_stats(GridFunction(spec, vals), family)
-    after = _family_stats(GridFunction(spec, np.roll(vals, nodes, axis=axis)), family)
+    before = family_stats(GridFunction(spec, vals), family)
+    after = family_stats(GridFunction(spec, np.roll(vals, nodes, axis=axis)), family)
     ball_at = {}  # (window start, window shape) -> a family ball with that window
     for index, starts, shape in family.groups:
         for i, start in zip(index.tolist(), starts.tolist()):
