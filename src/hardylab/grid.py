@@ -23,6 +23,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -101,6 +102,14 @@ class GridSpec:
             raise ValueError("halfwidth must be positive, with (4 * halfwidth)^dim finite")
         if self.points_per_axis < 16:
             raise ValueError("points_per_axis must be >= 16")
+        # the corner node weight (spacing / 2)^dim is the least one; a ball's
+        # weight sum divides its means, so no weight may underflow
+        try:
+            least = (self.spacing / 2.0) ** self.dim
+        except OverflowError:  # a node count beyond float range
+            least = 0.0
+        if not least >= sys.float_info.min:
+            raise ValueError("the least node weight (spacing / 2)^dim must be a normal float")
 
     def to_dict(self) -> dict:
         """The grid header written next to saved functions and reports."""

@@ -2,9 +2,12 @@
 
 The Luxembourg norm inf{k > 0 : integral of P(|f|/k) <= 1} is located by
 bisection on log k, written once: `_luxembourg_rows` runs the bracket and the
-bisection on many rows in lockstep.  `luxembourg_norm` is its one-row call,
-and the cube-summed norm calls it on all cubes of one shape at once.  The test
-suite (`tests/scalar_oracles.py`) holds the bit-for-bit oracle of the lockstep
+bisection on many rows in lockstep, held as blocks of same-width rows, with
+one P call per round.  `luxembourg_norm` is its one-row call, and the
+cube-summed norm bisects all cubes in one lockstep, one block per cube shape,
+so it makes as many P calls as its slowest cube takes rounds (36 on a 2d m=65
+maximal function), not one set of rounds per cube shape.  The test suite
+(`tests/scalar_oracles.py`) holds the bit-for-bit oracle of the lockstep
 bisection, a scalar one, and a dense log-spaced scan that cross-checks the
 bisection against an independent search path.
 """
@@ -72,21 +75,39 @@ def _bracket(gauge, k0: float) -> tuple[float, float]:
     return k_lo, k_hi
 
 
-def _luxembourg_rows(v: np.ndarray, w: np.ndarray, P: OrliczFunction) -> np.ndarray:
-    """Luxembourg norm under P of each row of |values| v with weights w.
+def _luxembourg_rows(blocks, P: OrliczFunction) -> np.ndarray:
+    """Luxembourg norm under P of each row of the blocks, in block order.
 
-    The two loops of _bracket and the bisection on log k each run on all rows
-    in lockstep: per round, the rows still in the loop evaluate their gauge in
-    one P call, and each row leaves a loop on its own test, so a row's norm
-    does not depend on the rows batched with it; `luxembourg_norm` is the
-    one-row call.
+    A block is a pair (v, w) of C-contiguous (rows, n) arrays: |values| and
+    weights, n nodes per row.  The two loops of _bracket and the bisection on
+    log k each run on all rows in lockstep.  Per round, the values of the rows
+    still in the loop, each divided by its k, go through one P call, and each
+    block that still holds such a row sums its rows' terms on a (rows, n)
+    array: every row gets numpy's pairwise sum of its own n terms, as a
+    one-row call does.  Zero-padding rows to one width would regroup those
+    sums and move the last bits.  Each row leaves a loop on its own test, so a
+    row's norm does not depend on the rows batched with it.
     """
+    first = np.cumsum([0] + [len(v) for v, _ in blocks]).tolist()
 
     def within(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """gauge(k) <= 1 for the given rows, one k each."""
-        return (w[rows] * P(v[rows] / k[:, None])).sum(axis=-1) <= 1.0
+        """gauge(k) <= 1 for the given rows (increasing), one k each."""
+        cuts = np.searchsorted(rows, first).tolist()
+        parts = []
+        for (v, w), start, lo, hi in zip(blocks, first, cuts, cuts[1:]):
+            if lo == hi:
+                continue  # no row of this block is in play
+            # a block all of whose rows are in play is read in place
+            local = slice(None) if hi - lo == len(v) else rows[lo:hi] - start
+            parts.append((w[local], v[local] / k[lo:hi, None]))
+        terms = P(np.concatenate([t.ravel() for _, t in parts]))
+        gauge, end = [], 0
+        for w, t in parts:
+            gauge.append((w * terms[end : end + t.size].reshape(t.shape)).sum(axis=-1))
+            end += t.size
+        return np.concatenate(gauge) <= 1.0
 
-    k_hi = v.max(axis=-1, initial=0.0)
+    k_hi = np.concatenate([v.max(axis=-1, initial=0.0) for v, _ in blocks])
     rows = np.flatnonzero(k_hi > 0.0)  # the norm of a zero row is 0
     todo = rows
     with np.errstate(over="ignore"):  # k_hi doubles up to inf, as a float does
@@ -124,19 +145,24 @@ def luxembourg_norm(f: GridFunction, P: OrliczFunction, region=None) -> float:
     normal float; a subnormal k is bracketed to 1e-9 or to adjacent floats.
     """
     v, w = region_values(f, region)
-    return float(_luxembourg_rows(np.abs(v).reshape(1, -1), w.reshape(1, -1), P)[0])
+    row = (np.abs(v).reshape(1, -1), w.reshape(1, -1))
+    return float(_luxembourg_rows([row], P)[0])
 
 
 def lphi_star_norm(f: GridFunction) -> float:
-    """Sum over unit lattice cubes of the per-cube Luxembourg norms under PHI."""
+    """Sum over unit lattice cubes of the per-cube Luxembourg norms under PHI,
+    all cubes in one lockstep: one block of rows per cube shape."""
     boxes = list(unit_cubes(f.spec).values())
     starts = np.array([[s.start for s in box] for box in boxes])
     shapes = np.array([[s.stop - s.start for s in box] for box in boxes])
-    norms = np.empty(len(boxes))
+    order, blocks = [], []
     for shape, cubes in shape_groups(shapes):
-        # the cubes partition the grid: one batch holds no more than f does
-        for members, v, w in box_rows(f, starts[cubes], shape, f.values.size):
-            norms[cubes[members]] = _luxembourg_rows(np.abs(v), w, PHI)
+        # the cubes partition the grid: one batch holds every cube of a shape
+        ((_, v, w),) = box_rows(f, starts[cubes], shape, f.values.size)
+        order.append(cubes)
+        blocks.append((np.abs(v, out=v), w))
+    norms = np.empty(len(boxes))
+    norms[np.concatenate(order)] = _luxembourg_rows(blocks, PHI)
     # summed in raster order, as the one-cube norms were
     return sum(norms.tolist())
 

@@ -6,26 +6,29 @@ The family density is the accuracy knob and is reported with every norm.
 The family depends only on the grid, so it is built once per grid.
 
 The family is held as arrays: one row of center coordinates and radius per
-ball, and its shape groups, built with it: the balls whose clipped index
-windows share a shape, with the start of each window.  An evaluation only
-reads them: it gathers a group's windows in small batches and reduces them row
-by row by `grid._row_stats`, the one rule for a ball's mean, oscillation and
+ball, and, built with it, the family index, window start and window shape of
+every ball in group order, where a group is the balls whose clipped index
+windows share a shape.  Each group's index and starts are views into those
+arrays.  An evaluation only reads them: it visits the groups that hold a ball
+it wants, gathers their windows in small batches and reduces them row by row
+by `grid._row_stats`, the one rule for a ball's mean, oscillation and
 |f|-mean; `mean_oscillation` and `jn_check` read a one-row call of it.
 
 Each family norm is a sup of one statistic over one half of the family, and
-is found by an exact bound-and-prune.  Summed-area tables give every ball an
-upper bound of its statistic in O(1): the mean oscillation is at most s times
-the weighted standard deviation of d = (b - c) / s (Cauchy-Schwarz), with c
-the midrange of b and s its half-range, and the |b|-mean is bounded by its
-box-sum estimate.  The margin of a bound covers the rounding of the tables
-(proportional to m eps times the grid's weight over the window weight) and of
-`_row_stats` on the window (n eps max|b| for n nodes); the oracle test of the
-pruned sups fails once the margins shrink about 300-fold.  The balls of the
-largest bounds are evaluated first, then every ball whose bound is >= the best
-value so far, so every ball that attains the sup is evaluated: the sup is the
-same float, and `bmo_report` the same first maximum, as a pass over every
-ball.  That full pass and the one-ball loop are the `==` oracles of the test
-suite (`tests/scalar_oracles.py`).
+is found by an exact bound-and-prune; a sup over an empty half is 0 and
+builds nothing.  Summed-area tables give every ball of the half an upper
+bound of its statistic in O(1), read in runs from the group-order arrays: the
+mean oscillation is at most s times the weighted standard deviation of
+d = (b - c) / s (Cauchy-Schwarz), with c the midrange of b and s its
+half-range, and the |b|-mean is bounded by its box-sum estimate.  The margin
+of a bound covers the rounding of the tables (proportional to m eps times the
+grid's weight over the window weight) and of `_row_stats` on the window
+(n eps max|b| for n nodes); the oracle test of the pruned sups fails once the
+margins shrink about 300-fold.  The balls of the largest bounds are evaluated
+first, then every ball whose bound is >= the best value so far, so every ball
+that attains the sup is evaluated: the sup is the same float, and `bmo_report`
+the same first maximum, as a pass over every ball.  That full pass and the
+one-ball loop are the `==` oracles of the test suite (`tests/scalar_oracles.py`).
 """
 
 from __future__ import annotations
@@ -90,12 +93,18 @@ class BallFamily:
 
     balls: (n, dim + 1) rows of center coordinates, then radius.  The radii
     increase, and the centers of one radius run in raster order (last axis
-    fastest).  groups: (family indices, window starts, window shape) of each
-    set of balls whose clipped index windows share a shape, the shapes in
-    lexicographic order and the indices increasing.
+    fastest).  index, starts, shapes: the family index, window start and
+    window shape of each ball, in group order: the balls whose clipped index
+    windows share a shape form a group, the groups come in lexicographic
+    order of their shapes and the indices increase within a group.  groups:
+    (family indices, window starts, window shape) of each group, the arrays
+    views into index and starts.
     """
 
     balls: np.ndarray
+    index: np.ndarray
+    starts: np.ndarray
+    shapes: np.ndarray
     groups: tuple[tuple[np.ndarray, np.ndarray, tuple[int, ...]], ...]
 
     def __post_init__(self):
@@ -121,12 +130,16 @@ class BallFamily:
             balls.append(np.column_stack([centers[index], np.full(len(index), r)]))
             starts.append(axis[index, 0])
             shapes.append(axis[index, 1])
-        starts = np.concatenate(starts)
+        shapes = np.concatenate(shapes)
+        members = list(shape_groups(shapes))
+        index = np.concatenate([group for _, group in members]).astype(np.int32)
+        starts = np.concatenate(starts)[index]
+        edges = np.cumsum([0] + [len(group) for _, group in members]).tolist()
         groups = tuple(
-            (members.astype(np.int32), starts[members], shape)
-            for shape, members in shape_groups(np.concatenate(shapes))
+            (index[lo:hi], starts[lo:hi], shape)
+            for (shape, _), lo, hi in zip(members, edges, edges[1:])
         )
-        return cls(np.concatenate(balls), groups)
+        return cls(np.concatenate(balls), index, starts, shapes[index], groups)
 
     @property
     def dim(self) -> int:
@@ -142,26 +155,11 @@ class BallFamily:
         return measure <= 1.0 + _MEASURE_TOL, measure >= 1.0 - _MEASURE_TOL
 
 
-def _runs(groups):
-    """(family indices, window starts, window shapes) of about _RUN balls at a
-    time, one shape row per ball: small groups are merged and large ones cut."""
-    run, size = [], 0
-    for index, starts, shape in groups:
-        for lo in range(0, len(index), _RUN):
-            part = slice(lo, lo + _RUN)
-            run.append((index[part], starts[part], np.broadcast_to(shape, starts[part].shape)))
-            size += len(run[-1][0])
-            if size >= _RUN:
-                yield [np.concatenate(column) for column in zip(*run)]
-                run, size = [], 0
-    if run:
-        yield [np.concatenate(column) for column in zip(*run)]
-
-
-def _bounds(b: GridFunction, family: BallFamily, column: int) -> np.ndarray:
+def _bounds(b: GridFunction, family: BallFamily, column: int, mask: np.ndarray) -> np.ndarray:
     """Upper bound, per ball in family order, of the `column` statistic that
     `_row_stats` computes on the ball's window: the mean oscillation (1) or the
-    |b|-mean (2).
+    |b|-mean (2); 0 outside the mask.  Runs of _RUN masked balls are read from
+    the family's group-order arrays.
 
     The bounds come from box sums of summed-area tables.  The oscillation is
     at most s times the standard deviation of d = (b - c) / s (Cauchy-Schwarz),
@@ -172,10 +170,13 @@ def _bounds(b: GridFunction, family: BallFamily, column: int) -> np.ndarray:
     the error of a box sum over the window weight) and of `_row_stats` on a
     window of n nodes (slack: n roundings of max|b| and n underflows).
     """
+    bound = np.zeros(len(family.balls))
+    masked = np.flatnonzero(mask[family.index])  # positions in group order
     lo, hi = float(np.min(b.values)), float(np.max(b.values))
     amax = max(-lo, hi)
     if lo == hi:  # every window is flat: oscillation 0 and |b|-mean |b|, exactly
-        return np.full(len(family.balls), 0.0 if column == 1 else amax)
+        bound[family.index[masked]] = 0.0 if column == 1 else amax
+        return bound
     spec = b.spec
     w = spec.weights()
     if column == 1:
@@ -198,16 +199,24 @@ def _bounds(b: GridFunction, family: BallFamily, column: int) -> np.ndarray:
     error = n_corners * ((spec.dim * m + n_corners) * _EPS * total + m**spec.dim * _TINY)
     # box sums by inclusion-exclusion over the window corners, at flat indices
     flat = tables.reshape(len(tables), -1)
-    strides = np.array(tables.strides[1:]) // tables.itemsize
+    strides = np.array(tables.strides[1:])[:, None] // tables.itemsize
     corners = [(corner, (-1.0) ** (spec.dim - sum(corner)))
                for corner in np.ndindex((2,) * spec.dim)]
-    bound = np.empty(len(family.balls))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for index, starts, shapes in _runs(family.groups):
-            origin, extent = starts @ strides, shapes * strides
-            wsum, *sums = sum(sign * flat[:, origin + extent @ corner] for corner, sign in corners)
+        for first in range(0, len(masked), _RUN):
+            run = masked[first : first + _RUN]
+            index = family.index[run]
+            # one row per axis; `take` gathers rows several times faster than
+            # fancy indexing does
+            shapes = family.shapes.take(run, axis=0).T
+            origin = sum(family.starts.take(run, axis=0).T * strides)
+            extent = shapes * strides
+            wsum, *sums = sum(
+                sign * flat.take(origin + sum(e for e, c in zip(extent, corner) if c), axis=1)
+                for corner, sign in corners
+            )
             rho = np.where(wsum > error, error / (wsum - error), np.inf)
-            slack = 8.0 * shapes.prod(axis=1) * (_EPS * amax + _TINY / wsum)
+            slack = 8.0 * math.prod(shapes) * (_EPS * amax + _TINY / wsum)
             if column == 1:
                 d_mean = sums[0] / wsum
                 var = np.maximum(sums[1] / wsum - d_mean * d_mean, 0.0)
@@ -220,17 +229,18 @@ def _bounds(b: GridFunction, family: BallFamily, column: int) -> np.ndarray:
 def _evaluate(b: GridFunction, family: BallFamily, column: int, balls: np.ndarray) -> np.ndarray:
     """The `column` statistic of `_row_stats` of the given balls (increasing
     family indices), through the same window batches as a pass over the whole
-    family."""
+    family; only the groups that hold one of the balls are read."""
     values = np.empty(len(balls))
     want = np.zeros(len(family.balls), dtype=bool)
     want[balls] = True
-    for index, starts, shape in family.groups:
-        chosen = want[index]
-        if chosen.any():
-            rows_of = index[chosen]
-            for members, vals, w in box_rows(b, starts[chosen], shape, _BATCH_FLOATS):
-                rows = rows_of[members]
-                values[np.searchsorted(balls, rows)] = _row_stats(vals, w)[column]
+    wanted = np.flatnonzero(want[family.index])  # positions in group order
+    edges = np.cumsum([0] + [len(index) for index, _, _ in family.groups])
+    cuts = np.searchsorted(wanted, edges).tolist()
+    for g in np.flatnonzero(np.diff(cuts)).tolist():  # the groups that hold a wanted ball
+        part = wanted[cuts[g] : cuts[g + 1]]
+        rows_of, starts = family.index[part], family.starts.take(part, axis=0)
+        for members, vals, w in box_rows(b, starts, family.groups[g][2], _BATCH_FLOATS):
+            values[np.searchsorted(balls, rows_of[members])] = _row_stats(vals, w)[column]
     return values
 
 
@@ -254,10 +264,9 @@ def _candidates(
         values = _evaluate(b, family, column, balls)
         return values if weight is None else weight[balls] * values
 
-    bound = _bounds(b, family, column)
+    bound = _bounds(b, family, column, mask)
     if weight is not None:
         bound *= weight  # rounds up from weight * value, which is below it
-    bound[~mask] = 0.0
     bound[np.isnan(bound)] = np.inf
     top = min(_SEEDS, len(bound))
     seeds = np.argpartition(bound, -top)[-top:]
@@ -278,6 +287,8 @@ def _sup(
 ) -> float:
     """The sup over the mask of the `column` statistic times weight, 0 over no
     ball."""
+    if not mask.any():
+        return 0.0
     return float(np.max(_candidates(b, family, column, mask, weight)[1], initial=0.0))
 
 

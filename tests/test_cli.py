@@ -163,6 +163,7 @@ GRID_257 = {**GRID, "points_per_axis": 257}
 # gamma reaches the binomial coefficients of the difference
 GRID_4097_UNIT = {**GRID, "halfwidth": 2048.0, "points_per_axis": 4097}
 GRID_2D_HUGE = {"dim": 2, "halfwidth": 1e200, "points_per_axis": 17}
+GRID_2D_TINY = {"dim": 2, "halfwidth": 1e-180, "points_per_axis": 17}
 
 # (command, config, exit code, regime name written to rows.csv)
 EXIT_CASES = [
@@ -292,6 +293,10 @@ EXIT_CASES = [
     # a cell measure spacing^2 and a widest ball measure (4 * halfwidth)^2 beyond it
     ("norm", {"grid": GRID_2D_HUGE, "input": {"generator": "step"}, "which": "lmo"}, 2, None),
     ("norm", {"grid": GRID_2D_HUGE, "input": {"generator": "step"}, "which": "bmo_local"},
+     2, None),
+    # a cell measure spacing^2 below the least normal float
+    ("norm", {"grid": GRID_2D_TINY, "input": {"generator": "step"}, "which": "lmo"}, 2, None),
+    ("norm", {"grid": GRID_2D_TINY, "input": {"generator": "step"}, "which": "bmo_local"},
      2, None),
 ]
 
@@ -441,7 +446,8 @@ def test_lab_process_never_prints_a_traceback(tmp_path):
     """What the terminal shows of a malformed decomposition, a non-object params,
     an infinite draw count, an input file that is not a path, two Lipschitz
     orders too large for the grid or for float binomial coefficients, a
-    halfwidth whose box width overflows and one whose cell measure does."""
+    halfwidth whose box width overflows, one whose cell measure does and one
+    whose cell measure underflows."""
     cases = [
         ("validate", {"decomposition": _malformed_decomposition(tmp_path, "grid-null")}, 1),
         ("norm", {"grid": GRID, "input": {"generator": "step"}, "which": "hardy",
@@ -460,6 +466,10 @@ def test_lab_process_never_prints_a_traceback(tmp_path):
         # the cell measure overflows: rejected before numpy warns, or (2r)^2 raises
         ("norm", {"grid": GRID_2D_HUGE, "input": {"generator": "step"}, "which": "lmo"}, 2),
         ("norm", {"grid": GRID_2D_HUGE, "input": {"generator": "step"},
+                  "which": "bmo_local"}, 2),
+        # the cell measure underflows: rejected before a ball weight sum is 0
+        ("norm", {"grid": GRID_2D_TINY, "input": {"generator": "step"}, "which": "lmo"}, 2),
+        ("norm", {"grid": GRID_2D_TINY, "input": {"generator": "step"},
                   "which": "bmo_local"}, 2),
     ]
     src = Path(__file__).resolve().parents[1] / "src"

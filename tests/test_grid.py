@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -51,6 +52,19 @@ def test_spec_box_width_is_finite():
     for dim, halfwidth in ((1, 4e307), (2, 1e153)):  # the widest measures are finite
         spec = GridSpec(dim, halfwidth, 129)
         assert math.isfinite(spec.spacing**dim) and np.all(np.isfinite(spec.axis()))
+
+
+def test_spec_least_node_weight_is_normal():
+    """A grid whose corner node weight (spacing / 2)^dim is not a normal float
+    is rejected, and so is a node count beyond float range; at 2d halfwidth
+    1e-150 the least weight is normal, and every ball weight sum is positive."""
+    for dim, halfwidth, m in ((2, 1e-180, 17), (2, 1e-153, 17), (1, 1e-307, 17),
+                              (1, 5e-324, 129), (1, 8.0, 10**400)):
+        with pytest.raises(ValueError, match=r"\(spacing / 2\)\^dim must be a normal float"):
+            GridSpec(dim, halfwidth, m)
+    for dim, halfwidth in ((2, 1e-150), (1, 1e-306)):
+        spec = GridSpec(dim, halfwidth, 17)
+        assert spec.weights().min() == (spec.spacing / 2.0) ** dim >= sys.float_info.min
 
 
 def test_gridfunction_rejects_nonfinite():

@@ -192,8 +192,9 @@ def test_dyadic_rescaling_is_exact(dim, m):
     scales = dyadic_scales(2.0 * spec.spacing, 2.0 * spec.halfwidth)
     kernels = [_kernel(spec, t) for t in scales]
     mf = maximal_fn(f).values
-    # a 2d grid ends where (4 * halfwidth)^2 overflows, near 2^507
-    for e in (-600, 600 if dim == 1 else 500):
+    # a 2d grid ends where (4 * halfwidth)^2 overflows, near 2^507, and where
+    # its least node weight (spacing / 2)^2 is no longer a normal float
+    for e in (-600, 600) if dim == 1 else (-500, 500):
         scaled = GridSpec(dim, 8.0 * 2.0**e, m)
         for t, kern in zip(scales, kernels):
             assert np.array_equal(_kernel(scaled, t * 2.0**e), kern)

@@ -187,13 +187,16 @@ def test_lphi_star_zero_and_single_cube(spec1d):
     assert lphi_star_norm(f) == luxembourg_bisection(f, PHI, cube)
 
 
-@pytest.mark.parametrize("spec_name", ["spec1d", "spec2d"])
-def test_lphi_star_lockstep_matches_cube_loop(request, spec_name, rng):
+@pytest.mark.parametrize("spec", ["spec1d", "spec2d", GridSpec(2, 8.0, 65)], ids=str)
+def test_lphi_star_lockstep_matches_cube_loop(request, spec, rng):
     """The lockstep bisection gives every cube its scalar-bisection norm, bit
     for bit: on a maximal function, on all-zero cubes and on the two underflow
     cases of the bracket (one node at 1e-194, and one at the subnormal
-    2.4e-321)."""
-    spec = request.getfixturevalue(spec_name)
+    2.4e-321).  So it does with every cube shape in one call, as
+    lphi_star_norm makes it, and with one shape per call; 2d m=65 on
+    [-8, 8]^2 has 9 cube shapes."""
+    if isinstance(spec, str):
+        spec = request.getfixturevalue(spec)
     boxes = list(unit_cubes(spec).values())
     vals = np.array(maximal_fn(GridFunction(spec, rng.normal(size=spec.shape))).values)
     for box in boxes[:2] + boxes[-2:]:
@@ -205,13 +208,39 @@ def test_lphi_star_lockstep_matches_cube_loop(request, spec_name, rng):
     norms = [luxembourg_bisection(f, PHI, box) for box in boxes]
     assert norms[0] == 0.0 and 0.0 < norms[2] < sys.float_info.min
     assert lphi_star_norm(f) == sum(norms)
-    # and cube by cube, for each cube shape: the lockstep rows are the scalar norms
+    # and cube by cube: the lockstep rows are the scalar norms
     starts = np.array([[s.start for s in box] for box in boxes])
     shapes = np.array([[s.stop - s.start for s in box] for box in boxes])
-    for shape, cubes in shape_groups(shapes):
+    groups = list(shape_groups(shapes))
+    if spec == GridSpec(2, 8.0, 65):
+        assert len(groups) == 9
+    blocks = []
+    for shape, cubes in groups:
         ((members, v, w),) = box_rows(f, starts[cubes], shape, f.values.size)
-        rows = _luxembourg_rows(np.abs(v), w, PHI)
-        assert rows.tolist() == [norms[i] for i in cubes]
+        blocks.append((np.abs(v), w))
+        assert _luxembourg_rows(blocks[-1:], PHI).tolist() == [norms[i] for i in cubes]
+    order = np.concatenate([cubes for _, cubes in groups])
+    assert _luxembourg_rows(blocks, PHI).tolist() == [norms[i] for i in order]
+
+
+def test_lphi_star_gauge_work_guard():
+    """All cubes share the rounds of one lockstep: on 2d m=65 over [-8, 8]^2,
+    with 9 cube shapes, one lphi_star_norm evaluates PHI at most 45 times."""
+    spec = GridSpec(2, 8.0, 65)
+    f = maximal_fn(synthesize(random_decomposition(spec, np.random.default_rng(3), p=1.0, s=0)))
+    calls, gauge = [], PHI.eval
+
+    def counted(t):
+        calls.append(1)
+        return gauge(t)
+
+    # PHI is frozen: patch its eval in place, as perfbench counts gauge evaluations
+    object.__setattr__(PHI, "eval", counted)
+    try:
+        assert lphi_star_norm(f) > 0
+    finally:
+        object.__setattr__(PHI, "eval", gauge)
+    assert 0 < len(calls) <= 45
 
 
 def test_lphi_star_translation_additivity(spec1d):

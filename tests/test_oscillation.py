@@ -135,13 +135,20 @@ def test_family_stats_match_ball_stats(spec):
 
 
 def test_family_groups_partition_the_family(spec1d, spec2d):
+    """The groups partition the family, and each group's arrays are views of
+    the family's group-order arrays, in the order of the groups."""
     for spec in (spec1d, spec2d):
         family = BallFamily.build(spec)
         index = np.concatenate([index for index, _, _ in family.groups])
         assert np.array_equal(np.sort(index), np.arange(len(family.balls)))
+        assert np.array_equal(index, family.index)
+        assert np.array_equal(np.concatenate([s for _, s, _ in family.groups]), family.starts)
+        shapes = np.concatenate([np.tile(shape, (len(i), 1)) for i, _, shape in family.groups])
+        assert np.array_equal(shapes, family.shapes)
         for index, starts, shape in family.groups:
             assert np.all(np.diff(index) > 0)
             assert starts.shape == (len(index), spec.dim) and len(shape) == spec.dim
+            assert index.base is family.index and starts.base is family.starts
 
 
 def test_family_norms_only_read_the_groups(spec2d, monkeypatch):
@@ -224,6 +231,41 @@ def test_pruned_sup_work_guard(monkeypatch):
     rows.clear()
     report = bmo_report(b)
     assert sum(k for k, _ in rows) == report.balls_evaluated > 0
+
+
+def test_empty_half_is_not_bounded(monkeypatch):
+    """On 2d m=65 over [-8, 8]^2 the small half is empty: bmo_local_norm and
+    lmo_norm compute no oscillation bound and evaluate no oscillation, and
+    every window they gather is one of the large balls they evaluate."""
+    spec = GridSpec(2, 8.0, 65)
+    b = b_field(spec, "random-smooth", np.random.default_rng(5))
+    small, large = BallFamily.build(spec).halves()
+    assert not small.any()
+    bounded, evaluated, gathered = [], [], []
+    bounds, evaluate, box_rows = oscillation._bounds, oscillation._evaluate, grid.box_rows
+
+    def counted_bounds(b, family, column, *args):
+        bounded.append(column)
+        return bounds(b, family, column, *args)
+
+    def counted_evaluate(b, family, column, balls):
+        evaluated.append((column, balls))
+        return evaluate(b, family, column, balls)
+
+    def counted_rows(*args):
+        for members, vals, w in box_rows(*args):
+            gathered.append(len(vals))
+            yield members, vals, w
+
+    monkeypatch.setattr(oscillation, "_bounds", counted_bounds)
+    monkeypatch.setattr(oscillation, "_evaluate", counted_evaluate)
+    monkeypatch.setattr(oscillation, "box_rows", counted_rows)
+    for norm in (bmo_local_norm, lmo_norm):
+        bounded.clear(), evaluated.clear(), gathered.clear()
+        assert norm(b) > 0
+        assert bounded == [2]
+        assert all(column == 2 and large[balls].all() for column, balls in evaluated)
+        assert sum(gathered) == sum(len(balls) for _, balls in evaluated) > 0
 
 
 def test_family_memory_guard():
