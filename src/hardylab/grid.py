@@ -28,7 +28,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "as_number",
@@ -48,6 +47,7 @@ __all__ = [
     "lp_norm",
     "sup_norm",
     "unit_cubes",
+    "unit_cube_boxes",
     "dyadic_scales",
     "save_gridfunction",
     "load_gridfunction",
@@ -252,23 +252,34 @@ def region_values(f: GridFunction, region=None) -> tuple[np.ndarray, np.ndarray]
     return f.values[slices], region_weights(f.spec, slices)
 
 
-def box_rows(f: GridFunction, starts: np.ndarray, shape: tuple[int, ...], batch_floats: int):
+def box_rows(
+    f: GridFunction,
+    starts: np.ndarray,
+    shape: tuple[int, ...],
+    batch_floats: int,
+    weights: np.ndarray | None = None,
+):
     """(members, values, weights) of f on index boxes of one shape, in batches.
 
     Box k starts at node starts[k].  A batch takes the boxes in `members` (a
     slice of the starts), as many as fit in batch_floats values (one at
     least), and holds one row per box in C order, so a row's reduction
     matches, bit for bit, np.sum over region_values of that box.  The rows
-    are fresh arrays that the caller may overwrite.
+    are fresh arrays that the caller may overwrite.  `weights` is the grid's
+    f.spec.weights(), built here when None: a caller that gathers boxes of
+    many shapes builds it once.
     """
-    size = math.prod(shape)
-    batch = max(1, batch_floats // size)
-    values = sliding_window_view(f.values, shape)
-    weights = sliding_window_view(f.spec.weights(), shape)
+    batch = max(1, batch_floats // math.prod(shape))
+    if weights is None:
+        weights = f.spec.weights()
+    # flat node indices: each box's first node plus the box's offsets in C order
+    strides = f.spec.points_per_axis ** np.arange(f.spec.dim - 1, -1, -1)
+    offsets = sum(np.ix_(*[np.arange(n) * s for n, s in zip(shape, strides)])).ravel()
+    first = starts @ strides
     for lo in range(0, len(starts), batch):
         members = slice(lo, lo + batch)
-        index = tuple(starts[members].T)
-        yield members, values[index].reshape(-1, size), weights[index].reshape(-1, size)
+        index = first[members, None] + offsets
+        yield members, f.values.take(index), weights.take(index)
 
 
 def _row_stats(vals: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -357,17 +368,38 @@ def sup_norm(f: GridFunction, region=None) -> float:
     return float(np.max(np.abs(vals)))
 
 
-def unit_cubes(spec: GridSpec) -> dict[tuple[int, ...], tuple[slice, ...]]:
-    """Index box of each unit lattice cube j + Q owning a node, in raster order."""
+def _cube_bins(spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(j, first node, node count) of each unit interval j + [-1/2, 1/2) that
+    owns a node on one axis, j increasing (floats: j may exceed 2^63)."""
     # nodes are assigned to cubes by nearest-integer binning, which
     # partitions the box exactly (no node counted twice in the cube sum)
-    js, starts = np.unique(np.floor(spec.axis() + 0.5), return_index=True)
-    stops = [*starts[1:], spec.points_per_axis]
-    axis = [(int(j), slice(int(a), int(b))) for j, a, b in zip(js, starts, stops)]
+    js, first = np.unique(np.floor(spec.axis() + 0.5), return_index=True)
+    return js, first, np.diff(first, append=spec.points_per_axis)
+
+
+def _raster_rows(count: int, dim: int) -> np.ndarray:
+    """(count^dim, dim) rows of every multi-index below count, in raster order
+    (last axis fastest)."""
+    axes = np.meshgrid(*[np.arange(count)] * dim, indexing="ij")
+    return np.stack([a.ravel() for a in axes], axis=-1)
+
+
+def unit_cubes(spec: GridSpec) -> dict[tuple[int, ...], tuple[slice, ...]]:
+    """Index box of each unit lattice cube j + Q owning a node, in raster order."""
+    js, first, size = (a.tolist() for a in _cube_bins(spec))
+    axis = [(int(j), slice(a, a + n)) for j, a, n in zip(js, first, size)]
     return {
         tuple(j for j, _ in cube): tuple(s for _, s in cube)
         for cube in itertools.product(axis, repeat=spec.dim)
     }
+
+
+def unit_cube_boxes(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, shapes): the index boxes of unit_cubes as (cubes, dim) arrays
+    of first nodes and node counts, in the same raster order."""
+    _, first, size = _cube_bins(spec)
+    index = _raster_rows(len(first), spec.dim)
+    return first[index], size[index]
 
 
 def dyadic_scales(lo: float, hi: float) -> list[float]:

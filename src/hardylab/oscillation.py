@@ -45,6 +45,7 @@ from .grid import (
     GridSpec,
     _ball_axis_slice,
     _one_row_stats,
+    _raster_rows,
     _row_stats,
     box_rows,
     dyadic_scales,
@@ -125,8 +126,7 @@ class BallFamily:
             slices = [_ball_axis_slice(spec, c, r) for c in centers.tolist()]
             axis = np.array([(s.start, s.stop - s.start) for s in slices], dtype=np.int32)
             # one row per ball, in raster order: the index of its center on each axis
-            grid = np.meshgrid(*[np.arange(len(centers))] * spec.dim, indexing="ij")
-            index = np.stack([g.ravel() for g in grid], axis=-1)
+            index = _raster_rows(len(centers), spec.dim)
             balls.append(np.column_stack([centers[index], np.full(len(index), r)]))
             starts.append(axis[index, 0])
             shapes.append(axis[index, 1])
@@ -155,11 +155,13 @@ class BallFamily:
         return measure <= 1.0 + _MEASURE_TOL, measure >= 1.0 - _MEASURE_TOL
 
 
-def _bounds(b: GridFunction, family: BallFamily, column: int, mask: np.ndarray) -> np.ndarray:
+def _bounds(
+    b: GridFunction, family: BallFamily, column: int, mask: np.ndarray, w: np.ndarray
+) -> np.ndarray:
     """Upper bound, per ball in family order, of the `column` statistic that
     `_row_stats` computes on the ball's window: the mean oscillation (1) or the
-    |b|-mean (2); 0 outside the mask.  Runs of _RUN masked balls are read from
-    the family's group-order arrays.
+    |b|-mean (2); 0 outside the mask.  w is the grid's weights.  Runs of _RUN
+    masked balls are read from the family's group-order arrays.
 
     The bounds come from box sums of summed-area tables.  The oscillation is
     at most s times the standard deviation of d = (b - c) / s (Cauchy-Schwarz),
@@ -178,7 +180,6 @@ def _bounds(b: GridFunction, family: BallFamily, column: int, mask: np.ndarray) 
         bound[family.index[masked]] = 0.0 if column == 1 else amax
         return bound
     spec = b.spec
-    w = spec.weights()
     if column == 1:
         c = 0.5 * lo + 0.5 * hi
         s = max(hi - c, c - lo)
@@ -226,10 +227,13 @@ def _bounds(b: GridFunction, family: BallFamily, column: int, mask: np.ndarray) 
     return bound
 
 
-def _evaluate(b: GridFunction, family: BallFamily, column: int, balls: np.ndarray) -> np.ndarray:
+def _evaluate(
+    b: GridFunction, family: BallFamily, column: int, balls: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
     """The `column` statistic of `_row_stats` of the given balls (increasing
     family indices), through the same window batches as a pass over the whole
-    family; only the groups that hold one of the balls are read."""
+    family; only the groups that hold one of the balls are read.  weights is
+    the grid's."""
     values = np.empty(len(balls))
     want = np.zeros(len(family.balls), dtype=bool)
     want[balls] = True
@@ -239,7 +243,8 @@ def _evaluate(b: GridFunction, family: BallFamily, column: int, balls: np.ndarra
     for g in np.flatnonzero(np.diff(cuts)).tolist():  # the groups that hold a wanted ball
         part = wanted[cuts[g] : cuts[g + 1]]
         rows_of, starts = family.index[part], family.starts.take(part, axis=0)
-        for members, vals, w in box_rows(b, starts, family.groups[g][2], _BATCH_FLOATS):
+        shape = family.groups[g][2]
+        for members, vals, w in box_rows(b, starts, shape, _BATCH_FLOATS, weights):
             values[np.searchsorted(balls, rows_of[members])] = _row_stats(vals, w)[column]
     return values
 
@@ -259,12 +264,13 @@ def _candidates(
     that attains the sup is evaluated, ties included.  A non-finite bound is
     always evaluated, and a bound of 0 never is: the value under it is 0.
     """
+    w = b.spec.weights()  # once for the bounds and every window batch
 
     def evaluate(balls):
-        values = _evaluate(b, family, column, balls)
+        values = _evaluate(b, family, column, balls, w)
         return values if weight is None else weight[balls] * values
 
-    bound = _bounds(b, family, column, mask)
+    bound = _bounds(b, family, column, mask, w)
     if weight is not None:
         bound *= weight  # rounds up from weight * value, which is below it
     bound[np.isnan(bound)] = np.inf

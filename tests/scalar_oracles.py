@@ -1,10 +1,14 @@
 """Scalar and full-pass oracles for the batched and pruned library code.
 
 The library computes each Luxembourg norm with the lockstep bisection
-`orlicz._luxembourg_rows` and each ball statistic with `grid._row_stats`; a
-single region is a one-row call of them.  The routines here handle one region
-at a time, in Python floats where they can, so that the tests compare the
-batched rows with an independent scalar path under `==`, not with themselves.
+`orlicz._luxembourg_rows`, which replays the bisection's decisions from a
+certified root bracket and evaluates the gauge only where the bracket cannot
+decide, and each ball statistic with `grid._row_stats`; a single region is a
+one-row call of them.  The routines here handle one region at a time, in
+Python floats where they can, so that the tests compare the batched rows with
+an independent scalar path under `==`, not with themselves:
+`luxembourg_bisection` evaluates the gauge at every step of the bisection, so
+it is the oracle of the replay.
 `luxembourg_scan_oracle` is a log-spaced scan that finds the Luxembourg norm
 by another search than bisection, to within its scan width; `LINEAR` is the
 identity gauge, whose Luxembourg norm is the L^1 norm.  `maximal_taps` is the
@@ -35,17 +39,24 @@ LINEAR = OrliczFunction(lambda t: np.asarray(t, dtype=float))
 
 
 def luxembourg_bisection(f: GridFunction, P: OrliczFunction, region=None) -> float:
-    """inf{k > 0 : integral_region P(|f|/k) <= 1}: _bracket, then bisection on
-    log k in Python floats, one gauge evaluation per step."""
+    """inf{k > 0 : integral_region P(|f|/k) <= 1}: luxembourg_row of the
+    region's values and weights."""
     v, w = region_values(f, region)
+    return luxembourg_row(v, w, P)
+
+
+def luxembourg_row(v: np.ndarray, w: np.ndarray, P: OrliczFunction) -> float:
+    """inf{k > 0 : sum of w P(|v|/k) <= 1}: the bisection on the gauge."""
     v = np.abs(v)
     vmax = float(v.max(initial=0.0))
     if vmax == 0.0:
         return 0.0
+    return bisect(lambda k: float(np.sum(w * P(v / k))), vmax)
 
-    def gauge(k: float) -> float:
-        return float(np.sum(w * P(v / k)))
 
+def bisect(gauge, vmax: float, mids: list | None = None) -> float:
+    """_bracket from vmax, then bisection on log k in Python floats, one gauge
+    evaluation per step; the midpoints tried are appended to `mids`."""
     k_lo, k_hi = _bracket(gauge, vmax)
     while k_hi - k_lo > _REL_TOL * k_hi:
         prod = k_lo * k_hi
@@ -55,6 +66,8 @@ def luxembourg_bisection(f: GridFunction, P: OrliczFunction, region=None) -> flo
             k_mid = math.sqrt(k_lo) * math.sqrt(k_hi)
         if not k_lo < k_mid < k_hi:
             break  # no float left between the bracket ends
+        if mids is not None:
+            mids.append(k_mid)
         if gauge(k_mid) <= 1.0:
             k_hi = k_mid
         else:

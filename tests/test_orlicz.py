@@ -19,7 +19,9 @@ from hardylab.grid import (
 )
 from hardylab.lipschitz import LipschitzOrder
 from hardylab.maximal import maximal_fn
+from hardylab import orlicz
 from hardylab.orlicz import (
+    _certificate,
     _luxembourg_rows,
     PHI,
     hardy_phi_star_quasinorm,
@@ -28,7 +30,14 @@ from hardylab.orlicz import (
     luxembourg_norm,
     phi,
 )
-from scalar_oracles import LINEAR, luxembourg_bisection, luxembourg_scan_oracle, maximal_taps
+from scalar_oracles import (
+    LINEAR,
+    bisect,
+    luxembourg_bisection,
+    luxembourg_row,
+    luxembourg_scan_oracle,
+    maximal_taps,
+)
 
 
 def test_phi_values():
@@ -223,10 +232,12 @@ def test_lphi_star_lockstep_matches_cube_loop(request, spec, rng):
     assert _luxembourg_rows(blocks, PHI).tolist() == [norms[i] for i in order]
 
 
-def test_lphi_star_gauge_work_guard():
-    """All cubes share the rounds of one lockstep: on 2d m=65 over [-8, 8]^2,
-    with 9 cube shapes, one lphi_star_norm evaluates PHI at most 45 times."""
-    spec = GridSpec(2, 8.0, 65)
+@pytest.mark.parametrize("m", [65, 257])
+def test_lphi_star_gauge_work_guard(m):
+    """The certificate decides almost every step of the replayed bisection: on
+    2d m=65 and m=257 over [-8, 8]^2, one lphi_star_norm evaluates PHI at most
+    10 times (the lockstep without it takes 36 rounds at m=65)."""
+    spec = GridSpec(2, 8.0, m)
     f = maximal_fn(synthesize(random_decomposition(spec, np.random.default_rng(3), p=1.0, s=0)))
     calls, gauge = [], PHI.eval
 
@@ -240,7 +251,77 @@ def test_lphi_star_gauge_work_guard():
         assert lphi_star_norm(f) > 0
     finally:
         object.__setattr__(PHI, "eval", gauge)
-    assert 0 < len(calls) <= 45
+    assert 0 < len(calls) <= 10
+
+
+def _no_certificate(blocks, P):
+    rows = sum(len(v) for v, _ in blocks)
+    return np.full(rows, np.nan), np.full(rows, np.nan)
+
+
+@pytest.mark.parametrize("vmax", [1.0, 3.7, 1e-100])
+@pytest.mark.parametrize("step", [0, 5, 20])
+@pytest.mark.parametrize("n", [1, 7, 30])
+def test_certificate_leaves_a_root_on_a_midpoint_to_the_gauge(monkeypatch, vmax, step, n):
+    """A constant row vmax with weights 1 / (n Phi(t*)) has its norm at
+    vmax / t*, within rounding; t* is chosen so that this is the midpoint the
+    bisection tries at the given step.  The certificate brackets that
+    midpoint, so the gauge decides it, and the norm is the scalar
+    bisection's, with the certificate and without it."""
+    mids = []
+    bisect(lambda k: 0.5 if k >= 0.8 * vmax else 2.0, vmax, mids)
+    k_star = mids[step]
+    t_star = vmax / k_star
+    v = np.full((1, n), vmax)
+    w = np.full((1, n), 1.0 / (n * float(PHI(t_star))))
+    tried = []
+    bisect(lambda k: float(np.sum(w * PHI(v / k))), vmax, tried)
+    assert tried[step] == k_star
+    lo, hi = _certificate([(v, w)], PHI)
+    assert lo[0] < k_star < hi[0]
+    # beside a row the certificate decides throughout
+    blocks = [(np.vstack([v, 2.0 * v]), np.vstack([w, w]))]
+    oracle = [luxembourg_row(row, weights, PHI) for row, weights in zip(*blocks[0])]
+    assert _luxembourg_rows(blocks, PHI).tolist() == oracle
+    monkeypatch.setattr(orlicz, "_certificate", _no_certificate)
+    assert _luxembourg_rows(blocks, PHI).tolist() == oracle
+
+
+def _certificate_cases(spec, rng):
+    """The maximal function of a random field at scales from 1e-300 to 1e300
+    and at a subnormal max, each with one all-zero cube."""
+    f = maximal_fn(GridFunction(spec, rng.normal(size=spec.shape)))
+    for scale in (1.0, 3.7, 1e-150, 1e150, 1e-300, 1e300, 5e-320 / f.values.max()):
+        vals = f.values * scale
+        vals[unit_cubes(spec)[(0,) * spec.dim]] = 0.0
+        yield GridFunction(spec, vals)
+
+
+@pytest.mark.parametrize("spec", ["spec1d", "spec2d", GridSpec(2, 8.0, 65)], ids=str)
+def test_certificate_moves_no_float(request, monkeypatch, spec, rng):
+    """lphi_star_norm and luxembourg_norm under PHI and LINEAR give the same
+    floats with the certificate and without it; at unit scale the certificate
+    covers every nonzero cube."""
+    if isinstance(spec, str):
+        spec = request.getfixturevalue(spec)
+    cases = list(_certificate_cases(spec, rng))
+
+    def norms():
+        return [(lphi_star_norm(f), luxembourg_norm(f, PHI), luxembourg_norm(f, LINEAR))
+                for f in cases]
+
+    certified, certificate = [], orlicz._certificate
+
+    def recorded(blocks, P):
+        lo, hi = certificate(blocks, P)
+        certified.append(np.count_nonzero(lo < hi))
+        return lo, hi
+
+    monkeypatch.setattr(orlicz, "_certificate", recorded)
+    with_certificate = norms()
+    assert certified[0] == len(unit_cubes(spec)) - 1
+    monkeypatch.setattr(orlicz, "_certificate", _no_certificate)
+    assert norms() == with_certificate
 
 
 def test_lphi_star_translation_additivity(spec1d):

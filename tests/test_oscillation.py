@@ -248,9 +248,9 @@ def test_empty_half_is_not_bounded(monkeypatch):
         bounded.append(column)
         return bounds(b, family, column, *args)
 
-    def counted_evaluate(b, family, column, balls):
+    def counted_evaluate(b, family, column, balls, *args):
         evaluated.append((column, balls))
-        return evaluate(b, family, column, balls)
+        return evaluate(b, family, column, balls, *args)
 
     def counted_rows(*args):
         for members, vals, w in box_rows(*args):
@@ -266,6 +266,23 @@ def test_empty_half_is_not_bounded(monkeypatch):
         assert bounded == [2]
         assert all(column == 2 and large[balls].all() for column, balls in evaluated)
         assert sum(gathered) == sum(len(balls) for _, balls in evaluated) > 0
+
+
+def test_grid_weights_built_once_per_sup(monkeypatch):
+    """One bmo_local_norm on 2d m=65 builds the grid's weights at most twice,
+    however many window groups it gathers; its small half is empty there."""
+    spec = GridSpec(2, 8.0, 65)
+    b = b_field(spec, "step", np.random.default_rng(5))
+    BallFamily.build(spec)
+    built, weights = [], GridSpec.weights
+
+    def counted(self):
+        built.append(self)
+        return weights(self)
+
+    monkeypatch.setattr(GridSpec, "weights", counted)
+    assert bmo_local_norm(b) > 0
+    assert 0 < len(built) <= 2
 
 
 def test_family_memory_guard():

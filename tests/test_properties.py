@@ -1,8 +1,9 @@
 """Property tests over random grids and fields: the unit-cube partition, the
 fewest nodes of a ball, the positive homogeneity of the norms, the bmo norm of
 constants, exact lattice-translation invariance of the ball statistics,
-constants as fixed points of the dilated convolution, the FFT maximal function
-against the tap sum, and the product splits
+constants as fixed points of the dilated convolution, the replayed Luxembourg
+bisection against the scalar one, the FFT maximal function against the tap
+sum, and the product splits
 (exact reconstruction, C1 = 0 for constant b).  Examples are
 derandomized, so every run checks the same cases.  A last test checks that a
 failing property test under the repo's pytest config fails alone and does not
@@ -32,10 +33,10 @@ from hardylab.grid import (
 )
 from hardylab.lipschitz import LipschitzOrder, lambda_gamma_norm
 from hardylab.maximal import convolve_dilated, maximal_fn
-from hardylab.orlicz import hardy_quasinorm, lphi_star_norm
+from hardylab.orlicz import PHI, _luxembourg_rows, hardy_quasinorm, lphi_star_norm
 from hardylab.oscillation import BallFamily, bmo_local_norm, lmo_norm
 from hardylab.product import REGIMES, split_bmo, split_lipschitz, verify_split
-from scalar_oracles import family_stats, maximal_taps
+from scalar_oracles import family_stats, luxembourg_row, maximal_taps
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 # a norm example scans a ball family or bisects every unit cube: tens of ms
@@ -164,6 +165,33 @@ def test_fft_maximal_matches_tap_sum(spec, field):
     out = maximal_fn(f).values
     assert np.max(np.abs(out - oracle)) <= 1e-13 * np.max(oracle, initial=0.0)
     assert np.array_equal(out == 0.0, oracle == 0.0)
+
+
+# |values| from 1e-200 to 1e200, a third of them zero, and positive weights
+_row_values = st.one_of(
+    st.just(0.0),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-200, 199)),
+)
+_blocks = st.integers(1, 30).flatmap(
+    lambda n: st.lists(
+        st.tuples(
+            st.lists(_row_values, min_size=n, max_size=n),
+            st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.lists(_blocks, min_size=1, max_size=3))
+def test_luxembourg_rows_match_scalar_bisection(blocks):
+    """The replayed lockstep bisection gives each row of each block the scalar
+    bisection's norm, bit for bit."""
+    blocks = [tuple(np.array(side) for side in zip(*rows)) for rows in blocks]
+    oracle = [luxembourg_row(*row, PHI) for v, w in blocks for row in zip(v, w)]
+    assert _luxembourg_rows(blocks, PHI).tolist() == oracle
 
 
 @PROPERTY
