@@ -28,7 +28,7 @@ from .grid import (
     region_values,
 )
 from .maximal import bump_profile
-from .projection import enough_nodes, multi_indices, poly_project
+from .projection import enough_nodes, monomial_terms, multi_indices, poly_project
 
 __all__ = [
     "Atom",
@@ -107,18 +107,12 @@ def moment_tolerance(atom_sup: float, ball: Ball, order: int) -> float:
 
 def moment_residuals(values: GridFunction, ball: Ball, s: int) -> dict:
     """Discrete moments of values * (x - x_B)^alpha for |alpha| <= s."""
-    spec = values.spec
     vals, w = region_values(values, ball)
-    coords = region_coords(spec, region_slices(spec, ball))
-    centered = [x - c for x, c in zip(coords, ball.center)]
-    out = {}
-    for alpha in multi_indices(spec.dim, s):
-        term = vals * w
-        for u, a in zip(centered, alpha):
-            if a:
-                term = term * u**a
-        out[alpha] = float(np.sum(term))
-    return out
+    terms = monomial_terms(vals * w, values.spec, ball, s, 1.0)
+    return {
+        alpha: float(np.sum(term))
+        for alpha, term in zip(multi_indices(values.spec.dim, s), terms)
+    }
 
 
 @dataclass(frozen=True)

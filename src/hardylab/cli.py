@@ -24,8 +24,9 @@ from .atoms import load_decomposition, resolves_atom, validate_atom
 from .generators import B_GENERATORS, b_field, moment_radius, random_decomposition
 from .grid import (
     GridFunction, GridSpec, as_integer, as_number, fewest_ball_nodes, load_gridfunction, lp_norm,
+    sup_norm,
 )
-from .lipschitz import LipschitzOrder, lambda_gamma_norm
+from .lipschitz import LipschitzOrder, seminorm_scan
 from .maximal import convolution_path, maximal_scales
 from .orlicz import PHI, hardy_quasinorm, lphi_star_norm, luxembourg_norm
 from .oscillation import BallFamily, bmo_local_norm, bmo_report, lmo_norm
@@ -181,7 +182,9 @@ def cmd_norm(config: dict) -> int:
     elif which == "lmo":
         value = lmo_norm(f)
     elif which == "lambda_gamma":
-        value = lambda_gamma_norm(f, order)
+        scan = seminorm_scan(f, order)
+        value = sup_norm(f) + scan.value  # lambda_gamma_norm, with the scan's counts
+        extra = {"displacements_visited": scan.visited, "displacements": scan.displacements}
     else:
         raise ConfigError(f"unknown norm tag {which!r}")
     doc = {

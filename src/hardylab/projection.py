@@ -18,7 +18,6 @@ from .grid import (
     Ball,
     GridFunction,
     GridSpec,
-    region_coords,
     region_slices,
     region_values,
     sup_norm,
@@ -31,6 +30,7 @@ __all__ = [
     "projection_sup_ratio",
     "campanato_ratio",
     "multi_indices",
+    "monomial_terms",
     "enough_nodes",
 ]
 
@@ -62,16 +62,28 @@ class PolyProjection:
         return GridFunction(spec, vals)
 
 
-def _monomials(spec: GridSpec, ball: Ball, degree: int) -> list[np.ndarray]:
-    """Basis monomials on the ball's nodes, in multi_indices order."""
-    coords = region_coords(spec, region_slices(spec, ball))
-    scaled = [(x - c) / ball.radius for x, c in zip(coords, ball.center)]
+def monomial_terms(
+    start: np.ndarray, spec: GridSpec, ball: Ball, degree: int, unit: float
+) -> list[np.ndarray]:
+    """start * ((x - x_B)/unit)^alpha on the ball's nodes, in multi_indices order.
+
+    The powers are taken on each axis's 1d coordinates once and broadcast:
+    every node sees the operations of a power on its own coordinates, and the
+    product runs over the axes in order, skipping those with alpha_i = 0.
+    `start` is ball-shaped, so every term is too; the term of alpha = 0 is
+    `start` itself.
+    """
+    axis = spec.axis()
+    powers = []
+    for i, (s, c) in enumerate(zip(region_slices(spec, ball), ball.center)):
+        u = ((axis[s] - c) / unit).reshape([-1 if j == i else 1 for j in range(spec.dim)])
+        powers.append([None] + [u**a for a in range(1, degree + 1)])
     terms = []
     for alpha in multi_indices(spec.dim, degree):
-        term = np.ones(scaled[0].shape)
-        for u, a in zip(scaled, alpha):
+        term = start
+        for axis_powers, a in zip(powers, alpha):
             if a:
-                term = term * u**a
+                term = term * axis_powers[a]
         terms.append(term)
     return terms
 
@@ -88,7 +100,7 @@ def poly_project(f: GridFunction, ball: Ball, degree: int) -> PolyProjection:
     vals, w = region_values(f, ball)
     if not enough_nodes(f.spec.dim, degree, vals.size):
         raise ValueError("under-resolved ball")
-    terms = _monomials(f.spec, ball, degree)
+    terms = monomial_terms(np.ones(vals.shape), f.spec, ball, degree, ball.radius)
     A = np.column_stack([t.ravel() for t in terms])
     sw = np.sqrt(w).ravel()
     coeffs, _, rank, _ = np.linalg.lstsq(A * sw[:, None], vals.ravel() * sw, rcond=None)

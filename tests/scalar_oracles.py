@@ -16,6 +16,10 @@ tap-sum maximal function the full ladder's FFT path replaced; the two agree to
 round-off, not bit for bit.  `seminorm_full_scan` is the Lipschitz scan over
 every displacement, in raster order, that the branch-and-bound
 `lipschitz.homogeneous_seminorm` replaced; they agree under `==`.
+`monomials_meshgrid` and `moment_residuals_meshgrid` take the powers of the
+polynomial basis and of the moments on the meshgrid of a ball's coordinates,
+node by node, where `projection.monomial_terms` takes them on each axis's 1d
+coordinates and broadcasts; they agree under `==`.
 `family_stats` is the statistics pass over every ball of the family, and
 `family_norms` the BMO, bmo and lmo norms read from it, that the pruned sups
 of `oscillation` replaced; they agree under `==`, the argmax ball included.
@@ -28,11 +32,14 @@ import sys
 
 import numpy as np
 
-from hardylab.grid import Ball, GridFunction, _row_stats, box_rows, region_values
+from hardylab.grid import (
+    Ball, GridFunction, GridSpec, _row_stats, box_rows, region_coords, region_slices, region_values,
+)
 from hardylab.lipschitz import LipschitzOrder, _delta_candidates, difference_op
 from hardylab.maximal import convolve_dilated, maximal_scales
 from hardylab.orlicz import _REL_TOL, OrliczFunction, _bracket
 from hardylab.oscillation import _BATCH_FLOATS, BallFamily
+from hardylab.projection import multi_indices
 
 
 LINEAR = OrliczFunction(lambda t: np.asarray(t, dtype=float))
@@ -141,6 +148,47 @@ def seminorm_full_scan(f: GridFunction, order: LipschitzOrder) -> float:
         delta_len = step * math.hypot(*steps)
         best = max(best, float(np.max(np.abs(diff))) / delta_len**order.gamma)
     return best
+
+
+# balls on [-8, 8]^dim to check the meshgrid oracles on: an interior ball, balls
+# clipped at one edge and at a corner, and one wider than the box
+MESHGRID_BALLS = {
+    1: [Ball((0.3,), 1.7), Ball((7.2,), 2.5), Ball((-7.9,), 0.6), Ball((1.0,), 9.0)],
+    2: [Ball((0.3, -1.1), 1.7), Ball((7.2, 0.4), 2.5), Ball((-7.9, 7.6), 0.9),
+        Ball((-0.5, 2.0), 9.0)],
+}
+
+
+def monomials_meshgrid(spec: GridSpec, ball: Ball, degree: int) -> list[np.ndarray]:
+    """((x - x_B)/r)^alpha on the ball's nodes, in multi_indices order: the
+    powers taken on the meshgrid of the ball's coordinates, term by term."""
+    coords = region_coords(spec, region_slices(spec, ball))
+    scaled = [(x - c) / ball.radius for x, c in zip(coords, ball.center)]
+    terms = []
+    for alpha in multi_indices(spec.dim, degree):
+        term = np.ones(scaled[0].shape)
+        for u, a in zip(scaled, alpha):
+            if a:
+                term = term * u**a
+        terms.append(term)
+    return terms
+
+
+def moment_residuals_meshgrid(values: GridFunction, ball: Ball, s: int) -> dict:
+    """Discrete moments of values * (x - x_B)^alpha for |alpha| <= s, the
+    powers taken on the meshgrid of the ball's coordinates."""
+    spec = values.spec
+    vals, w = region_values(values, ball)
+    coords = region_coords(spec, region_slices(spec, ball))
+    centered = [x - c for x, c in zip(coords, ball.center)]
+    out = {}
+    for alpha in multi_indices(spec.dim, s):
+        term = vals * w
+        for u, a in zip(centered, alpha):
+            if a:
+                term = term * u**a
+        out[alpha] = float(np.sum(term))
+    return out
 
 
 def family_stats(b: GridFunction, family: BallFamily) -> np.ndarray:

@@ -16,6 +16,7 @@ from hardylab.atoms import (
     validate_atom,
 )
 from hardylab.grid import Ball, GridFunction, GridSpec, integrate, region_slices
+from scalar_oracles import MESHGRID_BALLS, moment_residuals_meshgrid
 
 
 def _sign_atom(spec, ball, p):
@@ -81,6 +82,16 @@ def test_make_atom_higher_moments(spec1d):
     sup = float(np.max(np.abs(atom.values.values)))
     for alpha, value in res.items():
         assert abs(value) <= moment_tolerance(sup, ball, sum(alpha))
+
+
+@pytest.mark.parametrize("dim, m", [(1, 65), (1, 257), (2, 17), (2, 65)])
+def test_moment_residuals_equal_meshgrid_powers(dim, m):
+    """Moments from the 1d axis powers, broadcast: the meshgrid moments bit for bit."""
+    spec = GridSpec(dim, 8.0, m)
+    f = GridFunction(spec, np.random.default_rng(m).normal(size=spec.shape))
+    for ball in MESHGRID_BALLS[dim]:
+        for s in range(9):
+            assert moment_residuals(f, ball, s) == moment_residuals_meshgrid(f, ball, s)
 
 
 def test_make_atom_under_resolved(spec1d):

@@ -10,7 +10,9 @@ import pytest
 
 from hardylab import cli
 from hardylab.atoms import AtomicDecomposition, make_atom, make_local_atom, save_decomposition
+from hardylab.generators import b_field
 from hardylab.grid import Ball, GridSpec
+from hardylab.lipschitz import LipschitzOrder, lambda_gamma_norm
 from hardylab.product import SplitReport
 
 GRID = {"dim": 1, "halfwidth": 8.0, "points_per_axis": 129}
@@ -90,6 +92,30 @@ def test_norm_hardy_reports_ladder_and_path(tmp_path, local, scales, path):
     assert doc["maximal_scales"] == scales
     assert doc["convolution"] == path
     assert doc["value"] > 0.0
+
+
+@pytest.mark.parametrize("generator", ["random-smooth", "constant"])
+def test_norm_lambda_gamma_reports_displacements(tmp_path, generator):
+    """The Lipschitz norm says how many displacements its scan evaluated, out of
+    how many: a constant beats no quotient, so it evaluates every one."""
+    out = tmp_path / "report.json"
+    cfg = _write(tmp_path, "cfg.json", {
+        "grid": GRID,
+        "input": {"generator": generator},
+        "which": "lambda_gamma",
+        "params": {"gamma": 0.5},
+        "output": str(out),
+    })
+    assert _run(["norm", "--config", cfg]) == 0
+    doc = json.loads(out.read_text())
+    spec = GridSpec.from_dict(GRID)
+    f = b_field(spec, generator, np.random.default_rng(0))
+    assert doc["value"] == lambda_gamma_norm(f, LipschitzOrder(0.5))
+    assert doc["displacements"] == 64  # (129 - 1) // 2 steps
+    if generator == "constant":
+        assert doc["displacements_visited"] == 64
+    else:
+        assert 0 < doc["displacements_visited"] < 64
 
 
 def test_norm_unknown_tag_exit2(tmp_path, capsys):

@@ -8,12 +8,15 @@ from hardylab.generators import b_field
 from hardylab.grid import GridFunction, GridSpec
 from hardylab.lipschitz import (
     LipschitzOrder,
+    SeminormScan,
+    _chain_terms,
     _delta_candidates,
     _difference_cap,
     _visiting_order,
     difference_op,
     homogeneous_seminorm,
     lambda_gamma_norm,
+    seminorm_scan,
 )
 from scalar_oracles import seminorm_full_scan
 
@@ -159,12 +162,16 @@ def _field(spec, kind, gamma):
     return b_field(spec, kind, np.random.default_rng(7), **params)
 
 
-# the constant and affine fields visit every displacement, so they skip the costly m=129
+# the constant and affine fields visit every displacement, so they skip the costly
+# m=129; the step and regularized-log fields skip it too, for time
 ORACLE_CASES = [
     (dim, m, gamma, kind)
     for dim, m in [(1, 4097), (2, 65), (2, 129)]
-    for gamma in (0.5, 1.5, 2.0)
-    for kind in ("random-smooth", "random-lipschitz", "random-bmo", "constant", "affine")
+    for gamma in (0.5, 1.5, 2.0, 3.0)
+    for kind in (
+        "random-smooth", "random-lipschitz", "random-bmo", "constant", "affine", "step",
+        "regularized-log",
+    )
     if m < 129 or kind.startswith("random")
 ]
 
@@ -201,6 +208,20 @@ def test_seminorm_stops_early_on_rough_fields(monkeypatch, dim, m):
     assert _visits(monkeypatch, _field(spec, "constant", 0.5), order) == total
 
 
+@pytest.mark.parametrize("kind", ["random-smooth", "random-lipschitz"])
+@pytest.mark.parametrize("gamma", [0.5, 2.0])
+def test_chain_bound_prunes_smooth_fields(monkeypatch, kind, gamma):
+    """On smooth and Lipschitz fields the chain bound leaves fewer than 5% of the
+    displacements to evaluate, and the scan reports what it evaluated."""
+    spec = GridSpec(2, 8.0, 65)
+    order = LipschitzOrder(gamma)
+    f = _field(spec, kind, gamma)
+    total = len(_delta_candidates(f, order.k + 1))
+    visits = _visits(monkeypatch, f, order)
+    assert visits < 0.05 * total
+    assert seminorm_scan(f, order) == SeminormScan(homogeneous_seminorm(f, order), visits, total)
+
+
 @pytest.mark.parametrize("dim, m", [(1, 17), (1, 4097), (2, 17), (2, 65), (2, 129)])
 def test_denominators_nondecreasing_in_visiting_order(dim, m):
     """(spacing |delta|)^gamma never falls along the visiting order, and ties in
@@ -216,6 +237,16 @@ def test_denominators_nondecreasing_in_visiting_order(dim, m):
         for (n0, d0), (n1, d1) in zip(pairs, pairs[1:]):
             assert n0 <= n1 and d0 <= d1
             assert n0 < n1 or d0 == d1
+
+
+@pytest.mark.parametrize("dim, m", [(1, 16), (1, 257), (2, 16), (2, 17), (2, 65)])
+def test_visiting_order_matches_former_sort(dim, m):
+    """The numpy stable argsort gives the order of Python's stable sort of the
+    raster candidates by |delta|^2."""
+    f = GridFunction.zeros(GridSpec(dim, 8.0, m))
+    for k in (1, 2, 3):
+        former = sorted(_delta_candidates(f, k), key=lambda steps: sum(s * s for s in steps))
+        assert _visiting_order(f, k) == former
 
 
 def test_visiting_order_is_a_stable_sort():
@@ -257,6 +288,37 @@ def test_cap_overflow_means_full_scan():
     assert _difference_cap(f, 1023) == math.inf
     assert _difference_cap(f, 10**6) == math.inf
     order = LipschitzOrder(1023.5)
+    assert homogeneous_seminorm(f, order) == seminorm_full_scan(f, order)
+
+
+@pytest.mark.parametrize("amplitude, visits", [(1e-300, 1), (1e-3, 2)])
+def test_chain_overflow_prunes_nothing(monkeypatch, amplitude, visits):
+    """At k = 1023 the growth (k+1) 2^k D1 of the chain is a float for values
+    near 1e-300, and the chain skips the second of the two displacements; for
+    values near 1e-3 it overflows to inf, which prunes nothing, and no overflow
+    warning escapes.  The cap is inf in both."""
+    # spacing 1: (spacing |delta|)^1023.5 is a float for |delta| = 1 and 2
+    spec = GridSpec(1, 1025.0, 2051)
+    f = GridFunction(spec, amplitude * np.random.default_rng(3).normal(size=spec.shape))
+    order = LipschitzOrder(1023.5)
+    assert len(_delta_candidates(f, order.k + 1)) == 2
+    assert _difference_cap(f, order.k) == math.inf
+    assert (_chain_terms(f, order.k)[0] == [math.inf]) == (visits == 2)
+    assert homogeneous_seminorm(f, order) == seminorm_full_scan(f, order)
+    assert _visits(monkeypatch, f, order) == visits
+
+
+@pytest.mark.parametrize("dim, m", [(1, 257), (2, 33)])
+@pytest.mark.parametrize("gamma, amplitude", [(0.5, 8e307), (1.5, 4e307)])
+@pytest.mark.parametrize("kind", ["random-smooth", "random-bmo"])
+def test_chain_bound_near_float_max(dim, m, gamma, amplitude, kind):
+    """Values near +-1e308 whose differences are still floats: a sum of the chain
+    can overflow to inf, which prunes nothing, no overflow warning escapes, and
+    the float is the full scan's."""
+    spec = GridSpec(dim, 0.5 * (m - 1), m)  # spacing 1, so no quotient exceeds its D
+    g = _field(spec, kind, gamma).values
+    f = GridFunction(spec, amplitude / np.max(np.abs(g)) * g)
+    order = LipschitzOrder(gamma)
     assert homogeneous_seminorm(f, order) == seminorm_full_scan(f, order)
 
 

@@ -6,10 +6,12 @@ from hardylab.grid import Ball, GridFunction, GridSpec, ball_mean, region_slices
 from hardylab.lipschitz import LipschitzOrder
 from hardylab.projection import (
     campanato_ratio,
+    monomial_terms,
     multi_indices,
     poly_project,
     projection_sup_ratio,
 )
+from scalar_oracles import MESHGRID_BALLS, monomials_meshgrid
 
 
 def test_multi_indices_counts():
@@ -33,6 +35,21 @@ def test_multi_indices_match_former_branches():
     for dim in (1, 2):
         for degree in range(7):
             assert multi_indices(dim, degree) == _former_multi_indices(dim, degree)
+
+
+@pytest.mark.parametrize("dim, m", [(1, 65), (1, 257), (2, 17), (2, 65)])
+def test_monomial_terms_equal_meshgrid_powers(dim, m):
+    """Powers on the 1d axes, broadcast: the meshgrid terms bit for bit."""
+    spec = GridSpec(dim, 8.0, m)
+    for ball in MESHGRID_BALLS[dim]:
+        shape = tuple(s.stop - s.start for s in region_slices(spec, ball))
+        for degree in range(9):
+            terms = monomial_terms(np.ones(shape), spec, ball, degree, ball.radius)
+            oracle = monomials_meshgrid(spec, ball, degree)
+            assert len(terms) == len(oracle) == len(multi_indices(dim, degree))
+            for term, expected in zip(terms, oracle):
+                assert term.shape == expected.shape
+                assert np.array_equal(term, expected)
 
 
 def test_degree_zero_is_ball_mean(spec1d, rng):

@@ -1,7 +1,8 @@
 """Property tests over random grids and fields: the unit-cube partition, the
 fewest nodes of a ball, the positive homogeneity of the norms, the bmo norm of
 constants, exact lattice-translation invariance of the ball statistics,
-constants as fixed points of the dilated convolution, the replayed Luxembourg
+constants as fixed points of the dilated convolution, the pruned Lipschitz
+scan against the full one, the replayed Luxembourg
 bisection against the scalar one, the FFT maximal function against the tap
 sum, and the product splits
 (exact reconstruction, C1 = 0 for constant b).  Examples are
@@ -31,12 +32,12 @@ from hardylab.grid import (
     region_node_count,
     unit_cubes,
 )
-from hardylab.lipschitz import LipschitzOrder, lambda_gamma_norm
+from hardylab.lipschitz import LipschitzOrder, homogeneous_seminorm, lambda_gamma_norm
 from hardylab.maximal import convolve_dilated, maximal_fn
 from hardylab.orlicz import PHI, _luxembourg_rows, hardy_quasinorm, lphi_star_norm
 from hardylab.oscillation import BallFamily, bmo_local_norm, lmo_norm
 from hardylab.product import REGIMES, split_bmo, split_lipschitz, verify_split
-from scalar_oracles import family_stats, luxembourg_row, maximal_taps
+from scalar_oracles import family_stats, luxembourg_row, maximal_taps, seminorm_full_scan
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 # a norm example scans a ball family or bisects every unit cube: tens of ms
@@ -53,7 +54,8 @@ def _specs(halfwidths):
 # halfwidth >= 1 keeps balls of measure >= 1 in the family
 specs = _specs(st.floats(1.0, 8.0))
 kinds = st.sampled_from(["random-smooth", "step", "random-bmo"])
-fields = st.tuples(kinds, st.integers(0, 2**32 - 1))
+seeds = st.integers(0, 2**32 - 1)
+fields = st.tuples(kinds, seeds)
 scales = st.floats(-1e3, 1e3).filter(lambda lam: abs(lam) >= 1e-3)
 local_hardy = functools.partial(hardy_quasinorm, p=1.0, local=True)
 
@@ -167,6 +169,27 @@ def test_fft_maximal_matches_tap_sum(spec, field):
     assert np.array_equal(out == 0.0, oracle == 0.0)
 
 
+@settings(PROPERTY, max_examples=60)
+@given(
+    st.one_of(
+        st.builds(GridSpec, st.just(1), st.floats(1.0, 8.0), st.integers(16, 64)),
+        st.builds(GridSpec, st.just(2), st.floats(1.0, 8.0), st.integers(16, 24)),
+    ),
+    st.floats(0.0, 4.0, exclude_min=True, exclude_max=True),
+    st.tuples(st.sampled_from(["random-smooth", "step", "random-bmo", "regularized-log"]), seeds),
+    st.sampled_from([1e-150, 1.0, 1e150]),
+)
+def test_seminorm_matches_full_scan(spec, gamma, field, scale):
+    """The pruned Lipschitz scan (cap and chain bound) gives the full raster
+    scan's float, for every order below 4 and fields far from unit size."""
+    order = LipschitzOrder(gamma)
+    assume(order.fits(spec))
+    kind, seed = field
+    f = b_field(spec, kind, np.random.default_rng(seed))
+    f = f.with_values(scale * f.values)
+    assert homogeneous_seminorm(f, order) == seminorm_full_scan(f, order)
+
+
 # |values| from 1e-200 to 1e200, a third of them zero, and positive weights
 _row_values = st.one_of(
     st.just(0.0),
@@ -219,7 +242,6 @@ def test_fewest_ball_nodes_is_the_minimum_over_centres(spec, eighths):
 # measures b and h2 (a ball-family scan or a difference scan, and a maximal function)
 SPLIT_PROPERTY = settings(PROPERTY, max_examples=4)
 split_specs = st.sampled_from([GridSpec(1, 8.0, 129), GridSpec(2, 4.0, 33)])
-seeds = st.integers(0, 2**32 - 1)
 
 
 def _split(b, p, rng):
