@@ -255,31 +255,30 @@ def region_values(f: GridFunction, region=None) -> tuple[np.ndarray, np.ndarray]
 def box_rows(
     f: GridFunction,
     starts: np.ndarray,
-    shape: tuple[int, ...],
+    shapes: np.ndarray,
     batch_floats: int,
-    weights: np.ndarray | None = None,
+    weights: np.ndarray,
 ):
-    """(members, values, weights) of f on index boxes of one shape, in batches.
+    """(members, values, weights) of f on index boxes of any shapes, in batches.
 
-    Box k starts at node starts[k].  A batch takes the boxes in `members` (a
-    slice of the starts), as many as fit in batch_floats values (one at
-    least), and holds one row per box in C order, so a row's reduction
-    matches, bit for bit, np.sum over region_values of that box.  The rows
-    are fresh arrays that the caller may overwrite.  `weights` is the grid's
-    f.spec.weights(), built here when None: a caller that gathers boxes of
-    many shapes builds it once.
+    Box k starts at node starts[k] and spans shapes[k] nodes per axis.  The
+    boxes are grouped by shape_groups, and a batch holds boxes of one shape:
+    its `members` are increasing indices into starts, as many as fit in
+    batch_floats values (one at least).  It holds one row per box in C order,
+    so a row's reduction matches, bit for bit, np.sum over region_values of
+    that box.  The rows are fresh arrays that the caller may overwrite.
+    `weights` is the grid's f.spec.weights(), which a caller builds once.
     """
-    batch = max(1, batch_floats // math.prod(shape))
-    if weights is None:
-        weights = f.spec.weights()
     # flat node indices: each box's first node plus the box's offsets in C order
     strides = f.spec.points_per_axis ** np.arange(f.spec.dim - 1, -1, -1)
-    offsets = sum(np.ix_(*[np.arange(n) * s for n, s in zip(shape, strides)])).ravel()
     first = starts @ strides
-    for lo in range(0, len(starts), batch):
-        members = slice(lo, lo + batch)
-        index = first[members, None] + offsets
-        yield members, f.values.take(index), weights.take(index)
+    for shape, group in shape_groups(shapes):
+        batch = max(1, batch_floats // math.prod(shape))
+        offsets = sum(np.ix_(*[np.arange(n) * s for n, s in zip(shape, strides)])).ravel()
+        for lo in range(0, len(group), batch):
+            members = group[lo : lo + batch]
+            index = first[members, None] + offsets
+            yield members, f.values.take(index), weights.take(index)
 
 
 def _row_stats(vals: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -316,8 +315,10 @@ def shape_groups(shapes: np.ndarray):
 
     Members are increasing, and the shapes come in lexicographic order: the
     rows are sorted on one integer key each, their C-order index in a box
-    that holds every shape.
+    that holds every shape.  No rows give no group.
     """
+    if not len(shapes):
+        return
     key = np.ravel_multi_index(tuple(shapes.T), tuple(shapes.max(axis=0) + 1))
     order = np.argsort(key, kind="stable")
     for members in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):

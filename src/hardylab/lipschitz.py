@@ -6,7 +6,7 @@ dropped (domain shrink) rather than padded.
 
 The seminorm is an exact branch-and-bound over the half-space of
 displacements.  It visits them in increasing |delta|^2 (a stable sort, so
-ties keep the raster order of `_delta_candidates`), and two bounds on
+ties keep the raster order of `_half_space`), and two bounds on
 D(delta) = max|D^(k+1)_delta f|, the computed float, decide which it
 evaluates.
 
@@ -164,20 +164,10 @@ def _half_space(spec: GridSpec, k: int) -> np.ndarray:
     return np.stack(np.unravel_index(after_zero, (width,) * spec.dim), axis=1) - reach
 
 
-def _delta_candidates(f: GridFunction, k: int) -> list[tuple[int, ...]]:
-    """Half-space of nonzero lattice displacements with a valid domain, raster order."""
-    return [tuple(steps) for steps in _half_space(f.spec, k).tolist()]
-
-
 def _visiting_steps(spec: GridSpec, k: int) -> np.ndarray:
     """_half_space by increasing |delta|^2; ties keep the raster order."""
     steps = _half_space(spec, k)
     return steps[np.argsort(np.sum(steps * steps, axis=1), kind="stable")]
-
-
-def _visiting_order(f: GridFunction, k: int) -> list[tuple[int, ...]]:
-    """_delta_candidates in the visiting order of _visiting_steps."""
-    return [tuple(steps) for steps in _visiting_steps(f.spec, k).tolist()]
 
 
 def _difference_cap(f: GridFunction, k: int) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, box_rows, lp_norm, region_values, shape_groups, unit_cube_boxes
+from .grid import GridFunction, box_rows, lp_norm, region_values, unit_cube_boxes
 from .maximal import maximal_fn
 
 __all__ = [
@@ -72,22 +72,6 @@ def phi(t):
 
 
 PHI = OrliczFunction(phi)
-
-
-def _bracket(gauge, k0: float) -> tuple[float, float]:
-    """Expand from k0 to [k_lo, k_hi] with gauge(k_lo) > 1 >= gauge(k_hi).
-
-    At the ends of the float range the bracket closes on 0 or inf, where
-    the gauge is taken as infinite and as 0.
-    """
-    k_hi = k0
-    while k_hi < math.inf and not gauge(k_hi) <= 1.0:
-        k_hi *= 2.0
-    k_lo = k_hi / 2.0 if k_hi < math.inf else sys.float_info.max
-    while not (k_lo == 0.0 or gauge(k_lo) > 1.0):
-        k_hi = k_lo
-        k_lo /= 2.0
-    return k_lo, k_hi
 
 
 def _certificate(blocks, P: OrliczFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -154,8 +138,9 @@ def _luxembourg_rows(blocks, P: OrliczFunction) -> np.ndarray:
     """Luxembourg norm under P of each row of the blocks, in block order.
 
     A block is a pair (v, w) of C-contiguous (rows, n) arrays: |values| and
-    weights, n nodes per row.  The two loops of _bracket and the bisection on
-    log k each run on all rows in lockstep.  Per round, a row still in the
+    weights, n nodes per row.  The bracket (k doubled from max|v| until
+    gauge(k) <= 1, then halved until gauge(k) > 1) and the bisection on log k
+    each run on all rows in lockstep.  Per round, a row still in the
     loop takes its test gauge(k) <= 1 from its certificate when k lies outside
     its bracket (a row without one never does); the values of the other rows,
     each divided by its k, go through one P call, and none is made when no
@@ -247,11 +232,9 @@ def lphi_star_norm(f: GridFunction) -> float:
     all cubes in one lockstep: one block of rows per cube shape, gathered
     from the grid's weights built once, and one certificate per cube."""
     starts, shapes = unit_cube_boxes(f.spec)
-    weights = f.spec.weights()
     order, blocks = [], []
-    for shape, cubes in shape_groups(shapes):
-        # the cubes partition the grid: one batch holds every cube of a shape
-        ((_, v, w),) = box_rows(f, starts[cubes], shape, f.values.size, weights)
+    # the cubes partition the grid: one batch holds every cube of a shape
+    for cubes, v, w in box_rows(f, starts, shapes, f.values.size, f.spec.weights()):
         order.append(cubes)
         blocks.append((np.abs(v, out=v), w))
     norms = np.empty(len(starts))

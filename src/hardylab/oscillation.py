@@ -5,19 +5,18 @@ in [4*spacing, 2R], centers on a sub-lattice of stride max(spacing, r/8).
 The family density is the accuracy knob and is reported with every norm.
 The family depends only on the grid, so it is built once per grid.
 
-The family is held as arrays: one row of center coordinates and radius per
-ball, and, built with it, the family index, window start and window shape of
-every ball in group order, where a group is the balls whose clipped index
-windows share a shape.  Each group's index and starts are views into those
-arrays.  An evaluation only reads them: it visits the groups that hold a ball
-it wants, gathers their windows in small batches and reduces them row by row
-by `grid._row_stats`, the one rule for a ball's mean, oscillation and
-|f|-mean; `mean_oscillation` and `jn_check` read a one-row call of it.
+The family is held as arrays in family order: one row of center coordinates
+and radius per ball, and, built with it, the start and shape of every ball's
+clipped index window.  An evaluation gathers the windows of the balls it
+wants with `grid.box_rows`, in small batches of one window shape, and reduces
+them row by row by `grid._row_stats`, the one rule for a ball's mean,
+oscillation and |f|-mean; `mean_oscillation` and `jn_check` read a one-row
+call of it.
 
 Each family norm is a sup of one statistic over one half of the family, and
 is found by an exact bound-and-prune; a sup over an empty half is 0 and
 builds nothing.  Summed-area tables give every ball of the half an upper
-bound of its statistic in O(1), read in runs from the group-order arrays: the
+bound of its statistic in O(1), read in runs of the family order: the
 mean oscillation is at most s times the weighted standard deviation of
 d = (b - c) / s (Cauchy-Schwarz), with c the midrange of b and s its
 half-range, and the |b|-mean is bounded by its box-sum estimate.  The margin
@@ -51,7 +50,6 @@ from .grid import (
     dyadic_scales,
     region_node_count,
     region_values,
-    shape_groups,
 )
 
 __all__ = [
@@ -94,19 +92,13 @@ class BallFamily:
 
     balls: (n, dim + 1) rows of center coordinates, then radius.  The radii
     increase, and the centers of one radius run in raster order (last axis
-    fastest).  index, starts, shapes: the family index, window start and
-    window shape of each ball, in group order: the balls whose clipped index
-    windows share a shape form a group, the groups come in lexicographic
-    order of their shapes and the indices increase within a group.  groups:
-    (family indices, window starts, window shape) of each group, the arrays
-    views into index and starts.
+    fastest).  starts, shapes: (n, dim) rows of the first node and the node
+    count per axis of each ball's clipped index window, in the same order.
     """
 
     balls: np.ndarray
-    index: np.ndarray
     starts: np.ndarray
     shapes: np.ndarray
-    groups: tuple[tuple[np.ndarray, np.ndarray, tuple[int, ...]], ...]
 
     def __post_init__(self):
         if not len(self.balls):
@@ -130,16 +122,7 @@ class BallFamily:
             balls.append(np.column_stack([centers[index], np.full(len(index), r)]))
             starts.append(axis[index, 0])
             shapes.append(axis[index, 1])
-        shapes = np.concatenate(shapes)
-        members = list(shape_groups(shapes))
-        index = np.concatenate([group for _, group in members]).astype(np.int32)
-        starts = np.concatenate(starts)[index]
-        edges = np.cumsum([0] + [len(group) for _, group in members]).tolist()
-        groups = tuple(
-            (index[lo:hi], starts[lo:hi], shape)
-            for (shape, _), lo, hi in zip(members, edges, edges[1:])
-        )
-        return cls(np.concatenate(balls), index, starts, shapes[index], groups)
+        return cls(np.concatenate(balls), np.concatenate(starts), np.concatenate(shapes))
 
     @property
     def dim(self) -> int:
@@ -160,8 +143,8 @@ def _bounds(
 ) -> np.ndarray:
     """Upper bound, per ball in family order, of the `column` statistic that
     `_row_stats` computes on the ball's window: the mean oscillation (1) or the
-    |b|-mean (2); 0 outside the mask.  w is the grid's weights.  Runs of _RUN
-    masked balls are read from the family's group-order arrays.
+    |b|-mean (2); 0 outside the mask.  w is the grid's weights.  The masked
+    balls are read in runs of _RUN, in family order.
 
     The bounds come from box sums of summed-area tables.  The oscillation is
     at most s times the standard deviation of d = (b - c) / s (Cauchy-Schwarz),
@@ -173,11 +156,11 @@ def _bounds(
     window of n nodes (slack: n roundings of max|b| and n underflows).
     """
     bound = np.zeros(len(family.balls))
-    masked = np.flatnonzero(mask[family.index])  # positions in group order
+    masked = np.flatnonzero(mask)
     lo, hi = float(np.min(b.values)), float(np.max(b.values))
     amax = max(-lo, hi)
     if lo == hi:  # every window is flat: oscillation 0 and |b|-mean |b|, exactly
-        bound[family.index[masked]] = 0.0 if column == 1 else amax
+        bound[masked] = 0.0 if column == 1 else amax
         return bound
     spec = b.spec
     if column == 1:
@@ -206,7 +189,6 @@ def _bounds(
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for first in range(0, len(masked), _RUN):
             run = masked[first : first + _RUN]
-            index = family.index[run]
             # one row per axis; `take` gathers rows several times faster than
             # fancy indexing does
             shapes = family.shapes.take(run, axis=0).T
@@ -221,31 +203,22 @@ def _bounds(
             if column == 1:
                 d_mean = sums[0] / wsum
                 var = np.maximum(sums[1] / wsum - d_mean * d_mean, 0.0)
-                bound[index] = s * np.sqrt(var + 16.0 * rho) + slack
+                bound[run] = s * np.sqrt(var + 16.0 * rho) + slack
             else:
-                bound[index] = amax * (sums[0] / wsum + 4.0 * rho) + slack
+                bound[run] = amax * (sums[0] / wsum + 4.0 * rho) + slack
     return bound
 
 
 def _evaluate(
     b: GridFunction, family: BallFamily, column: int, balls: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """The `column` statistic of `_row_stats` of the given balls (increasing
-    family indices), through the same window batches as a pass over the whole
-    family; only the groups that hold one of the balls are read.  weights is
-    the grid's."""
+    """The `column` statistic of `_row_stats` of the given balls (family
+    indices): their windows only, gathered by `box_rows` in batches of one
+    shape.  weights is the grid's."""
     values = np.empty(len(balls))
-    want = np.zeros(len(family.balls), dtype=bool)
-    want[balls] = True
-    wanted = np.flatnonzero(want[family.index])  # positions in group order
-    edges = np.cumsum([0] + [len(index) for index, _, _ in family.groups])
-    cuts = np.searchsorted(wanted, edges).tolist()
-    for g in np.flatnonzero(np.diff(cuts)).tolist():  # the groups that hold a wanted ball
-        part = wanted[cuts[g] : cuts[g + 1]]
-        rows_of, starts = family.index[part], family.starts.take(part, axis=0)
-        shape = family.groups[g][2]
-        for members, vals, w in box_rows(b, starts, shape, _BATCH_FLOATS, weights):
-            values[np.searchsorted(balls, rows_of[members])] = _row_stats(vals, w)[column]
+    starts, shapes = family.starts.take(balls, axis=0), family.shapes.take(balls, axis=0)
+    for members, vals, w in box_rows(b, starts, shapes, _BATCH_FLOATS, weights):
+        values[members] = _row_stats(vals, w)[column]
     return values
 
 

@@ -8,7 +8,8 @@ one-row call of them.  The routines here handle one region at a time, in
 Python floats where they can, so that the tests compare the batched rows with
 an independent scalar path under `==`, not with themselves:
 `luxembourg_bisection` evaluates the gauge at every step of the bisection, so
-it is the oracle of the replay.
+it is the oracle of the replay; `_bracket` is the scalar bracket expansion it
+and the scan start from.
 `luxembourg_scan_oracle` is a log-spaced scan that finds the Luxembourg norm
 by another search than bisection, to within its scan width; `LINEAR` is the
 identity gauge, whose Luxembourg norm is the L^1 norm.  `maximal_taps` is the
@@ -16,6 +17,8 @@ tap-sum maximal function the full ladder's FFT path replaced; the two agree to
 round-off, not bit for bit.  `seminorm_full_scan` is the Lipschitz scan over
 every displacement, in raster order, that the branch-and-bound
 `lipschitz.homogeneous_seminorm` replaced; they agree under `==`.
+`_delta_candidates` and `_visiting_order` are the displacement arrays of the
+scan, `lipschitz._half_space` and `_visiting_steps`, as lists of tuples.
 `monomials_meshgrid` and `moment_residuals_meshgrid` take the powers of the
 polynomial basis and of the moments on the meshgrid of a ball's coordinates,
 node by node, where `projection.monomial_terms` takes them on each axis's 1d
@@ -35,9 +38,9 @@ import numpy as np
 from hardylab.grid import (
     Ball, GridFunction, GridSpec, _row_stats, box_rows, region_coords, region_slices, region_values,
 )
-from hardylab.lipschitz import LipschitzOrder, _delta_candidates, difference_op
+from hardylab.lipschitz import LipschitzOrder, _half_space, _visiting_steps, difference_op
 from hardylab.maximal import convolve_dilated, maximal_scales
-from hardylab.orlicz import _REL_TOL, OrliczFunction, _bracket
+from hardylab.orlicz import _REL_TOL, OrliczFunction
 from hardylab.oscillation import _BATCH_FLOATS, BallFamily
 from hardylab.projection import multi_indices
 
@@ -59,6 +62,22 @@ def luxembourg_row(v: np.ndarray, w: np.ndarray, P: OrliczFunction) -> float:
     if vmax == 0.0:
         return 0.0
     return bisect(lambda k: float(np.sum(w * P(v / k))), vmax)
+
+
+def _bracket(gauge, k0: float) -> tuple[float, float]:
+    """Expand from k0 to [k_lo, k_hi] with gauge(k_lo) > 1 >= gauge(k_hi).
+
+    At the ends of the float range the bracket closes on 0 or inf, where
+    the gauge is taken as infinite and as 0.
+    """
+    k_hi = k0
+    while k_hi < math.inf and not gauge(k_hi) <= 1.0:
+        k_hi *= 2.0
+    k_lo = k_hi / 2.0 if k_hi < math.inf else sys.float_info.max
+    while not (k_lo == 0.0 or gauge(k_lo) > 1.0):
+        k_hi = k_lo
+        k_lo /= 2.0
+    return k_lo, k_hi
 
 
 def bisect(gauge, vmax: float, mids: list | None = None) -> float:
@@ -137,6 +156,18 @@ def maximal_taps(f: GridFunction) -> GridFunction:
     return f.with_values(out)
 
 
+def _delta_candidates(f: GridFunction, k: int) -> list[tuple[int, ...]]:
+    """lipschitz._half_space as a list: the nonzero displacements delta > 0, in
+    raster order."""
+    return [tuple(steps) for steps in _half_space(f.spec, k).tolist()]
+
+
+def _visiting_order(f: GridFunction, k: int) -> list[tuple[int, ...]]:
+    """lipschitz._visiting_steps as a list: _delta_candidates by increasing
+    |delta|^2, ties in raster order."""
+    return [tuple(steps) for steps in _visiting_steps(f.spec, k).tolist()]
+
+
 def seminorm_full_scan(f: GridFunction, order: LipschitzOrder) -> float:
     """max over every displacement of _delta_candidates, in raster order, of
     max|D^(k+1) f| / (spacing |delta|)^gamma."""
@@ -195,11 +226,9 @@ def family_stats(b: GridFunction, family: BallFamily) -> np.ndarray:
     """One (mean, oscillation, |f|-mean) row per ball, in family order: every
     ball's window through the batches of `box_rows` and `_row_stats`."""
     stats = np.empty((len(family.balls), 3))
-    for index, starts, shape in family.groups:
-        for members, vals, w in box_rows(b, starts, shape, _BATCH_FLOATS):
-            rows = index[members]
-            for column, values in enumerate(_row_stats(vals, w)):
-                stats[rows, column] = values
+    weights = b.spec.weights()
+    for members, vals, w in box_rows(b, family.starts, family.shapes, _BATCH_FLOATS, weights):
+        stats[members] = np.column_stack(_row_stats(vals, w))
     return stats
 
 

@@ -13,6 +13,7 @@ from hardylab.grid import (
     GridFunction,
     GridSpec,
     ball_mean,
+    box_rows,
     dyadic_scales,
     integrate,
     load_gridfunction,
@@ -20,6 +21,7 @@ from hardylab.grid import (
     region_coords,
     region_node_count,
     region_slices,
+    region_values,
     region_weights,
     save_gridfunction,
     shape_groups,
@@ -249,6 +251,40 @@ def test_shape_groups_match_former_unique_rows(rng):
         former = list(_former_shape_groups(shapes))
         assert [shape for shape, _ in groups] == [shape for shape, _ in former]
         assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(groups, former))
+    for dim in (1, 2):  # no rows give no group
+        assert list(shape_groups(np.zeros((0, dim), dtype=int))) == []
+
+
+@pytest.mark.parametrize("spec", [GridSpec(1, 8.0, 129), GridSpec(2, 4.0, 33)], ids=str)
+def test_box_rows_gather_boxes_of_any_shape(spec, rng):
+    """Each row of a batch is region_values of its box, ==, on boxes of mixed
+    shapes clipped at the box edges; a row's sum is the region's.  The
+    batches' members partition the boxes and increase within a batch, a batch
+    holds one shape, and only a single box exceeds batch_floats.  No boxes
+    give no batch."""
+    f = GridFunction(spec, rng.normal(size=spec.shape))
+    m, dim, batch_floats = spec.points_per_axis, spec.dim, 64
+    lo = rng.integers(-4, m, size=(300, dim))
+    hi = np.clip(lo + rng.integers(1, 9, size=lo.shape), 1, m)
+    lo = np.clip(lo, 0, m - 1)
+    # and the whole box, wider than a batch
+    starts = np.vstack([lo, np.zeros((1, dim), dtype=int)])
+    shapes = np.vstack([hi - lo, np.full((1, dim), m)])
+    assert (starts == 0).any(axis=0).all() and (starts + shapes == m).any(axis=0).all()
+    weights = spec.weights()
+    batches = list(box_rows(f, starts, shapes, batch_floats, weights))
+    members = np.concatenate([k for k, _, _ in batches])
+    assert np.array_equal(np.sort(members), np.arange(len(starts)))
+    assert any(len(k) > 1 for k, _, _ in batches)
+    for k, vals, w in batches:
+        assert np.all(np.diff(k) > 0) and np.all(shapes[k] == shapes[k[0]])
+        assert vals.size <= batch_floats or len(k) == 1
+        sums = np.add.reduce(w * vals, axis=-1)  # the batch's row reductions
+        for i, row_v, row_w, row_sum in zip(k, vals, w, sums):
+            v, wi = region_values(f, tuple(slice(a, a + h) for a, h in zip(starts[i], shapes[i])))
+            assert np.array_equal(row_v, v.ravel()) and np.array_equal(row_w, wi.ravel())
+            assert row_sum == np.sum(wi * v)
+    assert list(box_rows(f, starts[:0], shapes[:0], batch_floats, weights)) == []
 
 
 # the per-dimension branches that region_weights and region_coords replaced,

@@ -10,15 +10,13 @@ from hardylab.lipschitz import (
     LipschitzOrder,
     SeminormScan,
     _chain_terms,
-    _delta_candidates,
     _difference_cap,
-    _visiting_order,
     difference_op,
     homogeneous_seminorm,
     lambda_gamma_norm,
     seminorm_scan,
 )
-from scalar_oracles import seminorm_full_scan
+from scalar_oracles import _delta_candidates, _visiting_order, seminorm_full_scan
 
 
 def test_order_fields():

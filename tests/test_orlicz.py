@@ -14,7 +14,6 @@ from hardylab.grid import (
     box_rows,
     integrate,
     lp_norm,
-    shape_groups,
     unit_cubes,
 )
 from hardylab.lipschitz import LipschitzOrder
@@ -220,15 +219,14 @@ def test_lphi_star_lockstep_matches_cube_loop(request, spec, rng):
     # and cube by cube: the lockstep rows are the scalar norms
     starts = np.array([[s.start for s in box] for box in boxes])
     shapes = np.array([[s.stop - s.start for s in box] for box in boxes])
-    groups = list(shape_groups(shapes))
+    batches = list(box_rows(f, starts, shapes, f.values.size, spec.weights()))
     if spec == GridSpec(2, 8.0, 65):
-        assert len(groups) == 9
+        assert len(batches) == 9
     blocks = []
-    for shape, cubes in groups:
-        ((members, v, w),) = box_rows(f, starts[cubes], shape, f.values.size)
+    for cubes, v, w in batches:
         blocks.append((np.abs(v), w))
         assert _luxembourg_rows(blocks[-1:], PHI).tolist() == [norms[i] for i in cubes]
-    order = np.concatenate([cubes for _, cubes in groups])
+    order = np.concatenate([cubes for cubes, _, _ in batches])
     assert _luxembourg_rows(blocks, PHI).tolist() == [norms[i] for i in order]
 
 

@@ -65,11 +65,11 @@ def test_family_structure(spec1d, spec2d):
             assert is_large == (ball.measure >= 1.0 - 1e-9)
         # no ball is under-resolved: each covers 5 nodes per axis or more
         assert all(region_node_count(spec, b) >= 5**spec.dim for b in balls)
-        # each group's windows are the balls' in-box index slices
-        for index, starts, shape in family.groups:
-            for i, start in zip(index, starts):
-                box = tuple(slice(a, a + h) for a, h in zip(start, shape))
-                assert region_slices(spec, balls[i]) == box
+        # each ball's window row is its in-box index slices, in family order
+        assert family.starts.shape == family.shapes.shape == (len(balls), spec.dim)
+        for ball, start, shape in zip(balls, family.starts.tolist(), family.shapes.tolist()):
+            box = tuple(slice(a, a + h) for a, h in zip(start, shape))
+            assert region_slices(spec, ball) == box
 
 
 def _loop_norms(b, family):
@@ -111,14 +111,14 @@ def test_family_stats_match_ball_stats(spec):
     """Every batched row is the scalar ball_stats row, bit for bit: on
     boundary-clipped balls, on a step (constant halves: exact means and the
     early exit), on a step too small for its oscillation to survive the
-    weights, and on groups that span more than one batch.  So are the
+    weights, and on shape groups that span more than one batch.  So are the
     one-row ball_mean and mean_oscillation of a sample of the balls."""
     family = BallFamily.build(spec)
-    groups = family.groups
-    assert any(len(index) * math.prod(shape) > oscillation._BATCH_FLOATS
-               for index, _, shape in groups)
-    assert any(0 in starts or (starts + shape).max() == spec.points_per_axis
-               for _, starts, shape in groups)
+    assert any(len(members) * math.prod(shape) > oscillation._BATCH_FLOATS
+               for shape, members in grid.shape_groups(family.shapes))
+    # on each axis, windows clipped at the low and at the high box edge
+    assert (family.starts == 0).any(axis=0).all()
+    assert (family.starts + family.shapes == spec.points_per_axis).any(axis=0).all()
     balls = _balls(family)
     flat = {}
     for height in (1.0, 5e-324):
@@ -134,26 +134,9 @@ def test_family_stats_match_ball_stats(spec):
     assert flat[5e-324].all()  # every oscillation underflows
 
 
-def test_family_groups_partition_the_family(spec1d, spec2d):
-    """The groups partition the family, and each group's arrays are views of
-    the family's group-order arrays, in the order of the groups."""
-    for spec in (spec1d, spec2d):
-        family = BallFamily.build(spec)
-        index = np.concatenate([index for index, _, _ in family.groups])
-        assert np.array_equal(np.sort(index), np.arange(len(family.balls)))
-        assert np.array_equal(index, family.index)
-        assert np.array_equal(np.concatenate([s for _, s, _ in family.groups]), family.starts)
-        shapes = np.concatenate([np.tile(shape, (len(i), 1)) for i, _, shape in family.groups])
-        assert np.array_equal(shapes, family.shapes)
-        for index, starts, shape in family.groups:
-            assert np.all(np.diff(index) > 0)
-            assert starts.shape == (len(index), spec.dim) and len(shape) == spec.dim
-            assert index.base is family.index and starts.base is family.starts
-
-
-def test_family_norms_only_read_the_groups(spec2d, monkeypatch):
-    """The window groups are built with the family, once per grid: a norm on a
-    built family groups nothing."""
+def test_bmo_report_groups_its_evaluated_windows(spec2d, monkeypatch):
+    """bmo_report groups the windows of exactly the balls it evaluates, and
+    those of no other ball."""
     b = b_field(spec2d, "random-bmo", np.random.default_rng(3))
     BallFamily.build(spec2d)
     calls, shape_groups = [], grid.shape_groups
@@ -162,12 +145,9 @@ def test_family_norms_only_read_the_groups(spec2d, monkeypatch):
         calls.append(len(shapes))
         return shape_groups(shapes)
 
-    monkeypatch.setattr(oscillation, "shape_groups", counted)
     monkeypatch.setattr(grid, "shape_groups", counted)
-    bmo_local_norm(b)
-    lmo_norm(b)
-    bmo_report(b)
-    assert calls == []
+    report = bmo_report(b)
+    assert sum(calls) == report.balls_evaluated > 0
 
 
 # the fields of the pruned-sup oracle test: the named generators; a field near
@@ -217,7 +197,7 @@ def test_pruned_sup_work_guard(monkeypatch):
     spec = GridSpec(2, 8.0, 129)
     b = b_field(spec, "random-smooth", np.random.default_rng(5))
     family = BallFamily.build(spec)
-    total = sum(len(index) * math.prod(shape) for index, _, shape in family.groups)
+    total = int(np.prod(family.shapes, axis=1).sum())
     rows, box_rows = [], grid.box_rows
 
     def counted(*args):

@@ -130,9 +130,8 @@ def test_family_rows_are_lattice_translation_invariant(spec, seed, axis, nodes):
     before = family_stats(GridFunction(spec, vals), family)
     after = family_stats(GridFunction(spec, np.roll(vals, nodes, axis=axis)), family)
     ball_at = {}  # (window start, window shape) -> a family ball with that window
-    for index, starts, shape in family.groups:
-        for i, start in zip(index.tolist(), starts.tolist()):
-            ball_at[(tuple(start), shape)] = i
+    for i, (start, shape) in enumerate(zip(family.starts.tolist(), family.shapes.tolist())):
+        ball_at[(tuple(start), tuple(shape))] = i
     move = np.eye(spec.dim, dtype=int)[axis] * nodes
     pairs = []
     for (start, shape), i in ball_at.items():
