@@ -27,7 +27,7 @@ from .grid import (
     sup_norm,
 )
 from .lipschitz import LipschitzOrder, seminorm_scan
-from .maximal import convolution_path, maximal_scales
+from .maximal import maximal_scales
 from .orlicz import PHI, hardy_quasinorm, lphi_star_norm, luxembourg_norm
 from .oscillation import BallFamily, bmo_local_norm, bmo_report, lmo_norm
 from .product import REGIMES, Regime, SplitReport, split_bmo, split_lipschitz, verify_split
@@ -97,7 +97,11 @@ def _input_function(config: dict, spec: GridSpec) -> GridFunction:
         raise ConfigError(f"input must be an object, got {section!r}")
     path = _path(section, "file")
     if path is not None:
-        return load_gridfunction(path)
+        loaded = load_gridfunction(path)
+        if loaded.spec != spec:  # the report states the config's grid
+            raise ConfigError(f"input file {path} holds grid {loaded.spec.to_dict()}, "
+                              f"not the config's grid {spec.to_dict()}")
+        return loaded
     if "generator" in section:
         rng = np.random.default_rng(_number(section, "seed", 0, int))
         return _generate(spec, section, "generator", rng)
@@ -168,10 +172,7 @@ def cmd_norm(config: dict) -> int:
         if local:
             _require_local_scales(spec)
         value = hardy_quasinorm(f, p, local=local)
-        extra = {
-            "maximal_scales": maximal_scales(spec, local),
-            "convolution": convolution_path(local),
-        }
+        extra = {"maximal_scales": maximal_scales(spec, local)}
     elif which == "bmo":
         report = bmo_report(f)
         value = report.norm

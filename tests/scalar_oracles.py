@@ -13,8 +13,8 @@ and the scan start from.
 `luxembourg_scan_oracle` is a log-spaced scan that finds the Luxembourg norm
 by another search than bisection, to within its scan width; `LINEAR` is the
 identity gauge, whose Luxembourg norm is the L^1 norm.  `maximal_taps` is the
-tap-sum maximal function the full ladder's FFT path replaced; the two agree to
-round-off, not bit for bit.  `seminorm_full_scan` is the Lipschitz scan over
+tap-sum maximal function, on either ladder, that the FFT path replaced; the two
+agree to round-off, not bit for bit.  `seminorm_full_scan` is the Lipschitz scan over
 every displacement, in raster order, that the branch-and-bound
 `lipschitz.homogeneous_seminorm` replaced; they agree under `==`.
 `_delta_candidates` and `_visiting_order` are the displacement arrays of the
@@ -148,10 +148,10 @@ def ball_stats(f: GridFunction, ball: Ball) -> tuple[float, float, float]:
     return mean, osc, float(np.sum(w * np.abs(vals)) / wsum)
 
 
-def maximal_taps(f: GridFunction) -> GridFunction:
-    """max over the full ladder of |convolve_dilated(f, t)|, scale by scale."""
+def maximal_taps(f: GridFunction, local: bool = False) -> GridFunction:
+    """max over the ladder of |convolve_dilated(f, t)|, scale by scale."""
     out = np.zeros(f.spec.shape)
-    for t in maximal_scales(f.spec, local=False):
+    for t in maximal_scales(f.spec, local):
         np.maximum(out, np.abs(convolve_dilated(f, t).values), out=out)
     return f.with_values(out)
 

@@ -11,7 +11,7 @@ import pytest
 from hardylab import cli
 from hardylab.atoms import AtomicDecomposition, make_atom, make_local_atom, save_decomposition
 from hardylab.generators import b_field
-from hardylab.grid import Ball, GridSpec
+from hardylab.grid import Ball, GridSpec, save_gridfunction
 from hardylab.lipschitz import LipschitzOrder, lambda_gamma_norm
 from hardylab.product import SplitReport
 
@@ -74,11 +74,11 @@ def test_norm_refinement_stability(tmp_path):
     assert values[1] == pytest.approx(values[0], rel=0.25)
 
 
-@pytest.mark.parametrize("local, scales, path", [
-    (False, [0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0], "fft"),
-    (True, [0.25, 0.5], "taps"),
+@pytest.mark.parametrize("local, scales", [
+    (False, [0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0]),
+    (True, [0.25, 0.5]),
 ])
-def test_norm_hardy_reports_ladder_and_path(tmp_path, local, scales, path):
+def test_norm_hardy_reports_ladder(tmp_path, local, scales):
     out = tmp_path / "report.json"
     cfg = _write(tmp_path, "cfg.json", {
         "grid": GRID,
@@ -90,8 +90,36 @@ def test_norm_hardy_reports_ladder_and_path(tmp_path, local, scales, path):
     assert _run(["norm", "--config", cfg]) == 0
     doc = json.loads(out.read_text())
     assert doc["maximal_scales"] == scales
-    assert doc["convolution"] == path
     assert doc["value"] > 0.0
+
+
+@pytest.mark.parametrize("which, params, grid", [
+    pytest.param("hardy", {"p": 1.0}, {"dim": 1, "halfwidth": 8.0, "points_per_axis": 17},
+                 id="hardy"),
+    pytest.param("hardy", {"p": 1.0, "local": True},
+                 {"dim": 1, "halfwidth": 8.0, "points_per_axis": 17}, id="hardy-local"),
+    pytest.param("bmo_local", {}, {"dim": 2, "halfwidth": 8.0, "points_per_axis": 17},
+                 id="bmo_local"),
+    pytest.param("lambda_gamma", {"gamma": 0.5},
+                 {"dim": 1, "halfwidth": 4.0, "points_per_axis": 257}, id="lambda_gamma"),
+])
+def test_norm_input_file_on_another_grid_exit2(tmp_path, capsys, which, params, grid):
+    """A report states the config's grid, so an input file on another grid is a
+    config error, and nothing is written; the same file under its own grid is read."""
+    spec = GridSpec.from_dict(grid)
+    base = tmp_path / "field"
+    save_gridfunction(b_field(spec, "step", None), base)
+    out = tmp_path / "report.json"
+    doc = {"input": {"file": str(base)}, "which": which, "params": params, "output": str(out)}
+    cfg = _write(tmp_path, "cfg.json", {**doc, "grid": {**GRID, "points_per_axis": 257}})
+    assert _run(["norm", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: input file")
+    assert not out.exists()
+    if not params.get("local"):  # the local ladder has no scale on the m=17 grid
+        cfg = _write(tmp_path, "cfg.json", {**doc, "grid": grid})
+        assert _run(["norm", "--config", cfg]) == 0
+        assert json.loads(out.read_text())["grid"] == grid
 
 
 @pytest.mark.parametrize("generator", ["random-smooth", "constant"])

@@ -407,8 +407,8 @@ def _former_random_ball(spec, rng, r_lo, r_hi):  # generators.random_ball
 
 def test_dyadic_scales_match_former_rules(monkeypatch):
     seen = []
-    # both convolution paths build each scale's kernel once; a 1-tap stub keeps
-    # the transforms small
+    # maximal_fn builds each scale's kernel once; a 1-tap stub keeps the
+    # transforms small
     monkeypatch.setattr(
         maximal, "_kernel", lambda spec, t: seen.append(t) or np.ones((1,) * spec.dim)
     )

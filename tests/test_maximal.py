@@ -7,14 +7,7 @@ from scipy.signal import convolve
 
 from hardylab.generators import random_smooth_field, step_field
 from hardylab.grid import GridFunction, GridSpec, dyadic_scales
-from hardylab.maximal import (
-    _kernel,
-    bump_profile,
-    convolution_path,
-    convolve_dilated,
-    maximal_fn,
-    maximal_scales,
-)
+from hardylab.maximal import _kernel, bump_profile, convolve_dilated, maximal_fn
 from scalar_oracles import maximal_taps
 
 
@@ -203,49 +196,45 @@ def test_dyadic_rescaling_is_exact(dim, m):
 
 def _fft_cases():
     """All three fields up to m=65 and in 1d, one field per halfwidth at 2d
-    m=129, where each tap-sum oracle takes about a second."""
+    m=129, where each full-ladder tap-sum oracle takes about a second; each on
+    both ladders, the local one where the grid has a scale below 1."""
     kinds = ("random-smooth", "step", "white-noise")
     halfwidths = (1.0, 3.7, 8.0)
     for dim, m, halfwidth in itertools.product((1, 2), (16, 17, 65, 129), halfwidths):
-        for i, kind in enumerate(kinds):
+        spec = GridSpec(dim, halfwidth, m)
+        for (i, kind), local in itertools.product(enumerate(kinds), (False, True)):
+            if local and spec.spacing > 0.25:  # no power of two in [2 * spacing, 1/2]
+                continue
             if dim == 1 or m < 129 or i == halfwidths.index(halfwidth):
-                spec = GridSpec(dim, halfwidth, m)
-                yield pytest.param(spec, kind, id=f"{dim}d-m{m}-R{halfwidth}-{kind}")
+                name = f"{dim}d-m{m}-R{halfwidth}-{kind}" + ("-local" if local else "")
+                yield pytest.param(spec, kind, local, id=name)
 
 
-@pytest.mark.parametrize("spec, kind", _fft_cases())
-def test_fft_ladder_matches_tap_sum(spec, kind):
-    """The full ladder's FFT path against the max over scales of the tap sum."""
+@pytest.mark.parametrize("spec, kind, local", _fft_cases())
+def test_fft_ladder_matches_tap_sum(spec, kind, local):
+    """Either ladder's FFT path against the max over scales of the tap sum."""
     rng = np.random.default_rng(spec.points_per_axis)
     f = {
         "random-smooth": lambda: random_smooth_field(spec, rng),
         "step": lambda: step_field(spec),
         "white-noise": lambda: GridFunction(spec, rng.normal(size=spec.shape)),
     }[kind]()
-    oracle = maximal_taps(f).values
-    out = maximal_fn(f).values
+    oracle = maximal_taps(f, local).values
+    out = maximal_fn(f, local).values
     assert np.max(np.abs(out - oracle)) <= 1e-13 * np.max(oracle)
     assert np.array_equal(out == 0.0, oracle == 0.0)
 
 
 def test_fft_keeps_exact_zeros_beyond_reach():
-    """A bump near one corner: the widest kernel (t = 2R) does not reach the far
-    corner, where the tap sum is exactly 0.  FFT round-off alone would fill it."""
+    """A bump near one corner: the widest kernel of either ladder (t = 2R, or
+    t = 1/2 for the local one) does not reach the far nodes, where the tap sum is
+    exactly 0.  FFT round-off alone would fill them."""
     spec = GridSpec(2, 8.0, 65)
     x, y = spec.meshes()
     f = GridFunction(spec, bump_profile(np.hypot(x - 7.0, y - 7.0) / 0.5))
-    oracle = maximal_taps(f).values
-    out = maximal_fn(f).values
-    assert np.count_nonzero(oracle == 0.0) == 468
-    assert np.array_equal(out == 0.0, oracle == 0.0)
-    assert np.max(np.abs(out - oracle)) <= 1e-13 * np.max(oracle)
-
-
-def test_local_ladder_is_the_tap_sum(spec1d, rng):
-    """The local ladder keeps the tap sum, bit for bit; the full one is the FFT's."""
-    f = GridFunction(spec1d, rng.normal(size=spec1d.shape))
-    assert (convolution_path(local=True), convolution_path(local=False)) == ("taps", "fft")
-    oracle = np.zeros(spec1d.shape)
-    for t in maximal_scales(spec1d, local=True):
-        np.maximum(oracle, np.abs(convolve_dilated(f, t).values), out=oracle)
-    assert np.array_equal(maximal_fn(f, local=True).values, oracle)
+    for local, zeros in ((False, 468), (True, 4200)):
+        oracle = maximal_taps(f, local).values
+        out = maximal_fn(f, local).values
+        assert np.count_nonzero(oracle == 0.0) == zeros
+        assert np.array_equal(out == 0.0, oracle == 0.0)
+        assert np.max(np.abs(out - oracle)) <= 1e-13 * np.max(oracle)

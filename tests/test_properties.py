@@ -156,14 +156,16 @@ def test_convolution_fixes_constants(spec, c):
 
 
 @NORM_PROPERTY
-@given(specs, fields)
-def test_fft_maximal_matches_tap_sum(spec, field):
-    """The full ladder through numpy.fft is the tap-sum maximal function up to
+@given(specs, fields, st.booleans())
+def test_fft_maximal_matches_tap_sum(spec, field, local):
+    """Either ladder through numpy.fft is the tap-sum maximal function up to
     1e-13 of its maximum, with the same exact zeros."""
+    # the local ladder, scales in [2 * spacing, 1/2], is empty on coarser grids
+    assume(not local or spec.spacing <= 0.25)
     kind, seed = field
     f = b_field(spec, kind, np.random.default_rng(seed))
-    oracle = maximal_taps(f).values
-    out = maximal_fn(f).values
+    oracle = maximal_taps(f, local).values
+    out = maximal_fn(f, local).values
     assert np.max(np.abs(out - oracle)) <= 1e-13 * np.max(oracle, initial=0.0)
     assert np.array_equal(out == 0.0, oracle == 0.0)
 
