@@ -77,9 +77,11 @@ def _generate(spec: GridSpec, section, key: str, rng: np.random.Generator) -> Gr
         for v in params.values()
     ):
         raise ConfigError(f"params of generator {kind!r} must be finite numbers, got {params!r}")
-    try:
-        return b_field(spec, kind, rng, **params)
-    except TypeError as exc:  # a missing, unknown or malformed parameter
+    try:  # numpy overflows raise, as Python's 2.0 ** n does, and print no warning
+        with np.errstate(over="raise", invalid="raise"):
+            return b_field(spec, kind, rng, **params)
+    # a missing, unknown or malformed parameter, or one whose field overflows
+    except (TypeError, OverflowError, FloatingPointError) as exc:
         raise ConfigError(f"bad params for generator {kind!r}: {exc!r}") from exc
 
 

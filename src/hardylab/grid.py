@@ -36,7 +36,6 @@ __all__ = [
     "GridFunction",
     "Ball",
     "region_slices",
-    "region_weights",
     "region_coords",
     "region_values",
     "box_rows",
@@ -134,16 +133,18 @@ class GridSpec:
     def axis(self) -> np.ndarray:
         return np.linspace(-self.halfwidth, self.halfwidth, self.points_per_axis)
 
-    def axis_weights(self) -> np.ndarray:
-        """1d trapezoid weights: spacing inside, half at the box edges."""
+    # a lab run uses one grid; the size of 1 bounds memory for grid sweeps
+    @functools.lru_cache(maxsize=1)
+    def weights(self) -> np.ndarray:
+        """Product-trapezoid weights with the grid's shape, the one quadrature
+        rule: spacing per axis inside the box, half of it at the box edges.
+        Built once per grid and read-only; every region reads its slice."""
         w = np.full(self.points_per_axis, self.spacing)
         w[0] *= 0.5
         w[-1] *= 0.5
+        w = functools.reduce(np.multiply.outer, [w] * self.dim)
+        w.setflags(write=False)
         return w
-
-    def weights(self) -> np.ndarray:
-        """Product-trapezoid weights with the grid's shape."""
-        return region_weights(self, (slice(None),) * self.dim)
 
     def meshes(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays, one per axis, each with the grid's shape."""
@@ -233,11 +234,6 @@ def region_slices(spec: GridSpec, region) -> tuple[slice, ...]:
     return slices
 
 
-def region_weights(spec: GridSpec, slices: tuple[slice, ...]) -> np.ndarray:
-    w = spec.axis_weights()
-    return functools.reduce(np.multiply.outer, [w[s] for s in slices])
-
-
 def region_coords(spec: GridSpec, slices: tuple[slice, ...]) -> tuple[np.ndarray, ...]:
     """Node coordinates on a region's slices, one array per axis."""
     axes = [spec.axis()[s] for s in slices]
@@ -245,20 +241,15 @@ def region_coords(spec: GridSpec, slices: tuple[slice, ...]) -> tuple[np.ndarray
 
 
 def region_values(f: GridFunction, region=None) -> tuple[np.ndarray, np.ndarray]:
-    """(values, quadrature weights) of f on a region, or on the box for None."""
+    """(values, quadrature weights) of f on a region, or on the box for None; a
+    region's weights are a C-contiguous copy, as a strided view sums otherwise."""
     if region is None:
         return f.values, f.spec.weights()
     slices = region_slices(f.spec, region)
-    return f.values[slices], region_weights(f.spec, slices)
+    return f.values[slices], f.spec.weights()[slices].copy()
 
 
-def box_rows(
-    f: GridFunction,
-    starts: np.ndarray,
-    shapes: np.ndarray,
-    batch_floats: int,
-    weights: np.ndarray,
-):
+def box_rows(f: GridFunction, starts: np.ndarray, shapes: np.ndarray, batch_floats: int):
     """(members, values, weights) of f on index boxes of any shapes, in batches.
 
     Box k starts at node starts[k] and spans shapes[k] nodes per axis.  The
@@ -266,9 +257,10 @@ def box_rows(
     its `members` are increasing indices into starts, as many as fit in
     batch_floats values (one at least).  It holds one row per box in C order,
     so a row's reduction matches, bit for bit, np.sum over region_values of
-    that box.  The rows are fresh arrays that the caller may overwrite.
-    `weights` is the grid's f.spec.weights(), which a caller builds once.
+    that box.  The rows are fresh arrays that the caller may overwrite; the
+    weight rows are gathered from the grid's f.spec.weights().
     """
+    weights = f.spec.weights()
     # flat node indices: each box's first node plus the box's offsets in C order
     strides = f.spec.points_per_axis ** np.arange(f.spec.dim - 1, -1, -1)
     first = starts @ strides

@@ -21,6 +21,9 @@ covers the rounding of the (k+2)-term alternating sum and of max - min.  The
 denominators are nondecreasing along the visiting order, so no later quotient
 can exceed best.
 
+For a constant c and k + 1 <= 2 the cap is 0, as c - c and c - 2c + c are
+exact zeros while 2|c| is finite: the scan evaluates no displacement.
+
 The chain.  Let e be the unit axis step with the sign of a nonzero component
 delta_i, and delta' = delta - e; where delta' leaves the half-space, -delta'
 stands for it, with the same exact D.  |delta'| < |delta|, so delta' comes
@@ -173,6 +176,8 @@ def _visiting_steps(spec: GridSpec, k: int) -> np.ndarray:
 def _difference_cap(f: GridFunction, k: int) -> float:
     """A bound on every computed |D^(k+1)_delta f|; inf where 2^(k+1) overflows."""
     vmax, vmin = float(np.max(f.values)), float(np.min(f.values))
+    if vmax == vmin and k <= 1 and math.isfinite(2.0 * vmax):
+        return 0.0  # c - c and c - 2c + c are exact zeros
     try:
         return 2.0**k * (vmax - vmin) + 2.0 ** (k + 1) * max(vmax, -vmin) * 1e-12
     except OverflowError:

@@ -229,12 +229,12 @@ def luxembourg_norm(f: GridFunction, P: OrliczFunction, region=None) -> float:
 
 def lphi_star_norm(f: GridFunction) -> float:
     """Sum over unit lattice cubes of the per-cube Luxembourg norms under PHI,
-    all cubes in one lockstep: one block of rows per cube shape, gathered
-    from the grid's weights built once, and one certificate per cube."""
+    all cubes in one lockstep: one block of rows per cube shape, gathered by
+    `box_rows`, and one certificate per cube."""
     starts, shapes = unit_cube_boxes(f.spec)
     order, blocks = [], []
     # the cubes partition the grid: one batch holds every cube of a shape
-    for cubes, v, w in box_rows(f, starts, shapes, f.values.size, f.spec.weights()):
+    for cubes, v, w in box_rows(f, starts, shapes, f.values.size):
         order.append(cubes)
         blocks.append((np.abs(v, out=v), w))
     norms = np.empty(len(starts))

@@ -8,8 +8,9 @@ The family depends only on the grid, so it is built once per grid.
 The family is held as arrays in family order: one row of center coordinates
 and radius per ball, and, built with it, the start and shape of every ball's
 clipped index window.  An evaluation gathers the windows of the balls it
-wants with `grid.box_rows`, in small batches of one window shape, and reduces
-them row by row by `grid._row_stats`, the one rule for a ball's mean,
+wants with `grid.box_rows`, in small batches of one window shape, with their
+weights cut from the grid's `GridSpec.weights` (built once per grid), and
+reduces them row by row by `grid._row_stats`, the one rule for a ball's mean,
 oscillation and |f|-mean; `mean_oscillation` and `jn_check` read a one-row
 call of it.
 
@@ -138,13 +139,11 @@ class BallFamily:
         return measure <= 1.0 + _MEASURE_TOL, measure >= 1.0 - _MEASURE_TOL
 
 
-def _bounds(
-    b: GridFunction, family: BallFamily, column: int, mask: np.ndarray, w: np.ndarray
-) -> np.ndarray:
+def _bounds(b: GridFunction, family: BallFamily, column: int, mask: np.ndarray) -> np.ndarray:
     """Upper bound, per ball in family order, of the `column` statistic that
     `_row_stats` computes on the ball's window: the mean oscillation (1) or the
-    |b|-mean (2); 0 outside the mask.  w is the grid's weights.  The masked
-    balls are read in runs of _RUN, in family order.
+    |b|-mean (2); 0 outside the mask.  The tables are built from the grid's
+    weights w.  The masked balls are read in runs of _RUN, in family order.
 
     The bounds come from box sums of summed-area tables.  The oscillation is
     at most s times the standard deviation of d = (b - c) / s (Cauchy-Schwarz),
@@ -162,7 +161,7 @@ def _bounds(
     if lo == hi:  # every window is flat: oscillation 0 and |b|-mean |b|, exactly
         bound[masked] = 0.0 if column == 1 else amax
         return bound
-    spec = b.spec
+    spec, w = b.spec, b.spec.weights()
     if column == 1:
         c = 0.5 * lo + 0.5 * hi
         s = max(hi - c, c - lo)
@@ -209,15 +208,13 @@ def _bounds(
     return bound
 
 
-def _evaluate(
-    b: GridFunction, family: BallFamily, column: int, balls: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
+def _evaluate(b: GridFunction, family: BallFamily, column: int, balls: np.ndarray) -> np.ndarray:
     """The `column` statistic of `_row_stats` of the given balls (family
     indices): their windows only, gathered by `box_rows` in batches of one
-    shape.  weights is the grid's."""
+    shape."""
     values = np.empty(len(balls))
     starts, shapes = family.starts.take(balls, axis=0), family.shapes.take(balls, axis=0)
-    for members, vals, w in box_rows(b, starts, shapes, _BATCH_FLOATS, weights):
+    for members, vals, w in box_rows(b, starts, shapes, _BATCH_FLOATS):
         values[members] = _row_stats(vals, w)[column]
     return values
 
@@ -237,13 +234,12 @@ def _candidates(
     that attains the sup is evaluated, ties included.  A non-finite bound is
     always evaluated, and a bound of 0 never is: the value under it is 0.
     """
-    w = b.spec.weights()  # once for the bounds and every window batch
 
     def evaluate(balls):
-        values = _evaluate(b, family, column, balls, w)
+        values = _evaluate(b, family, column, balls)
         return values if weight is None else weight[balls] * values
 
-    bound = _bounds(b, family, column, mask, w)
+    bound = _bounds(b, family, column, mask)
     if weight is not None:
         bound *= weight  # rounds up from weight * value, which is below it
     bound[np.isnan(bound)] = np.inf

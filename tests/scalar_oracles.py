@@ -226,8 +226,7 @@ def family_stats(b: GridFunction, family: BallFamily) -> np.ndarray:
     """One (mean, oscillation, |f|-mean) row per ball, in family order: every
     ball's window through the batches of `box_rows` and `_row_stats`."""
     stats = np.empty((len(family.balls), 3))
-    weights = b.spec.weights()
-    for members, vals, w in box_rows(b, family.starts, family.shapes, _BATCH_FLOATS, weights):
+    for members, vals, w in box_rows(b, family.starts, family.shapes, _BATCH_FLOATS):
         stats[members] = np.column_stack(_row_stats(vals, w))
     return stats
 

@@ -125,7 +125,8 @@ def test_norm_input_file_on_another_grid_exit2(tmp_path, capsys, which, params, 
 @pytest.mark.parametrize("generator", ["random-smooth", "constant"])
 def test_norm_lambda_gamma_reports_displacements(tmp_path, generator):
     """The Lipschitz norm says how many displacements its scan evaluated, out of
-    how many: a constant beats no quotient, so it evaluates every one."""
+    how many: a constant's first differences are exact zeros, so it evaluates
+    none."""
     out = tmp_path / "report.json"
     cfg = _write(tmp_path, "cfg.json", {
         "grid": GRID,
@@ -141,7 +142,7 @@ def test_norm_lambda_gamma_reports_displacements(tmp_path, generator):
     assert doc["value"] == lambda_gamma_norm(f, LipschitzOrder(0.5))
     assert doc["displacements"] == 64  # (129 - 1) // 2 steps
     if generator == "constant":
-        assert doc["displacements_visited"] == 64
+        assert doc["displacements_visited"] == 0
     else:
         assert 0 < doc["displacements_visited"] < 64
 
@@ -265,6 +266,11 @@ EXIT_CASES = [
               "which": "lp"}, 2, None),
     ("split", {"grid": GRID, "regime": "p1", "b_generator": {
         "kind": "random-lipschitz", "params": {"gamma": 0.5, "target_norm": 1.0}}}, 2, None),
+    # a parameter whose powers 2^(-gamma j) overflow
+    ("split", {"grid": GRID, "regime": "mean", "p": 0.8, "b_generator": {
+        "kind": "random-lipschitz", "params": {"gamma": -2000}}}, 2, None),
+    ("split", {"grid": GRID, "regime": "mean", "p": 0.8, "b_generator": {
+        "kind": "random-lipschitz", "params": {"gamma": 0.5, "levels": 1100}}}, 2, None),
     # spacing 1/2: the local maximal ladder [2 * spacing, 1/2] holds no power of two
     ("split", {"grid": {**GRID, "points_per_axis": 33}, "regime": "p1_local"}, 2, None),
     ("split", {"grid": {**GRID, "points_per_axis": 33}, "regime": "projection_local",
@@ -500,8 +506,8 @@ def test_lab_process_never_prints_a_traceback(tmp_path):
     """What the terminal shows of a malformed decomposition, a non-object params,
     an infinite draw count, an input file that is not a path, two Lipschitz
     orders too large for the grid or for float binomial coefficients, a
-    halfwidth whose box width overflows, one whose cell measure does and one
-    whose cell measure underflows."""
+    halfwidth whose box width overflows, one whose cell measure does, one
+    whose cell measure underflows and a generator parameter that overflows."""
     cases = [
         ("validate", {"decomposition": _malformed_decomposition(tmp_path, "grid-null")}, 1),
         ("norm", {"grid": GRID, "input": {"generator": "step"}, "which": "hardy",
@@ -525,6 +531,10 @@ def test_lab_process_never_prints_a_traceback(tmp_path):
         ("norm", {"grid": GRID_2D_TINY, "input": {"generator": "step"}, "which": "lmo"}, 2),
         ("norm", {"grid": GRID_2D_TINY, "input": {"generator": "step"},
                   "which": "bmo_local"}, 2),
+        # a generator parameter whose powers overflow
+        ("split", {"grid": GRID, "regime": "mean", "p": 0.8, "b_generator": {
+            "kind": "random-lipschitz", "params": {"gamma": 0.5, "levels": 1100}},
+            "output_dir": str(tmp_path / "out")}, 2),
     ]
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -22,7 +22,6 @@ from hardylab.grid import (
     region_node_count,
     region_slices,
     region_values,
-    region_weights,
     save_gridfunction,
     shape_groups,
     sup_norm,
@@ -271,8 +270,7 @@ def test_box_rows_gather_boxes_of_any_shape(spec, rng):
     starts = np.vstack([lo, np.zeros((1, dim), dtype=int)])
     shapes = np.vstack([hi - lo, np.full((1, dim), m)])
     assert (starts == 0).any(axis=0).all() and (starts + shapes == m).any(axis=0).all()
-    weights = spec.weights()
-    batches = list(box_rows(f, starts, shapes, batch_floats, weights))
+    batches = list(box_rows(f, starts, shapes, batch_floats))
     members = np.concatenate([k for k, _, _ in batches])
     assert np.array_equal(np.sort(members), np.arange(len(starts)))
     assert any(len(k) > 1 for k, _, _ in batches)
@@ -284,15 +282,17 @@ def test_box_rows_gather_boxes_of_any_shape(spec, rng):
             v, wi = region_values(f, tuple(slice(a, a + h) for a, h in zip(starts[i], shapes[i])))
             assert np.array_equal(row_v, v.ravel()) and np.array_equal(row_w, wi.ravel())
             assert row_sum == np.sum(wi * v)
-    assert list(box_rows(f, starts[:0], shapes[:0], batch_floats, weights)) == []
+    assert list(box_rows(f, starts[:0], shapes[:0], batch_floats)) == []
 
 
-# the per-dimension branches that region_weights and region_coords replaced,
+# the per-dimension branches that GridSpec.weights and region_coords replaced,
 # kept as their reference; GridSpec.weights was the first on the whole box
 
 
 def _former_region_weights(spec, slices):
-    w = spec.axis_weights()
+    w = np.full(spec.points_per_axis, spec.spacing)  # the former axis_weights
+    w[0] *= 0.5
+    w[-1] *= 0.5
     if spec.dim == 1:
         return w[slices[0]]
     return np.multiply.outer(w[slices[0]], w[slices[1]])
@@ -306,20 +306,31 @@ def _former_region_coords(spec, slices):
 
 
 def test_region_helpers_match_former_branches():
+    """Region weights equal the former outer products, ==, sum to the same
+    float and are C-contiguous: a strided view of the grid's weights sums in
+    another grouping, which at 2d halfwidth 3.7, m=100 moves some ball sums."""
     for dim, m, halfwidth in CUBE_GRIDS:
         if dim == 2 and m > 129:  # 2d boxes above m=129 hold nothing new
             continue
         spec = GridSpec(dim, halfwidth, m)
+        f = GridFunction.zeros(spec)
         whole = (slice(None),) * dim
         assert np.array_equal(spec.weights(), _former_region_weights(spec, whole))
         boxes = [whole, *unit_cubes(spec).values()]
-        if dim == 1 or m <= 65:  # a 2d m=129 family takes 0.2 s to build
+        # a 2d m=129 family takes 0.2 s to build; a strided sum is known to
+        # differ on a few balls of the 2d halfwidth 3.7, m=100 family
+        strided = (dim, m, halfwidth) == (2, 100, 3.7)
+        if dim == 1 or m <= 65 or strided:
             family = BallFamily.build(spec)
             n = len(family.balls)
-            # about 200 balls per family, spread over its radii and centers
-            boxes += [region_slices(spec, family.ball(i)) for i in range(0, n, n // 200 + 1)]
+            # about 200 balls per family (2,000 on the strided one), spread
+            # over its radii and centers
+            step = n // (2000 if strided else 200) + 1
+            boxes += [region_slices(spec, family.ball(i)) for i in range(0, n, step)]
         for box in boxes:
-            assert np.array_equal(region_weights(spec, box), _former_region_weights(spec, box))
+            w, former = region_values(f, box)[1], _former_region_weights(spec, box)
+            assert np.array_equal(w, former) and np.sum(w) == np.sum(former)
+            assert w.flags.c_contiguous
             coords = region_coords(spec, box)
             former = _former_region_coords(spec, box)
             assert len(coords) == len(former) == dim

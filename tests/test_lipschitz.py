@@ -198,12 +198,31 @@ def _visits(monkeypatch, f, order):
 @pytest.mark.parametrize("dim, m", [(1, 1025), (2, 65)])
 def test_seminorm_stops_early_on_rough_fields(monkeypatch, dim, m):
     """A random-bmo field wins at the shortest displacements and the cap ends the
-    scan there; a constant field never beats 0, so the scan visits every one."""
+    scan there.  A constant field's differences of order k + 1 <= 2 are exact
+    zeros, so its cap is 0 and the scan visits none; at higher orders it never
+    beats 0, and the scan visits every one."""
     spec = GridSpec(dim, 8.0, m)
     order = LipschitzOrder(0.5)
     total = len(list(_delta_candidates(GridFunction.zeros(spec), order.k + 1)))
     assert _visits(monkeypatch, _field(spec, "random-bmo", 0.5), order) < total // 100
-    assert _visits(monkeypatch, _field(spec, "constant", 0.5), order) == total
+    for gamma in (0.5, 1.5, 2.0):
+        order = LipschitzOrder(gamma)
+        total = len(_delta_candidates(GridFunction.zeros(spec), order.k + 1))
+        visits = 0 if gamma < 2 else total
+        f = _field(spec, "constant", gamma)
+        assert seminorm_scan(f, order) == SeminormScan(0.0, visits, total)
+        assert _visits(monkeypatch, f, order) == visits
+
+
+def test_constant_cap_is_zero_while_exact():
+    """The cap of a constant is 0 for k + 1 <= 2 while 2|c| is a float, and the
+    former cap at k + 1 = 3, or where 2|c| overflows (there 2^2 |c| does too)."""
+    spec = GridSpec(1, 8.0, 129)
+    for c in (-3.0, 0.0, 8e307):
+        assert _difference_cap(GridFunction.constant(spec, c), 0) == 0.0
+        assert _difference_cap(GridFunction.constant(spec, c), 1) == 0.0
+    assert _difference_cap(GridFunction.constant(spec, -3.0), 2) == 8 * 3.0 * 1e-12
+    assert _difference_cap(GridFunction.constant(spec, 1e308), 1) == math.inf
 
 
 @pytest.mark.parametrize("kind", ["random-smooth", "random-lipschitz"])

@@ -219,7 +219,7 @@ def test_lphi_star_lockstep_matches_cube_loop(request, spec, rng):
     # and cube by cube: the lockstep rows are the scalar norms
     starts = np.array([[s.start for s in box] for box in boxes])
     shapes = np.array([[s.stop - s.start for s in box] for box in boxes])
-    batches = list(box_rows(f, starts, shapes, f.values.size, spec.weights()))
+    batches = list(box_rows(f, starts, shapes, f.values.size))
     if spec == GridSpec(2, 8.0, 65):
         assert len(batches) == 9
     blocks = []

@@ -15,11 +15,13 @@ from hardylab.grid import (
     GridSpec,
     ball_mean,
     dyadic_scales,
+    lp_norm,
     region_node_count,
     region_slices,
     region_values,
 )
 from hardylab.maximal import bump_profile
+from hardylab.orlicz import lphi_star_norm
 from hardylab.oscillation import (
     BallFamily,
     bmo_local_norm,
@@ -248,21 +250,19 @@ def test_empty_half_is_not_bounded(monkeypatch):
         assert sum(gathered) == sum(len(balls) for _, balls in evaluated) > 0
 
 
-def test_grid_weights_built_once_per_sup(monkeypatch):
-    """One bmo_local_norm on 2d m=65 builds the grid's weights at most twice,
-    however many window groups it gathers; its small half is empty there."""
+def test_grid_weights_built_once_per_grid():
+    """bmo_local_norm, lphi_star_norm, lp_norm and ball_mean on 2d m=65 build
+    the grid's weights once between them, however many window groups, cubes
+    and regions they read; the weights are read-only."""
     spec = GridSpec(2, 8.0, 65)
     b = b_field(spec, "step", np.random.default_rng(5))
     BallFamily.build(spec)
-    built, weights = [], GridSpec.weights
-
-    def counted(self):
-        built.append(self)
-        return weights(self)
-
-    monkeypatch.setattr(GridSpec, "weights", counted)
-    assert bmo_local_norm(b) > 0
-    assert 0 < len(built) <= 2
+    GridSpec.weights.cache_clear()
+    assert bmo_local_norm(b) > 0 and lphi_star_norm(b) > 0
+    assert lp_norm(b, 1.0) > 0 and ball_mean(b, Ball((1.0, 0.0), 2.0)) > 0
+    assert GridSpec.weights.cache_info().misses == 1
+    with pytest.raises(ValueError):
+        spec.weights()[0, 0] = 1.0
 
 
 def test_family_memory_guard():

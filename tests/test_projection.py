@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hardylab.generators import random_smooth_field
-from hardylab.grid import Ball, GridFunction, GridSpec, ball_mean, region_slices, region_weights
+from hardylab.grid import Ball, GridFunction, GridSpec, ball_mean, region_slices, region_values
 from hardylab.lipschitz import LipschitzOrder
 from hardylab.projection import (
     campanato_ratio,
@@ -101,7 +101,7 @@ def test_residual_orthogonality(spec1d, rng):
     ball = Ball((0.0,), 2.0)
     proj = poly_project(f, ball, 2)
     sl = region_slices(spec1d, ball)
-    w = region_weights(spec1d, sl)
+    w = region_values(f, sl)[1]
     resid = f.values[sl] - proj.values
     x = spec1d.axis()[sl[0]]
     scale = np.sum(w * np.abs(f.values[sl]))
@@ -115,7 +115,7 @@ def test_best_approximation(spec1d, rng):
     ball = Ball((0.0,), 2.0)
     proj = poly_project(f, ball, 1)
     sl = region_slices(spec1d, ball)
-    w = region_weights(spec1d, sl)
+    w = region_values(f, sl)[1]
     x = spec1d.axis()[sl[0]]
     best = float(np.sum(w * (f.values[sl] - proj.values) ** 2))
     for _ in range(20):
@@ -171,7 +171,7 @@ def test_campanato_abs_value_oracle():
     ball = Ball((0.0,), r)
     proj = poly_project(f, ball, 1)
     sl = region_slices(spec, ball)
-    w = region_weights(spec, sl)
+    w = region_values(f, sl)[1]
     resid = np.abs(f.values[sl] - proj.values)
     mean_resid = float(np.sum(w * resid) / np.sum(w))
     assert mean_resid == pytest.approx(r / 4.0, rel=0.02)
