@@ -35,6 +35,8 @@ from .product import REGIMES, Regime, SplitReport, split_bmo, split_lipschitz, v
 USAGE_ERROR = 2
 PARSE_ERROR = 1
 
+_NORMS = ("lp", "luxembourg", "lphi_star", "hardy", "bmo", "bmo_local", "lmo", "lambda_gamma")
+
 
 class ConfigError(Exception):
     pass
@@ -146,7 +148,10 @@ def cmd_norm(config: dict) -> int:
     params = config.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"params must be an object, got {params!r}")
-    # the exponent and order ranges are checked before the input is read
+    # the tag, the exponent and order ranges and the hardy flag are checked
+    # before the input is read
+    if which not in _NORMS:
+        raise ConfigError(f"unknown norm tag {which!r}")
     if which in ("lp", "hardy"):
         p = _number(params, "p", 1.0)
         if not (p > 0 and (which == "lp" or p <= 1)):
@@ -159,6 +164,12 @@ def cmd_norm(config: dict) -> int:
         if not order.fits(spec):
             raise ConfigError(f"gamma = {gamma} is too large for {spec.points_per_axis} "
                               "points per axis: no difference stencil fits")
+    if which == "hardy":
+        local = params.get("local", False)
+        if not isinstance(local, bool):
+            raise ConfigError(f"local must be true or false, got {local!r}")
+        if local:
+            _require_local_scales(spec)
     f = _input_function(config, spec)
     extra: dict = {}
     if which == "lp":
@@ -168,11 +179,6 @@ def cmd_norm(config: dict) -> int:
     elif which == "lphi_star":
         value = lphi_star_norm(f)
     elif which == "hardy":
-        local = params.get("local", False)
-        if not isinstance(local, bool):
-            raise ConfigError(f"local must be true or false, got {local!r}")
-        if local:
-            _require_local_scales(spec)
         value = hardy_quasinorm(f, p, local=local)
         extra = {"maximal_scales": maximal_scales(spec, local)}
     elif which == "bmo":
@@ -184,12 +190,10 @@ def cmd_norm(config: dict) -> int:
         extra = {"family_size": len(BallFamily.build(spec).balls)}
     elif which == "lmo":
         value = lmo_norm(f)
-    elif which == "lambda_gamma":
+    else:  # lambda_gamma
         scan = seminorm_scan(f, order)
         value = sup_norm(f) + scan.value  # lambda_gamma_norm, with the scan's counts
         extra = {"displacements_visited": scan.visited, "displacements": scan.displacements}
-    else:
-        raise ConfigError(f"unknown norm tag {which!r}")
     doc = {
         "which": which,
         "value": value,
@@ -332,8 +336,11 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
     args = parser.parse_args(argv)
     handlers = {"norm": cmd_norm, "split": cmd_split, "validate": cmd_validate}
+    # numpy reports no floating-point warning on stderr: a non-finite result
+    # still fails the GridFunction and strict-JSON checks, with one error line
     try:  # a config that cannot be read is an OSError: exit 1
-        return handlers[args.command](_load_config(args.config))
+        with np.errstate(all="ignore"):
+            return handlers[args.command](_load_config(args.config))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

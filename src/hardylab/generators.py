@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .atoms import AtomicDecomposition, make_atom, make_local_atom
-from .grid import Ball, GridFunction, GridSpec, dyadic_scales
+from .grid import Ball, GridFunction, GridSpec, dyadic_scales, region_coords
 
 __all__ = [
     "constant_field",
@@ -31,29 +31,25 @@ __all__ = [
 ]
 
 
+def _box_coords(spec: GridSpec) -> tuple[np.ndarray, ...]:
+    """The open per-axis node coordinates of the whole box (grid.region_coords)."""
+    return region_coords(spec, (slice(None),) * spec.dim)
+
+
 def constant_field(spec: GridSpec, value: float = 1.0) -> GridFunction:
     return GridFunction.constant(spec, value)
 
 
 def step_field(spec: GridSpec, height: float = 1.0) -> GridFunction:
     """height * indicator of {x_1 >= 0}."""
-    x = spec.meshes()[0]
-    return GridFunction(spec, np.where(x >= 0, float(height), 0.0))
+    x = _box_coords(spec)[0]  # the zeros broadcast the field to the grid's shape
+    return GridFunction(spec, np.where(x >= 0, float(height), np.zeros(spec.shape)))
 
 
 def regularized_log_field(spec: GridSpec, scale: float = 1.0) -> GridFunction:
     """log|x| clipped at grid scale: log(max(|x|, spacing))."""
-    meshes = spec.meshes()
-    r = np.sqrt(sum(x**2 for x in meshes))
+    r = np.sqrt(sum(x**2 for x in _box_coords(spec)))
     return GridFunction(spec, scale * np.log(np.maximum(r, spec.spacing)))
-
-
-def _trig_series(spec: GridSpec, amplitudes, frequencies, phases) -> np.ndarray:
-    x = spec.meshes()[0]
-    out = np.zeros(spec.shape)
-    for a, f, ph in zip(amplitudes, frequencies, phases):
-        out += a * np.cos(math.pi * f * x / spec.halfwidth + ph)
-    return out
 
 
 def random_smooth_field(
@@ -64,10 +60,12 @@ def random_smooth_field(
     freqs = rng.integers(1, 6, n_modes)
     amps = amplitude * rng.normal(size=n_modes) / n_modes
     phases = rng.uniform(0, 2 * math.pi, n_modes)
-    vals = _trig_series(spec, amps, freqs, phases)
-    if spec.dim == 2:
-        y = spec.meshes()[1]
-        vals = vals + amplitude * 0.2 * np.cos(math.pi * y / spec.halfwidth)
+    x, *y = _box_coords(spec)
+    vals = np.zeros(spec.shape)
+    for a, f, ph in zip(amps, freqs, phases):
+        vals += a * np.cos(math.pi * f * x / spec.halfwidth + ph)
+    if y:
+        vals = vals + amplitude * 0.2 * np.cos(math.pi * y[0] / spec.halfwidth)
     return GridFunction(spec, vals)
 
 
@@ -83,7 +81,7 @@ def random_lipschitz_field(
     phases; its Lambda_gamma norm is finite and roughly scale invariant.
     Callers rescale it to a target norm themselves (the norm scan is expensive).
     """
-    x = spec.meshes()[0]
+    x = _box_coords(spec)[0]
     vals = np.zeros(spec.shape)
     for j in range(levels):
         sign = rng.choice([-1.0, 1.0])
@@ -98,7 +96,7 @@ def random_bmo_field(
     spec: GridSpec, rng: np.random.Generator, levels: int = 5
 ) -> GridFunction:
     """Random dyadic martingale sum: +-coin per dyadic interval and level."""
-    x = spec.meshes()[0]
+    x = _box_coords(spec)[0]
     vals = np.zeros(spec.shape)
     R = spec.halfwidth
     for level in range(levels):

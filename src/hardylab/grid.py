@@ -11,6 +11,10 @@ Conventions
   ``x_i = -R + i * spacing`` per axis with ``spacing = 2R / (m - 1)``.
 * Balls are sup-norm balls (axis-aligned boxes), so 1d and 2d share code
   and the analytic measure ``(2r)^n`` is exact.
+* A box's nodes are products of per-axis data, kept per axis: one open
+  coordinate array per axis (`region_coords`), broadcast to the box, gives
+  every node the floats of a dense mesh (`GridSpec.meshes`, the dense view);
+  a ball's index window is one per-axis rule over an array of centers.
 * Wherever a measure divides an integral (means), the *quadrature* measure
   (sum of node weights in the region) is used, so means of constants are
   exact.  The analytic measure is used for scale factors such as
@@ -147,8 +151,10 @@ class GridSpec:
         return w
 
     def meshes(self) -> tuple[np.ndarray, ...]:
-        """Coordinate arrays, one per axis, each with the grid's shape."""
-        return region_coords(self, (slice(None),) * self.dim)
+        """The dense view of the grid's coordinates: one array per axis, each
+        with the grid's shape, for `GridFunction.from_callable` and the tests;
+        the library reads the open per-axis arrays of `region_coords`."""
+        return tuple(np.meshgrid(*[self.axis()] * self.dim, indexing="ij"))
 
 
 @dataclass(frozen=True)
@@ -211,13 +217,14 @@ class Ball:
         return (2.0 * self.radius) ** self.dim
 
 
-def _ball_axis_slice(spec: GridSpec, center: float, radius: float) -> slice:
-    step = spec.spacing
-    lo = (center - radius + spec.halfwidth) / step
-    hi = (center + radius + spec.halfwidth) / step
-    i_lo = max(0, int(math.ceil(lo - _INDEX_TOL)))
-    i_hi = min(spec.points_per_axis - 1, int(math.floor(hi + _INDEX_TOL)))
-    return slice(i_lo, i_hi + 1)
+def _ball_axis_windows(spec: GridSpec, centers, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """(first, stop) on one axis, floats in [0, m]: the nodes within the radius of
+    each center, up to _INDEX_TOL steps; a window is empty unless first < stop."""
+    m, step = spec.points_per_axis, spec.spacing
+    lo = (centers - radius + spec.halfwidth) / step
+    hi = (centers + radius + spec.halfwidth) / step
+    first = np.minimum(np.maximum(np.ceil(lo - _INDEX_TOL), 0.0), m)
+    return first, np.maximum(np.minimum(np.floor(hi + _INDEX_TOL) + 1.0, m), 0.0)
 
 
 def region_slices(spec: GridSpec, region) -> tuple[slice, ...]:
@@ -228,16 +235,16 @@ def region_slices(spec: GridSpec, region) -> tuple[slice, ...]:
         raise TypeError(f"unsupported region type {type(region).__name__}")
     if region.dim != spec.dim:
         raise ValueError("region dimension does not match grid")
-    slices = tuple(_ball_axis_slice(spec, c, region.radius) for c in region.center)
-    if any(s.stop <= s.start for s in slices):
+    first, stop = _ball_axis_windows(spec, np.array(region.center), region.radius)
+    if not (first < stop).all():  # a NaN center too
         raise ValueError("empty region")
-    return slices
+    return tuple(slice(int(a), int(b)) for a, b in zip(first.tolist(), stop.tolist()))
 
 
 def region_coords(spec: GridSpec, slices: tuple[slice, ...]) -> tuple[np.ndarray, ...]:
-    """Node coordinates on a region's slices, one array per axis."""
-    axes = [spec.axis()[s] for s in slices]
-    return tuple(np.meshgrid(*axes, indexing="ij"))
+    """Node coordinates on a region's slices: open arrays, one per axis."""
+    axis = spec.axis()
+    return tuple(np.meshgrid(*[axis[s] for s in slices], indexing="ij", sparse=True))
 
 
 def region_values(f: GridFunction, region=None) -> tuple[np.ndarray, np.ndarray]:
@@ -353,7 +360,10 @@ def lp_norm(f: GridFunction, p: float, region=None) -> float:
         raise ValueError("p must be positive")
     vals, w = region_values(f, region)
     total = float(np.sum(w * np.abs(vals) ** p))
-    return total ** (1.0 / p)
+    try:
+        return total ** (1.0 / p)
+    except OverflowError:  # a finite integral whose root is beyond float range
+        return math.inf
 
 
 def sup_norm(f: GridFunction, region=None) -> float:
@@ -373,8 +383,7 @@ def _cube_bins(spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _raster_rows(count: int, dim: int) -> np.ndarray:
     """(count^dim, dim) rows of every multi-index below count, in raster order
     (last axis fastest)."""
-    axes = np.meshgrid(*[np.arange(count)] * dim, indexing="ij")
-    return np.stack([a.ravel() for a in axes], axis=-1)
+    return np.stack(np.unravel_index(np.arange(count**dim), (count,) * dim), axis=-1)
 
 
 def unit_cubes(spec: GridSpec) -> dict[tuple[int, ...], tuple[slice, ...]]:

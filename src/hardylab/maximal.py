@@ -49,8 +49,8 @@ def _kernel(spec: GridSpec, t: float) -> np.ndarray:
         raise ValueError("scale below resolution")
     k_max = int(math.ceil(t / step)) - 1
     offsets = np.arange(-k_max, k_max + 1) * step
-    mesh = np.meshgrid(*[offsets] * spec.dim, indexing="ij")
-    vals = bump_profile(np.sqrt(sum((x / t) ** 2 for x in mesh)))
+    axes = np.meshgrid(*[offsets] * spec.dim, indexing="ij", sparse=True)
+    vals = bump_profile(np.sqrt(sum((x / t) ** 2 for x in axes)))
     total = vals.sum()
     if total <= 0:
         raise ValueError("scale below resolution")
@@ -116,10 +116,14 @@ def maximal_fn(f: GridFunction, local: bool = False) -> GridFunction:
         spectrum = transform * np.fft.rfftn(kern, s=shape, axes=axes)
         return np.fft.irfftn(spectrum, s=shape, axes=axes)[(slice(h, h + m),) * dim]
 
-    transform = np.fft.rfftn(f.values, s=shape, axes=axes)
+    # f is transformed as f / 2^e, with max|f| < 2^e, so that no sum of the
+    # transform overflows; a power of two scales every normal rounding exactly
+    e = int(np.frexp(np.max(np.abs(f.values)))[1])
+    transform = np.fft.rfftn(np.ldexp(f.values, -e), s=shape, axes=axes)
     out = np.zeros(f.spec.shape)
     for kern in itertools.chain([widest], kernels):
         np.maximum(out, np.abs(convolve(transform, kern)), out=out)
+    out = np.ldexp(out, e)
     # round-off fills the nodes where the tap sum is exactly 0; the widest
     # kernel's taps cover every narrower kernel's, and this count of nonzero
     # taps on nonzero values is an integer, so < 0.5 means none

@@ -43,7 +43,7 @@ from .grid import (
     Ball,
     GridFunction,
     GridSpec,
-    _ball_axis_slice,
+    _ball_axis_windows,
     _one_row_stats,
     _raster_rows,
     _row_stats,
@@ -116,8 +116,8 @@ class BallFamily:
         for r in dyadic_scales(4.0 * step, 2.0 * spec.halfwidth):
             stride_steps = max(1, int(round((r / 8.0) / step)))
             centers = np.arange(0, spec.points_per_axis, stride_steps) * step - spec.halfwidth
-            slices = [_ball_axis_slice(spec, c, r) for c in centers.tolist()]
-            axis = np.array([(s.start, s.stop - s.start) for s in slices], dtype=np.int32)
+            first, stop = _ball_axis_windows(spec, centers, r)
+            axis = np.column_stack([first, stop - first]).astype(np.int32)
             # one row per ball, in raster order: the index of its center on each axis
             index = _raster_rows(len(centers), spec.dim)
             balls.append(np.column_stack([centers[index], np.full(len(index), r)]))

@@ -245,9 +245,14 @@ class SplitReport:
         return ["" if v is None else v for v in astuple(self)]
 
 
-def _ratio(num: float, denom: float) -> float:
+def _ratio(num: float, scale: float, weight: float) -> float:
+    """num / (scale * weight), with 0 / 0 read as 0; a product beyond float
+    range divides num one factor at a time instead of reading as infinite."""
+    denom = scale * weight
     if denom == 0.0:
         return 0.0 if num == 0.0 else math.inf
+    if denom == math.inf:
+        return num / scale / weight
     return num / denom
 
 
@@ -280,8 +285,8 @@ def verify_split(
         b_scale=b_scale,
         lambda_sum=decomp.lambda_sum,
         lambda_p_sum=decomp.lambda_p_sum,
-        C1=_ratio(h1_norm, b_scale * decomp.lambda_sum),
-        C2=_ratio(h2_norm, b_scale * lam_scale),
+        C1=_ratio(h1_norm, b_scale, decomp.lambda_sum),
+        C2=_ratio(h2_norm, b_scale, lam_scale),
         grid_dim=split.h1.spec.dim,
         grid_halfwidth=split.h1.spec.halfwidth,
         grid_points=split.h1.spec.points_per_axis,

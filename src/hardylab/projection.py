@@ -18,6 +18,7 @@ from .grid import (
     Ball,
     GridFunction,
     GridSpec,
+    region_coords,
     region_slices,
     region_values,
     sup_norm,
@@ -67,16 +68,15 @@ def monomial_terms(
 ) -> list[np.ndarray]:
     """start * ((x - x_B)/unit)^alpha on the ball's nodes, in multi_indices order.
 
-    The powers are taken on each axis's 1d coordinates once and broadcast:
-    every node sees the operations of a power on its own coordinates, and the
-    product runs over the axes in order, skipping those with alpha_i = 0.
-    `start` is ball-shaped, so every term is too; the term of alpha = 0 is
-    `start` itself.
+    The powers are taken on the open per-axis coordinates of `region_coords`
+    once and broadcast: every node sees the operations of a power on its own
+    coordinates, and the product runs over the axes in order, skipping those
+    with alpha_i = 0.  `start` is ball-shaped, so every term is too; the term
+    of alpha = 0 is `start` itself.
     """
-    axis = spec.axis()
     powers = []
-    for i, (s, c) in enumerate(zip(region_slices(spec, ball), ball.center)):
-        u = ((axis[s] - c) / unit).reshape([-1 if j == i else 1 for j in range(spec.dim)])
+    for x, c in zip(region_coords(spec, region_slices(spec, ball)), ball.center):
+        u = (x - c) / unit
         powers.append([None] + [u**a for a in range(1, degree + 1)])
     terms = []
     for alpha in multi_indices(spec.dim, degree):

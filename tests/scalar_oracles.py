@@ -20,9 +20,13 @@ every displacement, in raster order, that the branch-and-bound
 `_delta_candidates` and `_visiting_order` are the displacement arrays of the
 scan, `lipschitz._half_space` and `_visiting_steps`, as lists of tuples.
 `monomials_meshgrid` and `moment_residuals_meshgrid` take the powers of the
-polynomial basis and of the moments on the meshgrid of a ball's coordinates,
-node by node, where `projection.monomial_terms` takes them on each axis's 1d
-coordinates and broadcasts; they agree under `==`.
+polynomial basis and of the moments on the dense meshgrid of a ball's
+coordinates, node by node, where `projection.monomial_terms` takes them on the
+open per-axis coordinates of `grid.region_coords` and broadcasts; they agree
+under `==`.  In the same way `FORMER_GENERATORS` (the b generators) and
+`bump_on_ball_meshgrid` (the atoms' bump) compute on the dense coordinate
+mesh, and `ball_axis_slice` is the one-center window rule that
+`grid._ball_axis_windows` runs over an array of centers; all agree under `==`.
 `family_stats` is the statistics pass over every ball of the family, and
 `family_norms` the BMO, bmo and lmo norms read from it, that the pruned sups
 of `oscillation` replaced; they agree under `==`, the argmax ball included.
@@ -36,10 +40,10 @@ import sys
 import numpy as np
 
 from hardylab.grid import (
-    Ball, GridFunction, GridSpec, _row_stats, box_rows, region_coords, region_slices, region_values,
+    _INDEX_TOL, Ball, GridFunction, GridSpec, _row_stats, box_rows, region_slices, region_values,
 )
 from hardylab.lipschitz import LipschitzOrder, _half_space, _visiting_steps, difference_op
-from hardylab.maximal import convolve_dilated, maximal_scales
+from hardylab.maximal import bump_profile, convolve_dilated, maximal_scales
 from hardylab.orlicz import _REL_TOL, OrliczFunction
 from hardylab.oscillation import _BATCH_FLOATS, BallFamily
 from hardylab.projection import multi_indices
@@ -190,10 +194,16 @@ MESHGRID_BALLS = {
 }
 
 
+def meshgrid_coords(spec: GridSpec, slices: tuple[slice, ...]) -> tuple[np.ndarray, ...]:
+    """Node coordinates on a region's slices as a dense meshgrid, one array per
+    axis with the region's shape."""
+    return tuple(np.meshgrid(*[spec.axis()[s] for s in slices], indexing="ij"))
+
+
 def monomials_meshgrid(spec: GridSpec, ball: Ball, degree: int) -> list[np.ndarray]:
     """((x - x_B)/r)^alpha on the ball's nodes, in multi_indices order: the
     powers taken on the meshgrid of the ball's coordinates, term by term."""
-    coords = region_coords(spec, region_slices(spec, ball))
+    coords = meshgrid_coords(spec, region_slices(spec, ball))
     scaled = [(x - c) / ball.radius for x, c in zip(coords, ball.center)]
     terms = []
     for alpha in multi_indices(spec.dim, degree):
@@ -210,7 +220,7 @@ def moment_residuals_meshgrid(values: GridFunction, ball: Ball, s: int) -> dict:
     powers taken on the meshgrid of the ball's coordinates."""
     spec = values.spec
     vals, w = region_values(values, ball)
-    coords = region_coords(spec, region_slices(spec, ball))
+    coords = meshgrid_coords(spec, region_slices(spec, ball))
     centered = [x - c for x, c in zip(coords, ball.center)]
     out = {}
     for alpha in multi_indices(spec.dim, s):
@@ -250,3 +260,91 @@ def family_norms(b: GridFunction):
     bmo_local = sup(osc, small) + mean_sup
     lmo = sup(np.array(weight)[per_ball] * osc, small) + mean_sup
     return bmo, bmo_local, lmo
+
+
+def bump_on_ball_meshgrid(spec: GridSpec, ball: Ball, modulate=None) -> np.ndarray:
+    """atoms._bump_on_ball on the dense meshgrid of the ball's coordinates."""
+    slices = region_slices(spec, ball)
+    coords = meshgrid_coords(spec, slices)
+    scaled = [(x - c) / ball.radius for x, c in zip(coords, ball.center)]
+    r = np.sqrt(sum(u**2 for u in scaled)) / math.sqrt(spec.dim)
+    local = bump_profile(r)
+    if modulate is not None:
+        local = local * modulate(*scaled)
+    vals = np.zeros(spec.shape)
+    vals[slices] = local
+    return vals
+
+
+def ball_axis_slice(spec: GridSpec, center: float, radius: float) -> slice:
+    """The index window, on one axis, of the ball of this radius about one
+    center, in Python ints: the nodes within the radius, with a slack of
+    _INDEX_TOL grid steps, clipped to the box."""
+    step = spec.spacing
+    lo = (center - radius + spec.halfwidth) / step
+    hi = (center + radius + spec.halfwidth) / step
+    i_lo = max(0, int(math.ceil(lo - _INDEX_TOL)))
+    i_hi = min(spec.points_per_axis - 1, int(math.floor(hi + _INDEX_TOL)))
+    return slice(i_lo, i_hi + 1)
+
+
+# the b generators on the dense coordinate mesh of spec.meshes(), one per kind
+# of generators.B_GENERATORS, each of (spec, rng, params)
+
+
+def _step_field(spec, height=1.0):
+    x = spec.meshes()[0]
+    return GridFunction(spec, np.where(x >= 0, float(height), 0.0))
+
+
+def _regularized_log_field(spec, scale=1.0):
+    r = np.sqrt(sum(x**2 for x in spec.meshes()))
+    return GridFunction(spec, scale * np.log(np.maximum(r, spec.spacing)))
+
+
+def _random_smooth_field(spec, rng, amplitude=1.0):
+    n_modes = 8
+    freqs = rng.integers(1, 6, n_modes)
+    amps = amplitude * rng.normal(size=n_modes) / n_modes
+    phases = rng.uniform(0, 2 * math.pi, n_modes)
+    x = spec.meshes()[0]
+    vals = np.zeros(spec.shape)
+    for a, f, ph in zip(amps, freqs, phases):
+        vals += a * np.cos(math.pi * f * x / spec.halfwidth + ph)
+    if spec.dim == 2:
+        y = spec.meshes()[1]
+        vals = vals + amplitude * 0.2 * np.cos(math.pi * y / spec.halfwidth)
+    return GridFunction(spec, vals)
+
+
+def _random_lipschitz_field(spec, rng, gamma, levels=7):
+    x = spec.meshes()[0]
+    vals = np.zeros(spec.shape)
+    for j in range(levels):
+        sign = rng.choice([-1.0, 1.0])
+        phase = rng.uniform(0, 2 * math.pi)
+        vals += sign * 2.0 ** (-gamma * j) * np.cos(2.0**j * math.pi * x / spec.halfwidth + phase)
+    return GridFunction(spec, vals)
+
+
+def _random_bmo_field(spec, rng, levels=5):
+    x = spec.meshes()[0]
+    vals = np.zeros(spec.shape)
+    R = spec.halfwidth
+    for level in range(levels):
+        n_int = 2**level
+        signs = rng.choice([-1.0, 1.0], size=n_int)
+        width = 2.0 * R / n_int
+        idx = np.clip(((x + R) / width).astype(int), 0, n_int - 1)
+        vals += signs[idx]
+    return GridFunction(spec, vals)
+
+
+FORMER_GENERATORS = {
+    "constant": lambda spec, rng, kw: GridFunction.constant(spec, kw.get("value", 1.0)),
+    "step": lambda spec, rng, kw: _step_field(spec, **kw),
+    "regularized-log": lambda spec, rng, kw: _regularized_log_field(spec, **kw),
+    "random-smooth": lambda spec, rng, kw: _random_smooth_field(spec, rng, **kw),
+    "random-lipschitz": lambda spec, rng, kw: _random_lipschitz_field(spec, rng, **kw),
+    "random-bmo": lambda spec, rng, kw: _random_bmo_field(spec, rng, **kw),
+}

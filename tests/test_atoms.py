@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hardylab import atoms
 from hardylab.atoms import (
     Atom,
     AtomicDecomposition,
@@ -11,12 +12,14 @@ from hardylab.atoms import (
     make_local_atom,
     moment_residuals,
     moment_tolerance,
+    resolves_atom,
     save_decomposition,
     synthesize,
     validate_atom,
 )
-from hardylab.grid import Ball, GridFunction, GridSpec, integrate, region_slices
-from scalar_oracles import MESHGRID_BALLS, moment_residuals_meshgrid
+from hardylab.generators import _random_modulation
+from hardylab.grid import Ball, GridFunction, GridSpec, integrate, region_node_count, region_slices
+from scalar_oracles import MESHGRID_BALLS, bump_on_ball_meshgrid, moment_residuals_meshgrid
 
 
 def _sign_atom(spec, ball, p):
@@ -92,6 +95,30 @@ def test_moment_residuals_equal_meshgrid_powers(dim, m):
     for ball in MESHGRID_BALLS[dim]:
         for s in range(9):
             assert moment_residuals(f, ball, s) == moment_residuals_meshgrid(f, ball, s)
+
+
+@pytest.mark.parametrize("dim, m", [(1, 65), (1, 257), (2, 17), (2, 65)])
+def test_atoms_equal_meshgrid_bumps(dim, m, monkeypatch):
+    """The bump on the open per-axis coordinates is the dense-meshgrid bump,
+    ==, with and without a modulation; so are make_atom's and
+    make_local_atom's atoms, built on either bump."""
+    spec = GridSpec(dim, 8.0, m)
+    rng = np.random.default_rng(m)
+    for ball in MESHGRID_BALLS[dim]:
+        for modulate in (None, _random_modulation(rng)):
+            bump = atoms._bump_on_ball(spec, ball, modulate)
+            assert bump.tobytes() == bump_on_ball_meshgrid(spec, ball, modulate).tobytes()
+    balls = [ball for ball in MESHGRID_BALLS[dim]
+             if resolves_atom(dim, 2, region_node_count(spec, ball))]
+    assert balls
+    modulate = _random_modulation(rng)
+    built = [(make_atom(ball, 0.5, 2, spec, modulate), make_local_atom(ball, 0.5, spec, modulate))
+             for ball in balls]
+    monkeypatch.setattr(atoms, "_bump_on_ball", bump_on_ball_meshgrid)
+    for ball, (atom, local) in zip(balls, built):
+        former = make_atom(ball, 0.5, 2, spec, modulate), make_local_atom(ball, 0.5, spec, modulate)
+        assert atom.values.values.tobytes() == former[0].values.values.tobytes()
+        assert local.values.values.tobytes() == former[1].values.values.tobytes()
 
 
 def test_make_atom_under_resolved(spec1d):

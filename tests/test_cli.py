@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -282,6 +283,10 @@ EXIT_CASES = [
      2, None),
     ("norm", {"grid": GRID, "input": {"generator": "step"}, "which": "hardy",
               "params": {"p": 1.0, "local": "false"}}, 2, None),
+    # the norm tag and the hardy flag are checked before the (absent) input is read
+    ("norm", {"grid": GRID, "input": {"file": "no-such-field"}, "which": "nope"}, 2, None),
+    ("norm", {"grid": GRID, "input": {"file": "no-such-field"}, "which": "hardy",
+              "params": {"p": 1.0, "local": "false"}}, 2, None),
     # atoms.s is checked before the first draw: below 2*floor(gamma) = 2 at p = 0.4, or
     # above what the sparsest ball of the smallest radius, 0.5, resolves: it holds 16
     # nodes, and degree s needs twice its s + 1 monomials (s = 8: 18; s = 7: 16)
@@ -479,6 +484,9 @@ MALFORMED_DECOMPOSITIONS = {
     "list-document": lambda doc: [doc],
     "s-float": _with_term(s=1.5),
     "finite-q": _with_term(q=2.0),  # only (p, inf, s)-atoms are read
+    # a ball center of Infinity or NaN (JSON as Python writes it) has no window
+    "center-infinite": _with_term(ball={"center": [math.inf], "radius": 1.0}),
+    "center-nan": _with_term(ball={"center": [math.nan], "radius": 1.0}),
 }
 
 
@@ -507,7 +515,10 @@ def test_lab_process_never_prints_a_traceback(tmp_path):
     an infinite draw count, an input file that is not a path, two Lipschitz
     orders too large for the grid or for float binomial coefficients, a
     halfwidth whose box width overflows, one whose cell measure does, one
-    whose cell measure underflows and a generator parameter that overflows."""
+    whose cell measure underflows, a generator parameter that overflows and
+    a field near the float maximum: one error line on failure, and nothing
+    on success, numpy warnings included."""
+    huge = {"generator": "random-smooth", "params": {"amplitude": 1e308}}  # max|f| 5.7e307
     cases = [
         ("validate", {"decomposition": _malformed_decomposition(tmp_path, "grid-null")}, 1),
         ("norm", {"grid": GRID, "input": {"generator": "step"}, "which": "hardy",
@@ -535,6 +546,14 @@ def test_lab_process_never_prints_a_traceback(tmp_path):
         ("split", {"grid": GRID, "regime": "mean", "p": 0.8, "b_generator": {
             "kind": "random-lipschitz", "params": {"gamma": 0.5, "levels": 1100}},
             "output_dir": str(tmp_path / "out")}, 2),
+        # a finite field whose norm overflows, or whose norm does not
+        ("norm", {"grid": GRID, "input": huge, "which": "lp"}, 1),
+        ("norm", {"grid": GRID, "input": huge, "which": "lp", "params": {"p": 0.5}}, 1),
+        ("norm", {"grid": GRID, "input": huge, "which": "hardy", "params": {"p": 0.5}}, 1),
+        ("norm", {"grid": GRID, "input": huge, "which": "bmo_local",
+                  "output": str(tmp_path / "report.json")}, 0),
+        ("split", {"grid": GRID, "regime": "p1", "b_generator": {"kind": "random-smooth",
+                   "params": {"amplitude": 1e308}}, "output_dir": str(tmp_path / "out")}, 0),
     ]
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -544,8 +563,11 @@ def test_lab_process_never_prints_a_traceback(tmp_path):
                               env=env, capture_output=True, text=True)
         assert done.returncode == code, done.stderr
         assert "Traceback" not in done.stderr
-        assert done.stderr.startswith("error:")
-        assert len(done.stderr.splitlines()) == 1, done.stderr
+        if code == 0:
+            assert done.stderr == ""
+        else:
+            assert len(done.stderr.splitlines()) == 1, done.stderr
+            assert done.stderr.startswith("error:")
 
 
 def test_cli_import_loads_no_scipy():

@@ -3,11 +3,13 @@ import pytest
 
 from hardylab.atoms import validate_atom
 from hardylab.generators import (
+    B_GENERATORS,
     b_field,
     random_ball,
     random_decomposition,
 )
 from hardylab.grid import GridSpec
+from scalar_oracles import FORMER_GENERATORS
 
 
 def test_b_field_kinds(spec1d):
@@ -19,6 +21,34 @@ def test_b_field_kinds(spec1d):
     assert np.all(np.isfinite(f.values))
     with pytest.raises(ValueError, match="unknown"):
         b_field(spec1d, "nope", rng)
+
+
+# parameters per kind: the defaults, then others
+GENERATOR_PARAMS = {
+    "constant": [{}, {"value": -2.5}],
+    "step": [{}, {"height": 3.0}],
+    "regularized-log": [{}, {"scale": -0.7}],
+    "random-smooth": [{}, {"amplitude": 1e300}],
+    "random-lipschitz": [{"gamma": 0.5}, {"gamma": 1.5, "levels": 9}],
+    "random-bmo": [{}, {"levels": 8}],
+}
+
+
+@pytest.mark.parametrize("spec", [GridSpec(1, 8.0, 257), GridSpec(1, 3.7, 100),
+                                  GridSpec(2, 8.0, 65), GridSpec(2, 3.7, 100)], ids=str)
+def test_generators_equal_meshgrid_bodies(spec):
+    """Every b generator on the open per-axis coordinates gives the field of
+    its former body on the dense coordinate mesh, byte for byte, and draws the
+    same random numbers."""
+    assert FORMER_GENERATORS.keys() == B_GENERATORS.keys() == GENERATOR_PARAMS.keys()
+    for kind, cases in GENERATOR_PARAMS.items():
+        for params in cases:
+            rng, former_rng = np.random.default_rng(11), np.random.default_rng(11)
+            f = b_field(spec, kind, rng, **params)
+            former = FORMER_GENERATORS[kind](spec, former_rng, params)
+            assert f.values.tobytes() == former.values.tobytes(), (kind, params)
+            assert f.values.flags.c_contiguous
+            assert rng.random() == former_rng.random()
 
 
 def test_generators_resolution_independent():

@@ -12,6 +12,7 @@ from hardylab.grid import (
     Ball,
     GridFunction,
     GridSpec,
+    _ball_axis_windows,
     ball_mean,
     box_rows,
     dyadic_scales,
@@ -29,7 +30,7 @@ from hardylab.grid import (
 )
 from hardylab.orlicz import PHI, luxembourg_norm
 from hardylab.oscillation import BallFamily, jn_check, mean_oscillation
-from scalar_oracles import LINEAR
+from scalar_oracles import LINEAR, MESHGRID_BALLS, ball_axis_slice
 
 
 def test_spec_validation():
@@ -158,6 +159,8 @@ def test_one_row_statistics_leave_f_alone(spec1d, rng):
 def test_region_errors(spec1d):
     with pytest.raises(ValueError, match="empty region"):
         region_slices(spec1d, Ball((20.0,), 0.5))
+    with pytest.raises(ValueError, match="empty region"):
+        region_slices(spec1d, Ball((math.nan,), 0.5))
     with pytest.raises(ValueError):
         region_slices(spec1d, Ball((0.0, 0.0), 1.0))
     with pytest.raises(TypeError):
@@ -331,10 +334,43 @@ def test_region_helpers_match_former_branches():
             w, former = region_values(f, box)[1], _former_region_weights(spec, box)
             assert np.array_equal(w, former) and np.sum(w) == np.sum(former)
             assert w.flags.c_contiguous
-            coords = region_coords(spec, box)
+            # the open per-axis coordinates, broadcast, are the former dense ones
+            coords = np.broadcast_arrays(*region_coords(spec, box))
             former = _former_region_coords(spec, box)
             assert len(coords) == len(former) == dim
             assert all(np.array_equal(x, y) for x, y in zip(coords, former))
+
+
+def test_ball_windows_match_per_center_rule():
+    """The vectorized window rule is the one-center rule on every axis, ==:
+    for every ball of every family on CUBE_GRIDS, and for single balls in,
+    at the edge of, across and outside the box.  A 2d family's centers and
+    radii per axis are the 1d family's of the same grid, so the 2d families
+    above m=257, 2.5 million balls at m=1025, are not built."""
+    for dim, m, halfwidth in CUBE_GRIDS:
+        if dim == 2 and m > 257:
+            continue
+        spec = GridSpec(dim, halfwidth, m)
+        family = BallFamily.build(spec)
+        assert family.starts.dtype == family.shapes.dtype == np.int32
+        for a in range(dim):  # the rule once per distinct (center, radius) on the axis
+            keys, inverse = np.unique(family.balls[:, [a, -1]], axis=0, return_inverse=True)
+            former = [ball_axis_slice(spec, c, r) for c, r in keys.tolist()]
+            start = np.array([s.start for s in former])[inverse.ravel()]
+            size = np.array([s.stop - s.start for s in former])[inverse.ravel()]
+            assert np.array_equal(family.starts[:, a], start)
+            assert np.array_equal(family.shapes[:, a], size)
+    for dim in (1, 2):
+        spec = GridSpec(dim, 8.0, 65)
+        for ball in MESHGRID_BALLS[dim]:
+            former = tuple(ball_axis_slice(spec, c, ball.radius) for c in ball.center)
+            assert region_slices(spec, ball) == former
+    spec = GridSpec(1, 8.0, 65)
+    centers = np.array([-9.0, -8.3, -8.0, 0.1, 7.9, 8.0, 8.3, 12.0])
+    first, stop = _ball_axis_windows(spec, centers, 0.5)
+    former = [ball_axis_slice(spec, c, 0.5) for c in centers.tolist()]
+    for a, b, s in zip(first.tolist(), stop.tolist(), former):
+        assert a < b and (a, b) == (s.start, s.stop) or b <= a and s.stop <= s.start
 
 
 def test_cubes_partition_nodes(spec1d):

@@ -238,3 +238,17 @@ def test_fft_keeps_exact_zeros_beyond_reach():
         assert np.count_nonzero(oracle == 0.0) == zeros
         assert np.array_equal(out == 0.0, oracle == 0.0)
         assert np.max(np.abs(out - oracle)) <= 1e-13 * np.max(oracle)
+
+
+@pytest.mark.parametrize("spec", [GridSpec(1, 8.0, 129), GridSpec(2, 8.0, 65)], ids=str)
+@pytest.mark.parametrize("local", [False, True])
+def test_fft_ladder_near_the_float_maximum(spec, local):
+    """A field whose max|f| is within a factor 4 of the float maximum (5.7e307
+    in 1d, 7.7e307 in 2d): the sums of its transform would overflow, the
+    transform of f / 2^e does not, and Mf is the tap sum's to round-off."""
+    f = random_smooth_field(spec, np.random.default_rng(0), amplitude=1e308)
+    assert np.max(np.abs(f.values)) > 2.0**1021
+    oracle = maximal_taps(f, local).values
+    out = maximal_fn(f, local).values
+    assert np.max(np.abs(out - oracle)) <= 1e-13 * np.max(oracle)
+    assert np.array_equal(out == 0.0, oracle == 0.0)

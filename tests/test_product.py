@@ -319,3 +319,14 @@ def test_pointwise_maximal_domination(spec1d, rng):
         bound += abs(lam) * abs(m) * maximal_fn(atom.values).values
     lhs = maximal_fn(split.h2).values
     assert np.all(lhs <= bound + 1e-9 * np.max(bound, initial=1.0))
+
+
+def test_ratio_of_an_overflowing_denominator():
+    """C = num / (scale * weight), 0 / 0 read as 0: a product beyond float range
+    (b_scale 6.8e307 of a field near the float maximum) divides num one factor
+    at a time, where num / inf would report C = 0."""
+    num, scale, weight = 1.6e307, 6.8e307, 3.27
+    assert product._ratio(num, scale, weight) == num / scale / weight > 0.0
+    assert product._ratio(1.0, 2.0, 3.0) == 1.0 / (2.0 * 3.0)
+    assert product._ratio(0.0, 0.0, 3.0) == 0.0
+    assert product._ratio(1.0, 0.0, 3.0) == math.inf
