@@ -1,11 +1,12 @@
 """(p, inf, s)-atoms: validation, construction and atomic decompositions.
 
-Atoms are built from a smooth bump on the ball: the discrete L^2(B)
+Atoms are built from a smooth bump on the ball's window: the discrete L^2(B)
 projection onto polynomials of degree <= s is subtracted (exact discrete
 moment cancellation), then the result is rescaled so the size condition
-||a||_inf <= |B|^(-1/p) is tight.  Large-ball "local" atoms skip the
-moment step.  Decompositions are inputs assembled by helpers, not computed
-from arbitrary functions.
+||a||_inf <= |B|^(-1/p) is tight and extended by zero, the one grid-shaped
+array a builder allocates.  Large-ball "local" atoms skip the moment step.
+Each one-ball routine resolves its ball's window once.  Decompositions are
+inputs assembled by helpers, not computed from arbitrary functions.
 """
 
 from __future__ import annotations
@@ -21,14 +22,12 @@ from .grid import (
     Ball,
     GridFunction,
     GridSpec,
-    lp_norm,
     region_coords,
-    region_node_count,
     region_slices,
     region_values,
 )
 from .maximal import bump_profile
-from .projection import enough_nodes, monomial_terms, multi_indices, poly_project
+from .projection import _fit, enough_nodes, monomial_terms, multi_indices
 
 __all__ = [
     "Atom",
@@ -105,14 +104,19 @@ def moment_tolerance(atom_sup: float, ball: Ball, order: int) -> float:
     return MOMENT_SLACK * atom_sup * ball.measure * ball.radius**order
 
 
-def moment_residuals(values: GridFunction, ball: Ball, s: int) -> dict:
-    """Discrete moments of values * (x - x_B)^alpha for |alpha| <= s."""
-    vals, w = region_values(values, ball)
-    terms = monomial_terms(vals * w, values.spec, ball, s, 1.0)
+def _moment_sums(values: GridFunction, slices: tuple[slice, ...], ball: Ball, s: int) -> dict:
+    """moment_residuals on the ball's window, resolved by the caller."""
+    vals, w = region_values(values, slices)
+    terms = monomial_terms(vals * w, region_coords(values.spec, slices), ball.center, s, 1.0)
     return {
         alpha: float(np.sum(term))
         for alpha, term in zip(multi_indices(values.spec.dim, s), terms)
     }
+
+
+def moment_residuals(values: GridFunction, ball: Ball, s: int) -> dict:
+    """Discrete moments of values * (x - x_B)^alpha for |alpha| <= s."""
+    return _moment_sums(values, region_slices(values.spec, ball), ball, s)
 
 
 @dataclass(frozen=True)
@@ -130,15 +134,15 @@ def validate_atom(atom: Atom) -> AtomReport:
     spec = atom.spec
     failures: list[str] = []
 
-    outside = np.array(atom.values.values, copy=True)
     slices = region_slices(spec, atom.ball)
+    outside = np.array(atom.values.values, copy=True)
     outside[slices] = 0.0
     sup = float(np.max(np.abs(atom.values.values)))
     leakage = float(np.max(np.abs(outside)))
     if leakage > 1e-14 * max(sup, 1.0):
         failures.append("support")
 
-    size = lp_norm(atom.values, math.inf, atom.ball)
+    size = float(np.max(np.abs(atom.values.values[slices])))
     size_ratio = size / atom.size_bound if atom.size_bound > 0 else math.inf
     if size_ratio > 1.0 + 1e-9:
         failures.append("size")
@@ -149,7 +153,7 @@ def validate_atom(atom: Atom) -> AtomReport:
         if atom.ball.measure <= 1.0:
             failures.append("local atom needs a large ball")
     else:
-        residuals = moment_residuals(atom.values, atom.ball, atom.s)
+        residuals = _moment_sums(atom.values, slices, atom.ball, atom.s)
         for alpha, res in residuals.items():
             tol = moment_tolerance(sup, atom.ball, sum(alpha))
             slacks[alpha] = tol
@@ -166,18 +170,26 @@ def validate_atom(atom: Atom) -> AtomReport:
     )
 
 
-def _bump_on_ball(spec: GridSpec, ball: Ball, modulate=None) -> np.ndarray:
-    """Smooth bump supported strictly inside the ball, optionally modulated."""
-    slices = region_slices(spec, ball)
-    coords = region_coords(spec, slices)
+def _bump_on_ball(coords: tuple[np.ndarray, ...], ball: Ball, modulate=None) -> np.ndarray:
+    """Smooth bump supported strictly inside the ball, optionally modulated, on
+    the open coordinates of the ball's window; window-shaped."""
     scaled = [(x - c) / ball.radius for x, c in zip(coords, ball.center)]
-    r = np.sqrt(sum(u**2 for u in scaled)) / math.sqrt(spec.dim)
-    local = bump_profile(r)
+    r = np.sqrt(sum(u**2 for u in scaled)) / math.sqrt(len(coords))
+    bump = bump_profile(r)
     if modulate is not None:
-        local = local * modulate(*scaled)
+        bump = bump * modulate(*scaled)
+    return bump
+
+
+def _scaled_atom(spec: GridSpec, slices: tuple, profile: np.ndarray, ball: Ball, p: float,
+                 s: int, local: bool = False) -> Atom:
+    """The atom of a window's profile scaled to the sup |B|^(-1/p), extended by zero."""
+    sup = float(np.max(np.abs(profile)))
+    if sup <= 0:
+        raise ValueError("degenerate profile: it vanishes on the ball")
     vals = np.zeros(spec.shape)
-    vals[slices] = local
-    return vals
+    vals[slices] = profile * (ball.measure ** (-1.0 / p) / sup)
+    return Atom(values=GridFunction(spec, vals), ball=ball, p=p, s=s, local=local)
 
 
 def resolves_atom(dim: int, s: int, nodes: int) -> bool:
@@ -193,17 +205,13 @@ def make_atom(
     modulate=None,
 ) -> Atom:
     """Construct a (p, inf, s)-atom on the ball with tight size condition."""
-    if not resolves_atom(spec.dim, s, region_node_count(spec, ball)):
+    slices = region_slices(spec, ball)
+    coords = region_coords(spec, slices)
+    bump = _bump_on_ball(coords, ball, modulate)
+    if not resolves_atom(spec.dim, s, bump.size):
         raise ValueError("under-resolved ball")
-    base = GridFunction(spec, _bump_on_ball(spec, ball, modulate))
-    proj = poly_project(base, ball, s)
-    resid = base.values - proj.as_gridfunction(spec).values
-    sup = float(np.max(np.abs(resid)))
-    if sup <= 0:
-        raise ValueError("degenerate profile: projection removed the bump")
-    target = ball.measure ** (-1.0 / p)
-    vals = resid * (target / sup)
-    return Atom(values=GridFunction(spec, vals), ball=ball, p=p, s=s)
+    _, fit = _fit(bump, spec.weights()[slices], coords, ball, s)
+    return _scaled_atom(spec, slices, bump - fit, ball, p, s)
 
 
 def make_local_atom(
@@ -215,19 +223,9 @@ def make_local_atom(
     """Large-ball (p, inf) atom with tight size condition and no moment subtraction."""
     if ball.measure <= 1.0:
         raise ValueError("not a large ball")
-    vals = _bump_on_ball(spec, ball, modulate)
-    f = GridFunction(spec, vals)
-    bound = ball.measure ** (-1.0 / p)
-    current = lp_norm(f, math.inf, ball)
-    if current <= 0:
-        raise ValueError("under-resolved ball")
-    return Atom(
-        values=GridFunction(spec, vals * (bound / current)),
-        ball=ball,
-        p=p,
-        s=0,
-        local=True,
-    )
+    slices = region_slices(spec, ball)
+    bump = _bump_on_ball(region_coords(spec, slices), ball, modulate)
+    return _scaled_atom(spec, slices, bump, ball, p, 0, local=True)
 
 
 def synthesize(decomp: AtomicDecomposition, spec: GridSpec | None = None) -> GridFunction:

@@ -68,6 +68,14 @@ def _number(section: dict, key: str, default, kind=float):
         raise ConfigError(str(exc)) from exc
 
 
+def _seed(section: dict, key: str) -> int:
+    """section["seed"] (0 by default) as a nonnegative integer, named key in errors."""
+    seed = _number(section, "seed", 0, int)
+    if seed < 0:
+        raise ConfigError(f"{key} must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def _generate(spec: GridSpec, section, key: str, rng: np.random.Generator) -> GridFunction:
     """The field named by section[key], one of the generators in B_GENERATORS."""
     kind = section.get(key) if isinstance(section, dict) else None
@@ -82,8 +90,9 @@ def _generate(spec: GridSpec, section, key: str, rng: np.random.Generator) -> Gr
     try:  # numpy overflows raise, as Python's 2.0 ** n does, and print no warning
         with np.errstate(over="raise", invalid="raise"):
             return b_field(spec, kind, rng, **params)
-    # a missing, unknown or malformed parameter, or one whose field overflows
-    except (TypeError, OverflowError, FloatingPointError) as exc:
+    # a missing, unknown or malformed parameter, one out of its range, or one
+    # whose field overflows
+    except (TypeError, ValueError, OverflowError, FloatingPointError) as exc:
         raise ConfigError(f"bad params for generator {kind!r}: {exc!r}") from exc
 
 
@@ -107,7 +116,7 @@ def _input_function(config: dict, spec: GridSpec) -> GridFunction:
                               f"not the config's grid {spec.to_dict()}")
         return loaded
     if "generator" in section:
-        rng = np.random.default_rng(_number(section, "seed", 0, int))
+        rng = np.random.default_rng(_seed(section, "input.seed"))
         return _generate(spec, section, "generator", rng)
     raise ConfigError("input section needs 'file' or 'generator'")
 
@@ -273,7 +282,7 @@ def cmd_split(config: dict) -> int:
     draws = _number(config, "draws", 1, int)
     if draws < 1:
         raise ConfigError(f"draws must be at least 1, got {draws}")
-    seed = _number(config, "seed", 0, int)
+    seed = _seed(config, "seed")
     rng = np.random.default_rng(seed)
     reports = [_run_draw(spec, regime, atoms, b_section, rng) for _ in range(draws)]
     c1s = [r.C1 for r in reports]

@@ -95,7 +95,16 @@ def random_lipschitz_field(
 def random_bmo_field(
     spec: GridSpec, rng: np.random.Generator, levels: int = 5
 ) -> GridFunction:
-    """Random dyadic martingale sum: +-coin per dyadic interval and level."""
+    """Random dyadic martingale sum: +-coin per dyadic interval and level.
+
+    Level j cuts the box into 2^j intervals and draws 2^j coins.  Levels whose
+    intervals are narrower than half the grid spacing (2^(levels - 1) >
+    2 (m - 1)) are a ValueError, raised before anything is drawn: most of
+    their intervals hold no node."""
+    finest = (2 * (spec.points_per_axis - 1)).bit_length()
+    if levels > finest:
+        raise ValueError(f"levels = {levels} is finer than the grid resolves: at most "
+                         f"{finest} levels on {spec.points_per_axis} points per axis")
     x = _box_coords(spec)[0]
     vals = np.zeros(spec.shape)
     R = spec.halfwidth

@@ -282,13 +282,25 @@ def box_rows(f: GridFunction, starts: np.ndarray, shapes: np.ndarray, batch_floa
 
 def _row_stats(vals: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(mean, mean oscillation, mean of |f|) of each row of region values and
-    weights, with the quadrature measure; overwrites vals."""
+    weights, with the quadrature measure; overwrites vals.
+
+    Values whose weighted sums could overflow are scaled down by a power of
+    two, 2^-e, and the statistics back up: such a scaling leaves every normal
+    rounding exact, and values of ordinary size take e = 0 and no scaling."""
     add = np.add.reduce
     wsum = add(w, axis=-1)
+    vmax = np.maximum.reduce(vals, axis=-1)
+    vmin = np.minimum.reduce(vals, axis=-1)
+    # |f| < 2^a and weight sums < 2^b bound every weighted sum, of |f| or of
+    # |f - mean|, by 2^(a + b + 1): by 2^1021 once scaled
+    amax = max(float(vmax.max()), -float(vmin.min()))
+    e = math.frexp(amax)[1] + math.frexp(float(wsum.max()))[1] - 1020
+    if e > 0:
+        vals = np.ldexp(vals, -e, out=vals)
+        vmax, vmin = np.ldexp(vmax, -e), np.ldexp(vmin, -e)
     mean = add(w * vals, axis=-1) / wsum
     # means of constants are exact by contract, not up to rounding
-    vmax = np.maximum.reduce(vals, axis=-1)
-    constant = np.minimum.reduce(vals, axis=-1) == vmax
+    constant = vmin == vmax
     mean[constant] = vmax[constant]
     dev = np.abs(vals - mean[:, None])
     flat = ~np.logical_or.reduce(dev, axis=-1)
@@ -299,6 +311,8 @@ def _row_stats(vals: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     vals *= w
     abs_mean = add(vals, axis=-1) / wsum
     abs_mean[flat] = np.abs(mean[flat])
+    if e > 0:
+        return np.ldexp(mean, e), np.ldexp(osc, e), np.ldexp(abs_mean, e)
     return mean, osc, abs_mean
 
 
@@ -322,14 +336,6 @@ def shape_groups(shapes: np.ndarray):
     order = np.argsort(key, kind="stable")
     for members in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
         yield tuple(shapes[members[0]].tolist()), members
-
-
-def region_node_count(spec: GridSpec, region) -> int:
-    slices = region_slices(spec, region)
-    n = 1
-    for s in slices:
-        n *= s.stop - s.start
-    return n
 
 
 def fewest_ball_nodes(spec: GridSpec, radius: float) -> int:

@@ -49,7 +49,6 @@ from .grid import (
     _row_stats,
     box_rows,
     dyadic_scales,
-    region_node_count,
     region_values,
 )
 
@@ -269,9 +268,10 @@ def _sup(
 
 def mean_oscillation(b: GridFunction, ball: Ball) -> float:
     """(1/|B|) integral over B of |b - b_B|, with the quadrature measure."""
-    if region_node_count(b.spec, ball) < 2:
+    vals, w = region_values(b, ball)
+    if vals.size < 2:
         raise ValueError("under-resolved ball")
-    return _one_row_stats(*region_values(b, ball))[1]
+    return _one_row_stats(vals, w)[1]
 
 
 def bmo_report(b: GridFunction) -> NormReport:

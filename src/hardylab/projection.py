@@ -4,6 +4,8 @@ The basis is the shifted-scaled monomials ((x - x_B)/r)^alpha, |alpha| <= k,
 which keeps the normal equations well conditioned independently of where the
 ball sits and how large it is.  The least-squares problem carries the
 quadrature weights, so the residual is quadrature-orthogonal to the basis.
+Each routine resolves its ball's window once and fits on the window's values,
+weights and open coordinates (`_fit`, which `atoms.make_atom` shares).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .grid import (
     region_coords,
     region_slices,
     region_values,
-    sup_norm,
 )
 from .lipschitz import LipschitzOrder, lambda_gamma_norm
 
@@ -64,22 +65,22 @@ class PolyProjection:
 
 
 def monomial_terms(
-    start: np.ndarray, spec: GridSpec, ball: Ball, degree: int, unit: float
+    start: np.ndarray, coords: tuple[np.ndarray, ...], center, degree: int, unit: float
 ) -> list[np.ndarray]:
-    """start * ((x - x_B)/unit)^alpha on the ball's nodes, in multi_indices order.
+    """start * ((x - center)/unit)^alpha on a window's nodes, in multi_indices order.
 
-    The powers are taken on the open per-axis coordinates of `region_coords`
-    once and broadcast: every node sees the operations of a power on its own
-    coordinates, and the product runs over the axes in order, skipping those
-    with alpha_i = 0.  `start` is ball-shaped, so every term is too; the term
-    of alpha = 0 is `start` itself.
+    The powers are taken on the window's open per-axis coordinates (`coords`,
+    from `region_coords`) once and broadcast: every node sees the operations
+    of a power on its own coordinates, and the product runs over the axes in
+    order, skipping those with alpha_i = 0.  `start` is window-shaped, so
+    every term is too; the term of alpha = 0 is `start` itself.
     """
     powers = []
-    for x, c in zip(region_coords(spec, region_slices(spec, ball)), ball.center):
+    for x, c in zip(coords, center):
         u = (x - c) / unit
         powers.append([None] + [u**a for a in range(1, degree + 1)])
     terms = []
-    for alpha in multi_indices(spec.dim, degree):
+    for alpha in multi_indices(len(coords), degree):
         term = start
         for axis_powers, a in zip(powers, alpha):
             if a:
@@ -93,33 +94,42 @@ def enough_nodes(dim: int, degree: int, nodes: int) -> bool:
     return nodes >= 2 * len(multi_indices(dim, degree))
 
 
-def poly_project(f: GridFunction, ball: Ball, degree: int) -> PolyProjection:
-    """Weighted least-squares projection of f onto polynomials of degree <= k on B."""
+def _fit(vals: np.ndarray, w: np.ndarray, coords: tuple, ball: Ball, degree: int) -> tuple:
+    """(coefficients, window-shaped fit) of the weighted least-squares fit of a
+    window's values by polynomials of degree <= k, on its weights and coords."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    vals, w = region_values(f, ball)
-    if not enough_nodes(f.spec.dim, degree, vals.size):
+    if not enough_nodes(len(coords), degree, vals.size):
         raise ValueError("under-resolved ball")
-    terms = monomial_terms(np.ones(vals.shape), f.spec, ball, degree, ball.radius)
+    terms = monomial_terms(np.ones(vals.shape), coords, ball.center, degree, ball.radius)
     A = np.column_stack([t.ravel() for t in terms])
     sw = np.sqrt(w).ravel()
     coeffs, _, rank, _ = np.linalg.lstsq(A * sw[:, None], vals.ravel() * sw, rcond=None)
     if rank < A.shape[1]:
         raise ValueError("degenerate node set")
-    fit = np.zeros(terms[0].shape)
-    for coeff, term in zip(coeffs, terms):
-        fit += coeff * term
+    return coeffs, sum(coeff * term for coeff, term in zip(coeffs, terms))
+
+
+def _window(f: GridFunction, ball: Ball) -> tuple:
+    """(values, weights, open coordinates) of f on the ball's window, resolved once."""
+    slices = region_slices(f.spec, ball)
+    return (*region_values(f, slices), region_coords(f.spec, slices))
+
+
+def poly_project(f: GridFunction, ball: Ball, degree: int) -> PolyProjection:
+    """Weighted least-squares projection of f onto polynomials of degree <= k on B."""
+    coeffs, fit = _fit(*_window(f, ball), ball, degree)
     return PolyProjection(ball=ball, degree=degree, coefficients=coeffs, values=fit)
 
 
 def projection_sup_ratio(f: GridFunction, ball: Ball, degree: int) -> float:
     """Sup norm of the projection on B over the sup norm of f on B."""
-    f_sup = sup_norm(f, ball)
+    vals, w, coords = _window(f, ball)
+    f_sup = float(np.max(np.abs(vals)))
     if f_sup == 0:
         raise ValueError("f vanishes on the ball")
-    proj = poly_project(f, ball, degree)
-    p_sup = float(np.max(np.abs(proj.values)))
-    return p_sup / f_sup
+    _, fit = _fit(vals, w, coords, ball, degree)
+    return float(np.max(np.abs(fit))) / f_sup
 
 
 def campanato_ratio(
@@ -142,9 +152,9 @@ def campanato_ratio(
         lambda_norm = lambda_gamma_norm(f, order)
     if lambda_norm <= 0:
         raise ValueError("degenerate Lipschitz norm")
-    vals, w = region_values(f, ball)
-    proj = poly_project(f, ball, degree)
-    resid = np.abs(vals - proj.values)
+    vals, w, coords = _window(f, ball)
+    _, fit = _fit(vals, w, coords, ball, degree)
+    resid = np.abs(vals - fit)
     mean_resid = float(np.sum(w * resid) / np.sum(w))
     scale = ball.measure ** (order.gamma / f.spec.dim)
     return mean_resid / (lambda_norm * scale)

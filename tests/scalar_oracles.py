@@ -27,6 +27,11 @@ under `==`.  In the same way `FORMER_GENERATORS` (the b generators) and
 `bump_on_ball_meshgrid` (the atoms' bump) compute on the dense coordinate
 mesh, and `ball_axis_slice` is the one-center window rule that
 `grid._ball_axis_windows` runs over an array of centers; all agree under `==`.
+`bump_on_ball_grid`, `make_atom_grid` and `make_local_atom_grid` are the atom
+builders on grid-shaped temporaries that the window-only builders of `atoms`
+replaced: the bump embedded in the grid, and its projection subtracted through
+`poly_project` and `PolyProjection.as_gridfunction`; they agree under `==`.
+`region_node_count` counts the nodes of a region's window.
 `family_stats` is the statistics pass over every ball of the family, and
 `family_norms` the BMO, bmo and lmo norms read from it, that the pruned sups
 of `oscillation` replaced; they agree under `==`, the argmax ball included.
@@ -40,13 +45,14 @@ import sys
 import numpy as np
 
 from hardylab.grid import (
-    _INDEX_TOL, Ball, GridFunction, GridSpec, _row_stats, box_rows, region_slices, region_values,
+    _INDEX_TOL, Ball, GridFunction, GridSpec, _row_stats, box_rows, region_coords, region_slices,
+    region_values, sup_norm,
 )
 from hardylab.lipschitz import LipschitzOrder, _half_space, _visiting_steps, difference_op
 from hardylab.maximal import bump_profile, convolve_dilated, maximal_scales
 from hardylab.orlicz import _REL_TOL, OrliczFunction
 from hardylab.oscillation import _BATCH_FLOATS, BallFamily
-from hardylab.projection import multi_indices
+from hardylab.projection import multi_indices, poly_project
 
 
 LINEAR = OrliczFunction(lambda t: np.asarray(t, dtype=float))
@@ -262,11 +268,12 @@ def family_norms(b: GridFunction):
     return bmo, bmo_local, lmo
 
 
-def bump_on_ball_meshgrid(spec: GridSpec, ball: Ball, modulate=None) -> np.ndarray:
-    """atoms._bump_on_ball on the dense meshgrid of the ball's coordinates."""
+def bump_on_ball_grid(spec: GridSpec, ball: Ball, modulate=None, coords=region_coords) -> np.ndarray:
+    """The bump of atoms._bump_on_ball embedded in a grid-shaped array of zeros,
+    on the open per-axis coordinates of the ball's window, or on the coordinates
+    that `coords` gives for the window's slices."""
     slices = region_slices(spec, ball)
-    coords = meshgrid_coords(spec, slices)
-    scaled = [(x - c) / ball.radius for x, c in zip(coords, ball.center)]
+    scaled = [(x - c) / ball.radius for x, c in zip(coords(spec, slices), ball.center)]
     r = np.sqrt(sum(u**2 for u in scaled)) / math.sqrt(spec.dim)
     local = bump_profile(r)
     if modulate is not None:
@@ -274,6 +281,34 @@ def bump_on_ball_meshgrid(spec: GridSpec, ball: Ball, modulate=None) -> np.ndarr
     vals = np.zeros(spec.shape)
     vals[slices] = local
     return vals
+
+
+def bump_on_ball_meshgrid(spec: GridSpec, ball: Ball, modulate=None) -> np.ndarray:
+    """bump_on_ball_grid on the dense meshgrid of the ball's coordinates."""
+    return bump_on_ball_grid(spec, ball, modulate, meshgrid_coords)
+
+
+def make_atom_grid(
+    ball: Ball, p: float, s: int, spec: GridSpec, modulate=None, bump=bump_on_ball_grid
+) -> np.ndarray:
+    """The values of atoms.make_atom on grid-shaped temporaries: the bump in the
+    grid, minus its projection extended by zero, scaled to the sup |B|^(-1/p)."""
+    base = GridFunction(spec, bump(spec, ball, modulate))
+    resid = base.values - poly_project(base, ball, s).as_gridfunction(spec).values
+    return resid * (ball.measure ** (-1.0 / p) / float(np.max(np.abs(resid))))
+
+
+def make_local_atom_grid(
+    ball: Ball, p: float, spec: GridSpec, modulate=None, bump=bump_on_ball_grid
+) -> np.ndarray:
+    """The values of atoms.make_local_atom on the grid-shaped bump."""
+    vals = bump(spec, ball, modulate)
+    return vals * (ball.measure ** (-1.0 / p) / sup_norm(GridFunction(spec, vals), ball))
+
+
+def region_node_count(spec: GridSpec, region) -> int:
+    """The number of nodes in a region's window."""
+    return math.prod(s.stop - s.start for s in region_slices(spec, region))
 
 
 def ball_axis_slice(spec: GridSpec, center: float, radius: float) -> slice:

@@ -18,8 +18,11 @@ from hardylab.atoms import (
     validate_atom,
 )
 from hardylab.generators import _random_modulation
-from hardylab.grid import Ball, GridFunction, GridSpec, integrate, region_node_count, region_slices
-from scalar_oracles import MESHGRID_BALLS, bump_on_ball_meshgrid, moment_residuals_meshgrid
+from hardylab.grid import Ball, GridFunction, GridSpec, integrate, region_coords, region_slices
+from scalar_oracles import (
+    MESHGRID_BALLS, bump_on_ball_grid, bump_on_ball_meshgrid, make_atom_grid, make_local_atom_grid,
+    moment_residuals_meshgrid, region_node_count,
+)
 
 
 def _sign_atom(spec, ball, p):
@@ -98,27 +101,33 @@ def test_moment_residuals_equal_meshgrid_powers(dim, m):
 
 
 @pytest.mark.parametrize("dim, m", [(1, 65), (1, 257), (2, 17), (2, 65)])
-def test_atoms_equal_meshgrid_bumps(dim, m, monkeypatch):
-    """The bump on the open per-axis coordinates is the dense-meshgrid bump,
-    ==, with and without a modulation; so are make_atom's and
-    make_local_atom's atoms, built on either bump."""
+def test_atoms_equal_meshgrid_bumps(dim, m):
+    """The bump on the window's open coordinates, extended by zero, is the
+    grid-shaped bump and the dense-meshgrid bump, ==, with and without a
+    modulation; make_atom's and make_local_atom's atoms are those of the
+    builders on grid-shaped temporaries (the projection through poly_project
+    and as_gridfunction), built on either bump."""
     spec = GridSpec(dim, 8.0, m)
     rng = np.random.default_rng(m)
+    resolved = 0
     for ball in MESHGRID_BALLS[dim]:
+        slices = region_slices(spec, ball)
         for modulate in (None, _random_modulation(rng)):
-            bump = atoms._bump_on_ball(spec, ball, modulate)
+            bump = np.zeros(spec.shape)
+            bump[slices] = atoms._bump_on_ball(region_coords(spec, slices), ball, modulate)
+            assert bump.tobytes() == bump_on_ball_grid(spec, ball, modulate).tobytes()
             assert bump.tobytes() == bump_on_ball_meshgrid(spec, ball, modulate).tobytes()
-    balls = [ball for ball in MESHGRID_BALLS[dim]
-             if resolves_atom(dim, 2, region_node_count(spec, ball))]
-    assert balls
-    modulate = _random_modulation(rng)
-    built = [(make_atom(ball, 0.5, 2, spec, modulate), make_local_atom(ball, 0.5, spec, modulate))
-             for ball in balls]
-    monkeypatch.setattr(atoms, "_bump_on_ball", bump_on_ball_meshgrid)
-    for ball, (atom, local) in zip(balls, built):
-        former = make_atom(ball, 0.5, 2, spec, modulate), make_local_atom(ball, 0.5, spec, modulate)
-        assert atom.values.values.tobytes() == former[0].values.values.tobytes()
-        assert local.values.values.tobytes() == former[1].values.values.tobytes()
+            local = make_local_atom(ball, 0.5, spec, modulate).values.values
+            for former in (bump_on_ball_grid, bump_on_ball_meshgrid):
+                grid_local = make_local_atom_grid(ball, 0.5, spec, modulate, former)
+                assert local.tobytes() == grid_local.tobytes()
+            if not resolves_atom(dim, 2, region_node_count(spec, ball)):
+                continue
+            resolved += 1
+            atom = make_atom(ball, 0.5, 2, spec, modulate).values.values
+            for former in (bump_on_ball_grid, bump_on_ball_meshgrid):
+                assert atom.tobytes() == make_atom_grid(ball, 0.5, 2, spec, modulate, former).tobytes()
+    assert resolved
 
 
 def test_make_atom_under_resolved(spec1d):

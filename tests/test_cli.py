@@ -300,6 +300,15 @@ EXIT_CASES = [
     ("split", {"grid": GRID, "regime": "p1", "draws": float("inf")}, 2, None),
     ("split", {"grid": GRID, "regime": "p1", "draws": 2.5}, 2, None),
     ("split", {"grid": GRID, "regime": "p1", "seed": 1e400}, 2, None),
+    # a seed is nonnegative
+    ("split", {"grid": GRID, "regime": "p1", "seed": -1}, 2, None),
+    ("norm", {"grid": GRID, "input": {"generator": "random-smooth", "seed": -3},
+              "which": "lp"}, 2, None),
+    # random-bmo levels finer than half the spacing: 2^69 coins are never drawn
+    ("split", {"grid": GRID, "regime": "p1",
+               "b_generator": {"kind": "random-bmo", "params": {"levels": 70}}}, 2, None),
+    ("norm", {"grid": GRID, "input": {"generator": "random-bmo", "params": {"levels": 70}},
+              "which": "lp"}, 2, None),
     ("split", {"grid": GRID, "regime": "p1", "atoms": {"count": float("inf")}}, 2, None),
     ("split", {"grid": GRID, "regime": "p1", "atoms": {"count": 2.5}}, 2, None),
     ("norm", {"grid": GRID, "input": {"generator": "random-smooth", "seed": float("inf")},

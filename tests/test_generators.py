@@ -51,6 +51,21 @@ def test_generators_equal_meshgrid_bodies(spec):
             assert rng.random() == former_rng.random()
 
 
+def test_random_bmo_levels_bounded():
+    """random-bmo takes the levels whose intervals are at least half the grid
+    spacing, 2^(levels - 1) <= 2 (m - 1), and rejects a finer one before it
+    draws a coin."""
+    for m, finest in ((16, 5), (65, 8), (129, 9), (257, 10)):
+        spec = GridSpec(1, 8.0, m)
+        b_field(spec, "random-bmo", np.random.default_rng(1), levels=finest)
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="levels"):
+            b_field(spec, "random-bmo", rng, levels=finest + 1)
+        assert rng.bit_generator.state == state
+    b_field(GridSpec(1, 8.0, 16), "random-bmo", np.random.default_rng(1))  # the default, 5
+
+
 def test_generators_resolution_independent():
     """Same seed must describe the same function at any resolution."""
     coarse = GridSpec(1, 8.0, 129)

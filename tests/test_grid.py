@@ -20,7 +20,6 @@ from hardylab.grid import (
     load_gridfunction,
     lp_norm,
     region_coords,
-    region_node_count,
     region_slices,
     region_values,
     save_gridfunction,
@@ -30,7 +29,7 @@ from hardylab.grid import (
 )
 from hardylab.orlicz import PHI, luxembourg_norm
 from hardylab.oscillation import BallFamily, jn_check, mean_oscillation
-from scalar_oracles import LINEAR, MESHGRID_BALLS, ball_axis_slice
+from scalar_oracles import LINEAR, MESHGRID_BALLS, ball_axis_slice, region_node_count
 
 
 def test_spec_validation():

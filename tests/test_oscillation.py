@@ -16,7 +16,6 @@ from hardylab.grid import (
     ball_mean,
     dyadic_scales,
     lp_norm,
-    region_node_count,
     region_slices,
     region_values,
 )
@@ -31,7 +30,7 @@ from hardylab.oscillation import (
     mean_oscillation,
     multiplier_check,
 )
-from scalar_oracles import ball_stats, family_norms, family_stats
+from scalar_oracles import ball_stats, family_norms, family_stats, region_node_count
 
 
 def _balls(family):
@@ -134,6 +133,26 @@ def test_family_stats_match_ball_stats(spec):
         flat[height] = stats[:, 1] == 0.0
     assert flat[1.0].any() and not flat[1.0].all()  # balls on one side of the step
     assert flat[5e-324].all()  # every oscillation underflows
+
+
+@pytest.mark.parametrize("spec", [GridSpec(1, 8.0, 129), GridSpec(2, 8.0, 65)], ids=str)
+def test_ball_stats_near_float_max(spec):
+    """A finite field near the float maximum has finite ball statistics: its
+    weighted sums are taken on values scaled down by a power of two, so the
+    BMO norm, its argmax ball, ball_mean and mean_oscillation are 2^k times
+    those of the field scaled down by 2^k, bit for bit."""
+    big = random_smooth_field(spec, np.random.default_rng(0), amplitude=1e308)
+    k = 1000
+    small = big.with_values(np.ldexp(big.values, -k))
+    report, small_report = bmo_report(big), bmo_report(small)
+    assert math.isfinite(report.norm)
+    assert report.norm == math.ldexp(small_report.norm, k)
+    assert report.argmax_ball == small_report.argmax_ball
+    balls = _balls(BallFamily.build(spec))
+    for ball in balls[:: max(1, len(balls) // 150)]:
+        mean, osc, _ = ball_stats(small, ball)
+        assert ball_mean(big, ball) == math.ldexp(mean, k)
+        assert mean_oscillation(big, ball) == math.ldexp(osc, k)
 
 
 def test_bmo_report_groups_its_evaluated_windows(spec2d, monkeypatch):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from hardylab.generators import random_smooth_field
-from hardylab.grid import Ball, GridFunction, GridSpec, ball_mean, region_slices, region_values
+from hardylab.grid import (
+    Ball, GridFunction, GridSpec, ball_mean, region_coords, region_slices, region_values,
+)
 from hardylab.lipschitz import LipschitzOrder
 from hardylab.projection import (
     campanato_ratio,
@@ -42,9 +44,10 @@ def test_monomial_terms_equal_meshgrid_powers(dim, m):
     """Powers on the 1d axes, broadcast: the meshgrid terms bit for bit."""
     spec = GridSpec(dim, 8.0, m)
     for ball in MESHGRID_BALLS[dim]:
-        shape = tuple(s.stop - s.start for s in region_slices(spec, ball))
+        coords = region_coords(spec, region_slices(spec, ball))
+        shape = np.broadcast_shapes(*(x.shape for x in coords))
         for degree in range(9):
-            terms = monomial_terms(np.ones(shape), spec, ball, degree, ball.radius)
+            terms = monomial_terms(np.ones(shape), coords, ball.center, degree, ball.radius)
             oracle = monomials_meshgrid(spec, ball, degree)
             assert len(terms) == len(oracle) == len(multi_indices(dim, degree))
             for term, expected in zip(terms, oracle):

@@ -29,7 +29,6 @@ from hardylab.grid import (
     GridSpec,
     dyadic_scales,
     fewest_ball_nodes,
-    region_node_count,
     unit_cubes,
 )
 from hardylab.lipschitz import LipschitzOrder, homogeneous_seminorm, lambda_gamma_norm
@@ -37,7 +36,9 @@ from hardylab.maximal import convolve_dilated, maximal_fn
 from hardylab.orlicz import PHI, _luxembourg_rows, hardy_quasinorm, lphi_star_norm
 from hardylab.oscillation import BallFamily, bmo_local_norm, lmo_norm
 from hardylab.product import REGIMES, split_bmo, split_lipschitz, verify_split
-from scalar_oracles import family_stats, luxembourg_row, maximal_taps, seminorm_full_scan
+from scalar_oracles import (
+    family_stats, luxembourg_row, maximal_taps, region_node_count, seminorm_full_scan,
+)
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 # a norm example scans a ball family or bisects every unit cube: tens of ms
