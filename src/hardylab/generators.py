@@ -58,7 +58,9 @@ def random_smooth_field(
     """Random low-frequency trigonometric series of 8 modes; smooth and bounded."""
     n_modes = 8
     freqs = rng.integers(1, 6, n_modes)
-    amps = amplitude * rng.normal(size=n_modes) / n_modes
+    # dividing by n_modes = 8 first is exact, and keeps amplitude * normal
+    # from overflowing where the mode amplitude itself is finite
+    amps = amplitude * (rng.normal(size=n_modes) / n_modes)
     phases = rng.uniform(0, 2 * math.pi, n_modes)
     x, *y = _box_coords(spec)
     vals = np.zeros(spec.shape)

@@ -12,9 +12,9 @@ Conventions
 * Balls are sup-norm balls (axis-aligned boxes), so 1d and 2d share code
   and the analytic measure ``(2r)^n`` is exact.
 * A box's nodes are products of per-axis data, kept per axis: one open
-  coordinate array per axis (`region_coords`), broadcast to the box, gives
-  every node the floats of a dense mesh (`GridSpec.meshes`, the dense view);
-  a ball's index window is one per-axis rule over an array of centers.
+  coordinate array per axis (`region_coords`, the one coordinate helper),
+  broadcast to the box, gives every node the floats of a dense mesh; a
+  ball's index window is one per-axis rule over an array of centers.
 * Wherever a measure divides an integral (means), the *quadrature* measure
   (sum of node weights in the region) is used, so means of constants are
   exact.  The analytic measure is used for scale factors such as
@@ -24,7 +24,6 @@ Conventions
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import sys
@@ -49,7 +48,6 @@ __all__ = [
     "ball_mean",
     "lp_norm",
     "sup_norm",
-    "unit_cubes",
     "unit_cube_boxes",
     "dyadic_scales",
     "save_gridfunction",
@@ -150,12 +148,6 @@ class GridSpec:
         w.setflags(write=False)
         return w
 
-    def meshes(self) -> tuple[np.ndarray, ...]:
-        """The dense view of the grid's coordinates: one array per axis, each
-        with the grid's shape, for `GridFunction.from_callable` and the tests;
-        the library reads the open per-axis arrays of `region_coords`."""
-        return tuple(np.meshgrid(*[self.axis()] * self.dim, indexing="ij"))
-
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -173,10 +165,6 @@ class GridFunction:
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite")
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_callable(cls, spec: GridSpec, fn) -> "GridFunction":
-        return cls(spec, fn(*spec.meshes()))
 
     @classmethod
     def constant(cls, spec: GridSpec, c: float) -> "GridFunction":
@@ -359,15 +347,24 @@ def ball_mean(f: GridFunction, ball: Ball) -> float:
 
 
 def lp_norm(f: GridFunction, p: float, region=None) -> float:
-    """(integral of |f|^p)^(1/p); a quasi-norm for p < 1; sup norm for p = inf."""
+    """(integral of |f|^p)^(1/p); a quasi-norm for p < 1; sup norm for p = inf.
+
+    An integral that underflows to 0 or below the normal range while f is not
+    0, or that overflows, is taken again of |f| / max|f|, whose root is then
+    scaled back by max|f|; every other integral is taken of |f| as it is."""
     if p == math.inf:
         return sup_norm(f, region)
     if not p > 0:
         raise ValueError("p must be positive")
     vals, w = region_values(f, region)
-    total = float(np.sum(w * np.abs(vals) ** p))
+    scale = 1.0  # a product with 1.0 is exact
+    with np.errstate(over="ignore", under="ignore"):
+        total = float(np.sum(w * np.abs(vals) ** p))
+        if not sys.float_info.min <= total < math.inf and vals.any():
+            scale = float(np.max(np.abs(vals)))
+            total = float(np.sum(w * (np.abs(vals) / scale) ** p))
     try:
-        return total ** (1.0 / p)
+        return scale * total ** (1.0 / p)
     except OverflowError:  # a finite integral whose root is beyond float range
         return math.inf
 
@@ -392,19 +389,10 @@ def _raster_rows(count: int, dim: int) -> np.ndarray:
     return np.stack(np.unravel_index(np.arange(count**dim), (count,) * dim), axis=-1)
 
 
-def unit_cubes(spec: GridSpec) -> dict[tuple[int, ...], tuple[slice, ...]]:
-    """Index box of each unit lattice cube j + Q owning a node, in raster order."""
-    js, first, size = (a.tolist() for a in _cube_bins(spec))
-    axis = [(int(j), slice(a, a + n)) for j, a, n in zip(js, first, size)]
-    return {
-        tuple(j for j, _ in cube): tuple(s for _, s in cube)
-        for cube in itertools.product(axis, repeat=spec.dim)
-    }
-
-
 def unit_cube_boxes(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, shapes): the index boxes of unit_cubes as (cubes, dim) arrays
-    of first nodes and node counts, in the same raster order."""
+    """(starts, shapes): the index box of each unit lattice cube j + Q that
+    owns a node, as (cubes, dim) arrays of first nodes and node counts, with
+    the cubes j in raster order; the boxes partition the nodes."""
     _, first, size = _cube_bins(spec)
     index = _raster_rows(len(first), spec.dim)
     return first[index], size[index]

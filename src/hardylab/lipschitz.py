@@ -70,7 +70,6 @@ __all__ = [
     "LipschitzOrder",
     "difference_op",
     "lambda_gamma_norm",
-    "homogeneous_seminorm",
     "SeminormScan",
     "seminorm_scan",
 ]
@@ -262,11 +261,6 @@ def seminorm_scan(f: GridFunction, order: LipschitzOrder) -> SeminormScan:
     return SeminormScan(best, visited, len(steps))
 
 
-def homogeneous_seminorm(f: GridFunction, order: LipschitzOrder) -> float:
-    """sup over lattice delta != 0 and nodes of |D^(k+1) f| / |delta|^gamma."""
-    return seminorm_scan(f, order).value
-
-
 def lambda_gamma_norm(f: GridFunction, order: LipschitzOrder) -> float:
     """Sup norm plus the homogeneous difference-quotient seminorm."""
-    return float(np.max(np.abs(f.values))) + homogeneous_seminorm(f, order)
+    return float(np.max(np.abs(f.values))) + seminorm_scan(f, order).value

@@ -58,7 +58,6 @@ __all__ = [
     "bmo_local_norm",
     "lmo_norm",
     "jn_check",
-    "multiplier_check",
     "NormReport",
 ]
 
@@ -324,28 +323,3 @@ def jn_check(
     vals, w = region_values(b, ball)
     mean = _one_row_stats(vals, w)[0]
     return float(np.sum(w * np.exp(np.abs(vals - mean) / (c * bmo_local))))
-
-
-def multiplier_check(phi_fn: GridFunction, b: GridFunction) -> dict:
-    """Discrete multiplier constant for pointwise multiplication on bmo.
-
-    Returns the ratio ||b*phi||_bmo / (||b||_bmo * (||phi||_inf + ||phi||_lmo)),
-    together with the pieces, as a report dictionary.
-    """
-    phi_fn.require_same_spec(b)
-    b_norm = bmo_local_norm(b)
-    phi_sup = float(np.max(np.abs(phi_fn.values)))
-    phi_lmo = lmo_norm(phi_fn)
-    denom = b_norm * (phi_sup + phi_lmo)
-    if denom == 0:
-        raise ValueError("degenerate inputs")
-    product = b.with_values(b.values * phi_fn.values)
-    num = bmo_local_norm(product)
-    return {
-        "ratio": num / denom,
-        "product_bmo_local": num,
-        "b_bmo_local": b_norm,
-        "phi_sup": phi_sup,
-        "phi_lmo": phi_lmo,
-        "family_size": len(BallFamily.build(b.spec).balls),
-    }

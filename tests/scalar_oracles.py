@@ -16,7 +16,7 @@ identity gauge, whose Luxembourg norm is the L^1 norm.  `maximal_taps` is the
 tap-sum maximal function, on either ladder, that the FFT path replaced; the two
 agree to round-off, not bit for bit.  `seminorm_full_scan` is the Lipschitz scan over
 every displacement, in raster order, that the branch-and-bound
-`lipschitz.homogeneous_seminorm` replaced; they agree under `==`.
+`lipschitz.seminorm_scan` replaced; they agree under `==`.
 `_delta_candidates` and `_visiting_order` are the displacement arrays of the
 scan, `lipschitz._half_space` and `_visiting_steps`, as lists of tuples.
 `monomials_meshgrid` and `moment_residuals_meshgrid` take the powers of the
@@ -35,27 +35,82 @@ replaced: the bump embedded in the grid, and its projection subtracted through
 `family_stats` is the statistics pass over every ball of the family, and
 `family_norms` the BMO, bmo and lmo norms read from it, that the pruned sups
 of `oscillation` replaced; they agree under `==`, the argmax ball included.
+
+The rest serve only the tests, so they live here, not in the library:
+`meshes` is the dense coordinate mesh of the whole grid, one grid-shaped
+array per axis, and `from_callable` samples a function on it; `unit_cubes` is
+the dict view of `grid.unit_cube_boxes`, cube j to its index box; and
+`multiplier_check` reports the discrete constant of pointwise multiplication
+on bmo.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 
 import numpy as np
 
 from hardylab.grid import (
-    _INDEX_TOL, Ball, GridFunction, GridSpec, _row_stats, box_rows, region_coords, region_slices,
-    region_values, sup_norm,
+    _INDEX_TOL, Ball, GridFunction, GridSpec, _cube_bins, _row_stats, box_rows, region_coords,
+    region_slices, region_values, sup_norm,
 )
 from hardylab.lipschitz import LipschitzOrder, _half_space, _visiting_steps, difference_op
 from hardylab.maximal import bump_profile, convolve_dilated, maximal_scales
 from hardylab.orlicz import _REL_TOL, OrliczFunction
-from hardylab.oscillation import _BATCH_FLOATS, BallFamily
+from hardylab.oscillation import _BATCH_FLOATS, BallFamily, bmo_local_norm, lmo_norm
 from hardylab.projection import multi_indices, poly_project
 
 
 LINEAR = OrliczFunction(lambda t: np.asarray(t, dtype=float))
+
+
+def meshes(spec: GridSpec) -> tuple[np.ndarray, ...]:
+    """The dense coordinate mesh of the grid: one array per axis, each with the
+    grid's shape, whose floats are those of `grid.region_coords` broadcast."""
+    return tuple(np.meshgrid(*[spec.axis()] * spec.dim, indexing="ij"))
+
+
+def from_callable(spec: GridSpec, fn) -> GridFunction:
+    """fn of the coordinate arrays of `meshes`, sampled as a grid function."""
+    return GridFunction(spec, fn(*meshes(spec)))
+
+
+def unit_cubes(spec: GridSpec) -> dict[tuple[int, ...], tuple[slice, ...]]:
+    """Index box of each unit lattice cube j + Q owning a node, in raster order:
+    the dict view of the boxes of `grid.unit_cube_boxes`."""
+    js, first, size = (a.tolist() for a in _cube_bins(spec))
+    axis = [(int(j), slice(a, a + n)) for j, a, n in zip(js, first, size)]
+    return {
+        tuple(j for j, _ in cube): tuple(s for _, s in cube)
+        for cube in itertools.product(axis, repeat=spec.dim)
+    }
+
+
+def multiplier_check(phi_fn: GridFunction, b: GridFunction) -> dict:
+    """Discrete multiplier constant for pointwise multiplication on bmo.
+
+    Returns the ratio ||b*phi||_bmo / (||b||_bmo * (||phi||_inf + ||phi||_lmo)),
+    together with the pieces, as a report dictionary.
+    """
+    phi_fn.require_same_spec(b)
+    b_norm = bmo_local_norm(b)
+    phi_sup = float(np.max(np.abs(phi_fn.values)))
+    phi_lmo = lmo_norm(phi_fn)
+    denom = b_norm * (phi_sup + phi_lmo)
+    if denom == 0:
+        raise ValueError("degenerate inputs")
+    product = b.with_values(b.values * phi_fn.values)
+    num = bmo_local_norm(product)
+    return {
+        "ratio": num / denom,
+        "product_bmo_local": num,
+        "b_bmo_local": b_norm,
+        "phi_sup": phi_sup,
+        "phi_lmo": phi_lmo,
+        "family_size": len(BallFamily.build(b.spec).balls),
+    }
 
 
 def luxembourg_bisection(f: GridFunction, P: OrliczFunction, region=None) -> float:
@@ -323,17 +378,17 @@ def ball_axis_slice(spec: GridSpec, center: float, radius: float) -> slice:
     return slice(i_lo, i_hi + 1)
 
 
-# the b generators on the dense coordinate mesh of spec.meshes(), one per kind
+# the b generators on the dense coordinate mesh of meshes(spec), one per kind
 # of generators.B_GENERATORS, each of (spec, rng, params)
 
 
 def _step_field(spec, height=1.0):
-    x = spec.meshes()[0]
+    x = meshes(spec)[0]
     return GridFunction(spec, np.where(x >= 0, float(height), 0.0))
 
 
 def _regularized_log_field(spec, scale=1.0):
-    r = np.sqrt(sum(x**2 for x in spec.meshes()))
+    r = np.sqrt(sum(x**2 for x in meshes(spec)))
     return GridFunction(spec, scale * np.log(np.maximum(r, spec.spacing)))
 
 
@@ -342,18 +397,18 @@ def _random_smooth_field(spec, rng, amplitude=1.0):
     freqs = rng.integers(1, 6, n_modes)
     amps = amplitude * rng.normal(size=n_modes) / n_modes
     phases = rng.uniform(0, 2 * math.pi, n_modes)
-    x = spec.meshes()[0]
+    x = meshes(spec)[0]
     vals = np.zeros(spec.shape)
     for a, f, ph in zip(amps, freqs, phases):
         vals += a * np.cos(math.pi * f * x / spec.halfwidth + ph)
     if spec.dim == 2:
-        y = spec.meshes()[1]
+        y = meshes(spec)[1]
         vals = vals + amplitude * 0.2 * np.cos(math.pi * y / spec.halfwidth)
     return GridFunction(spec, vals)
 
 
 def _random_lipschitz_field(spec, rng, gamma, levels=7):
-    x = spec.meshes()[0]
+    x = meshes(spec)[0]
     vals = np.zeros(spec.shape)
     for j in range(levels):
         sign = rng.choice([-1.0, 1.0])
@@ -363,7 +418,7 @@ def _random_lipschitz_field(spec, rng, gamma, levels=7):
 
 
 def _random_bmo_field(spec, rng, levels=5):
-    x = spec.meshes()[0]
+    x = meshes(spec)[0]
     vals = np.zeros(spec.shape)
     R = spec.halfwidth
     for level in range(levels):

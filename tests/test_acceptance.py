@@ -40,7 +40,7 @@ from hardylab.product import (
     verify_split,
 )
 from hardylab.projection import campanato_ratio, poly_project, projection_sup_ratio
-from scalar_oracles import LINEAR, luxembourg_scan_oracle
+from scalar_oracles import LINEAR, luxembourg_scan_oracle, meshes
 
 
 def _spread(values) -> tuple[float, float]:
@@ -216,7 +216,7 @@ def test_criterion_05_uniform_maximal_atom_constant():
 
 def test_criterion_06_campanato_estimate():
     spec = GridSpec(1, 8.0, 513)
-    x = spec.meshes()[0]
+    x = meshes(spec)[0]
     details = []
     ok = True
     for gamma in (0.3, 0.5, 1.0, 1.5):
@@ -481,7 +481,7 @@ def test_criterion_11_pairing_collapse_and_duality():
 def test_criterion_12_difference_annihilation():
     spec = GridSpec(1, 8.0, 257)
     rng = np.random.default_rng(606)
-    x = spec.meshes()[0]
+    x = meshes(spec)[0]
     worst = 0.0
     for k in (0, 1, 2):
         for d in range(1, 11):

@@ -21,13 +21,13 @@ from hardylab.generators import _random_modulation
 from hardylab.grid import Ball, GridFunction, GridSpec, integrate, region_coords, region_slices
 from scalar_oracles import (
     MESHGRID_BALLS, bump_on_ball_grid, bump_on_ball_meshgrid, make_atom_grid, make_local_atom_grid,
-    moment_residuals_meshgrid, region_node_count,
+    meshes, moment_residuals_meshgrid, region_node_count,
 )
 
 
 def _sign_atom(spec, ball, p):
     """Odd two-level profile: passes (p, inf, 0) by symmetry."""
-    x = spec.meshes()[0]
+    x = meshes(spec)[0]
     vals = np.zeros(spec.shape)
     sl = region_slices(spec, ball)
     vals[sl] = np.sign(x[sl[0]] - ball.center[0])

@@ -258,6 +258,13 @@ EXIT_CASES = [
     # overflow is rejected
     ("norm", {"grid": {"dim": 2, "halfwidth": 1e100, "points_per_axis": 17},
               "input": {"generator": "constant"}, "which": "luxembourg"}, 0, None),
+    # a field near the float maximum: 1e308 times its normal draw of -1.85
+    # overflows, while 1e308 times that draw over 8 does not
+    ("norm", {"grid": GRID, "input": {"generator": "random-smooth", "seed": 11,
+              "params": {"amplitude": 1e308}}, "which": "bmo"}, 0, None),
+    # an L^2 integral beyond float range of a field whose L^2 norm, 8.6e199, is not
+    ("norm", {"grid": GRID, "input": {"generator": "random-smooth",
+              "params": {"amplitude": 1e200}}, "which": "lp", "params": {"p": 2}}, 0, None),
     ("norm", {"grid": GRID_2D_HUGE, "input": {"generator": "constant"}, "which": "luxembourg"},
      2, None),
     # a misspelled generator parameter is not silently replaced by its default

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hardylab import maximal
-from hardylab.generators import random_ball
+from hardylab.generators import random_ball, random_smooth_field
 from hardylab.grid import (
     Ball,
     GridFunction,
@@ -25,11 +25,13 @@ from hardylab.grid import (
     save_gridfunction,
     shape_groups,
     sup_norm,
-    unit_cubes,
+    unit_cube_boxes,
 )
 from hardylab.orlicz import PHI, luxembourg_norm
 from hardylab.oscillation import BallFamily, jn_check, mean_oscillation
-from scalar_oracles import LINEAR, MESHGRID_BALLS, ball_axis_slice, region_node_count
+from scalar_oracles import (
+    LINEAR, MESHGRID_BALLS, ball_axis_slice, from_callable, region_node_count, unit_cubes,
+)
 
 
 def test_spec_validation():
@@ -85,7 +87,7 @@ def test_integrate_constant_unit_box():
 
 def test_integrate_square_closed_form():
     spec = GridSpec(1, 1.0, 201)
-    f = GridFunction.from_callable(spec, lambda x: x**2)
+    f = from_callable(spec, lambda x: x**2)
     # trapezoid error is O(spacing^2) for smooth integrands
     assert integrate(f) == pytest.approx(2.0 / 3.0, abs=spec.spacing**2)
 
@@ -119,13 +121,13 @@ def test_ball_mean_of_one_is_one(spec1d, spec2d):
 
 
 def test_ball_mean_odd_symmetry(spec1d):
-    f = GridFunction.from_callable(spec1d, lambda x: x)
+    f = from_callable(spec1d, lambda x: x)
     assert abs(ball_mean(f, Ball((0.0,), 2.0))) < 1e-13
 
 
 def test_ball_mean_square_oracle():
     spec = GridSpec(1, 2.0, 513)
-    f = GridFunction.from_callable(spec, lambda x: x**2)
+    f = from_callable(spec, lambda x: x**2)
     r = 1.0
     got = ball_mean(f, Ball((0.0,), r))
     # region-restricted weights are flat at the ball edge, so the mean of a
@@ -180,7 +182,7 @@ def test_lp_norm_basics(spec1d, rng):
 
 def test_lp_norm_indicator():
     spec = GridSpec(1, 2.0, 257)
-    f = GridFunction.from_callable(
+    f = from_callable(
         spec, lambda x: np.where((x >= 0) & (x <= 1), 1.0, 0.0)
     )
     assert lp_norm(f, 1.0) == pytest.approx(1.0, abs=2 * spec.spacing)
@@ -198,7 +200,31 @@ def test_sup_norm_is_lp_inf(spec1d, rng):
     assert lp_norm(f, math.inf) == sup_norm(f) == float(np.max(np.abs(f.values)))
 
 
-# the owner search that unit_cubes replaced, kept as its reference
+def test_lp_norm_of_fields_far_from_one():
+    """An integral of |f|^p that underflows or overflows is taken again of
+    |f| / max|f|: the L^2 norms of 1e-170 f and 1e200 f, whose plain integrals
+    are 0 and inf, are those of f scaled, and the L^5000 norm of f, whose
+    powers all underflow, lies between max|f| w_min^(1/p) and max|f| |box|^(1/p).
+    An integral in the normal range keeps the plain formula's bytes."""
+    spec = GridSpec(1, 8.0, 129)
+    w = spec.weights()
+
+    def field(amplitude):
+        return random_smooth_field(spec, np.random.default_rng(0), amplitude)
+
+    f = field(1.0)
+    norm = lp_norm(f, 2.0)
+    assert norm == float(np.sum(w * np.abs(f.values) ** 2.0)) ** 0.5
+    for amplitude in (1e-170, 1e200):
+        assert lp_norm(field(amplitude), 2.0) == pytest.approx(amplitude * norm, rel=1e-14)
+    p, top = 5000.0, sup_norm(f)
+    value = lp_norm(f, p)
+    assert float(np.sum(w * np.abs(f.values) ** p)) == 0.0
+    assert top * w.min() ** (1 / p) * (1 - 1e-15) <= value <= top * 16.0 ** (1 / p) * (1 + 1e-15)
+    assert lp_norm(GridFunction.zeros(spec), 2.0) == 0.0
+
+
+# the owner search that unit_cube_boxes replaced, kept as its reference
 
 
 def _former_cubes(spec):  # the former list of unit cubes, in raster order
@@ -222,15 +248,19 @@ CUBE_GRIDS = list(itertools.product(
 ))
 
 
-def test_unit_cubes_match_former_owner_search():
+def test_unit_cube_boxes_match_former_owner_search():
     for dim, m, halfwidth in CUBE_GRIDS:
         spec = GridSpec(dim, halfwidth, m)
-        cubes = unit_cubes(spec)
-        former = {j: _former_cube_box(spec, j) for j in _former_cubes(spec)}
-        assert list(cubes.items()) == list(former.items())  # same boxes, raster order
+        starts, shapes = unit_cube_boxes(spec)
+        boxes = [tuple(slice(a, a + n) for a, n in zip(start, shape))
+                 for start, shape in zip(starts.tolist(), shapes.tolist())]
+        cubes = _former_cubes(spec)
+        # same boxes, raster order, and the dict view of the oracles keys them by cube
+        assert boxes == [_former_cube_box(spec, j) for j in cubes]
+        assert list(unit_cubes(spec).items()) == list(zip(cubes, boxes))
         # the boxes partition the nodes, and cube j holds the nodes with floor(x + 1/2) = j
-        assert sum(region_node_count(spec, box) for box in cubes.values()) == m**dim
-        for j, box in cubes.items():
+        assert sum(region_node_count(spec, box) for box in boxes) == m**dim
+        for j, box in zip(cubes, boxes):
             for ji, s in zip(j, box):
                 assert np.all(np.floor(spec.axis()[s] + 0.5) == ji)
 

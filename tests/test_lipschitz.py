@@ -12,11 +12,10 @@ from hardylab.lipschitz import (
     _chain_terms,
     _difference_cap,
     difference_op,
-    homogeneous_seminorm,
     lambda_gamma_norm,
     seminorm_scan,
 )
-from scalar_oracles import _delta_candidates, _visiting_order, seminorm_full_scan
+from scalar_oracles import _delta_candidates, _visiting_order, from_callable, seminorm_full_scan
 
 
 def test_order_fields():
@@ -28,7 +27,7 @@ def test_order_fields():
 
 
 def test_first_difference_of_identity(spec1d):
-    f = GridFunction.from_callable(spec1d, lambda x: x)
+    f = from_callable(spec1d, lambda x: x)
     d = 5
     out = difference_op(f, (d,), 1)
     delta = d * spec1d.spacing
@@ -36,7 +35,7 @@ def test_first_difference_of_identity(spec1d):
 
 
 def test_second_difference_of_square(spec1d):
-    f = GridFunction.from_callable(spec1d, lambda x: x**2)
+    f = from_callable(spec1d, lambda x: x**2)
     d = 3
     out = difference_op(f, (d,), 2)
     delta = d * spec1d.spacing
@@ -44,13 +43,13 @@ def test_second_difference_of_square(spec1d):
 
 
 def test_second_difference_annihilates_affine(spec1d):
-    f = GridFunction.from_callable(spec1d, lambda x: 3.0 * x - 1.0)
+    f = from_callable(spec1d, lambda x: 3.0 * x - 1.0)
     out = difference_op(f, (4,), 2)
     assert np.max(np.abs(out)) < 1e-12
 
 
 def test_difference_domain_shrink(spec1d):
-    f = GridFunction.from_callable(spec1d, lambda x: x)
+    f = from_callable(spec1d, lambda x: x)
     m = spec1d.points_per_axis
     out = difference_op(f, (10,), 2)
     assert out.shape == (m - 20,)
@@ -67,7 +66,7 @@ def test_off_lattice_rejected(spec1d):
 
 
 def test_difference_2d_mixed(spec2d):
-    f = GridFunction.from_callable(spec2d, lambda x, y: x + 2.0 * y)
+    f = from_callable(spec2d, lambda x, y: x + 2.0 * y)
     out = difference_op(f, (1, 2), 2)
     assert np.max(np.abs(out)) < 1e-12
 
@@ -75,7 +74,7 @@ def test_difference_2d_mixed(spec2d):
 def test_lambda_norm_constant(spec1d):
     f = GridFunction.constant(spec1d, -4.0)
     order = LipschitzOrder(0.5)
-    assert homogeneous_seminorm(f, order) == 0.0
+    assert seminorm_scan(f, order).value == 0.0
     assert lambda_gamma_norm(f, order) == 4.0
 
 
@@ -91,13 +90,13 @@ def test_lambda_norm_homogeneity(spec1d, rng):
 def test_seminorm_below_norm(spec1d, rng):
     f = GridFunction(spec1d, rng.normal(size=spec1d.shape))
     order = LipschitzOrder(0.5)
-    assert homogeneous_seminorm(f, order) <= lambda_gamma_norm(f, order)
+    assert seminorm_scan(f, order).value <= lambda_gamma_norm(f, order)
 
 
 def test_linear_function_zero_seminorm(spec1d):
     # gamma in (1, 2) uses second differences, which kill affine functions
-    f = GridFunction.from_callable(spec1d, lambda x: 2.0 * x)
-    assert homogeneous_seminorm(f, LipschitzOrder(1.5)) < 1e-10
+    f = from_callable(spec1d, lambda x: 2.0 * x)
+    assert seminorm_scan(f, LipschitzOrder(1.5)).value < 1e-10
 
 
 def test_abs_refinement_stability():
@@ -105,7 +104,7 @@ def test_abs_refinement_stability():
     vals = []
     for m in (129, 257):
         spec = GridSpec(1, 1.0, m)
-        f = GridFunction.from_callable(spec, lambda x: np.abs(x))
+        f = from_callable(spec, lambda x: np.abs(x))
         vals.append(lambda_gamma_norm(f, LipschitzOrder(0.5)))
     assert vals[1] == pytest.approx(vals[0], rel=0.15)
 
@@ -117,10 +116,10 @@ def test_cusp_family_distinguishes_spaces():
     semis, sups = [], []
     for R in (1.0, 4.0):
         spec = GridSpec(1, R, 257)
-        f = GridFunction.from_callable(
+        f = from_callable(
             spec, lambda x: np.sign(x) * np.abs(x) ** gamma
         )
-        semis.append(homogeneous_seminorm(f, order))
+        semis.append(seminorm_scan(f, order).value)
         sups.append(float(np.max(np.abs(f.values))))
     assert sups[1] > 1.5 * sups[0]
     assert semis[1] == pytest.approx(semis[0], rel=0.5)
@@ -153,7 +152,7 @@ def test_delta_candidates_match_former_branches(dim, m):
 
 def _field(spec, kind, gamma):
     if kind == "affine":
-        return GridFunction.from_callable(
+        return from_callable(
             spec, lambda *x: 0.5 + sum((j + 1.5) * xj for j, xj in enumerate(x))
         )
     params = {"random-lipschitz": {"gamma": gamma}, "constant": {"value": -3.0}}.get(kind, {})
@@ -179,7 +178,7 @@ def test_seminorm_equals_full_scan(dim, m, gamma, kind):
     """The branch-and-bound returns the full raster scan's float."""
     f = _field(GridSpec(dim, 8.0, m), kind, gamma)
     order = LipschitzOrder(gamma)
-    assert homogeneous_seminorm(f, order) == seminorm_full_scan(f, order)
+    assert seminorm_scan(f, order).value == seminorm_full_scan(f, order)
 
 
 def _visits(monkeypatch, f, order):
@@ -190,7 +189,7 @@ def _visits(monkeypatch, f, order):
         return difference_op(g, delta, k)
 
     monkeypatch.setattr(lipschitz, "difference_op", counted)
-    homogeneous_seminorm(f, order)
+    seminorm_scan(f, order).value
     monkeypatch.undo()
     return len(calls)
 
@@ -236,7 +235,8 @@ def test_chain_bound_prunes_smooth_fields(monkeypatch, kind, gamma):
     total = len(_delta_candidates(f, order.k + 1))
     visits = _visits(monkeypatch, f, order)
     assert visits < 0.05 * total
-    assert seminorm_scan(f, order) == SeminormScan(homogeneous_seminorm(f, order), visits, total)
+    scan = seminorm_scan(f, order)
+    assert scan == SeminormScan(scan.value, visits, total)
 
 
 @pytest.mark.parametrize("dim, m", [(1, 17), (1, 4097), (2, 17), (2, 65), (2, 129)])
@@ -279,13 +279,13 @@ def test_visiting_order_is_a_stable_sort():
 def test_seminorm_without_displacements_raises():
     """gamma too large for the grid: no stencil fits, and 0 would be no answer."""
     spec = GridSpec(1, 8.0, 129)
-    f = GridFunction.from_callable(spec, lambda x: x**2)
+    f = from_callable(spec, lambda x: x**2)
     for gamma in (127.5, 1e300):
         assert not LipschitzOrder(gamma).fits(spec)
         with pytest.raises(ValueError, match="no lattice displacement"):
-            homogeneous_seminorm(f, LipschitzOrder(gamma))
+            seminorm_scan(f, LipschitzOrder(gamma)).value
     assert LipschitzOrder(126.5).fits(spec)  # one displacement, of one step
-    assert homogeneous_seminorm(f, LipschitzOrder(126.5)) >= 0.0
+    assert seminorm_scan(f, LipschitzOrder(126.5)).value >= 0.0
 
 
 @pytest.mark.parametrize("m", [16, 17, 129])
@@ -305,7 +305,7 @@ def test_cap_overflow_means_full_scan():
     assert _difference_cap(f, 1023) == math.inf
     assert _difference_cap(f, 10**6) == math.inf
     order = LipschitzOrder(1023.5)
-    assert homogeneous_seminorm(f, order) == seminorm_full_scan(f, order)
+    assert seminorm_scan(f, order).value == seminorm_full_scan(f, order)
 
 
 @pytest.mark.parametrize("amplitude, visits", [(1e-300, 1), (1e-3, 2)])
@@ -321,7 +321,7 @@ def test_chain_overflow_prunes_nothing(monkeypatch, amplitude, visits):
     assert len(_delta_candidates(f, order.k + 1)) == 2
     assert _difference_cap(f, order.k) == math.inf
     assert (_chain_terms(f, order.k)[0] == [math.inf]) == (visits == 2)
-    assert homogeneous_seminorm(f, order) == seminorm_full_scan(f, order)
+    assert seminorm_scan(f, order).value == seminorm_full_scan(f, order)
     assert _visits(monkeypatch, f, order) == visits
 
 
@@ -336,7 +336,7 @@ def test_chain_bound_near_float_max(dim, m, gamma, amplitude, kind):
     g = _field(spec, kind, gamma).values
     f = GridFunction(spec, amplitude / np.max(np.abs(g)) * g)
     order = LipschitzOrder(gamma)
-    assert homogeneous_seminorm(f, order) == seminorm_full_scan(f, order)
+    assert seminorm_scan(f, order).value == seminorm_full_scan(f, order)
 
 
 def test_difference_coefficients_beyond_float_range():
@@ -349,6 +349,6 @@ def test_difference_coefficients_beyond_float_range():
 def test_denominator_beyond_float_range_raises(halfwidth, m, gamma):
     """(spacing |delta|)^gamma underflows to 0 or overflows at the first
     displacement: no quotient is a float."""
-    f = GridFunction.from_callable(GridSpec(1, halfwidth, m), lambda x: np.cos(x / halfwidth))
+    f = from_callable(GridSpec(1, halfwidth, m), lambda x: np.cos(x / halfwidth))
     with pytest.raises(ValueError, match="beyond float range"):
-        homogeneous_seminorm(f, LipschitzOrder(gamma))
+        seminorm_scan(f, LipschitzOrder(gamma)).value

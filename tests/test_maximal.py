@@ -8,11 +8,11 @@ from scipy.signal import convolve
 from hardylab.generators import random_smooth_field, step_field
 from hardylab.grid import GridFunction, GridSpec, dyadic_scales
 from hardylab.maximal import _kernel, bump_profile, convolve_dilated, maximal_fn
-from scalar_oracles import maximal_taps
+from scalar_oracles import from_callable, maximal_taps, meshes
 
 
 def _indicator(spec, lo, hi):
-    return GridFunction.from_callable(
+    return from_callable(
         spec, lambda x: np.where((x >= lo) & (x <= hi), 1.0, 0.0)
     )
 
@@ -140,7 +140,7 @@ def test_truncated_below_full(spec1d, rng):
 
 def test_separated_bumps_truncated_gap(spec1d):
     """Truncated maximal cannot reach across a gap wider than its scales."""
-    x = spec1d.meshes()[0]
+    x = meshes(spec1d)[0]
     vals = bump_profile((x - 6.0) / 0.5) + bump_profile((x + 6.0) / 0.5)
     f = GridFunction(spec1d, vals)
     i0 = int(np.argmin(np.abs(x)))
@@ -230,7 +230,7 @@ def test_fft_keeps_exact_zeros_beyond_reach():
     t = 1/2 for the local one) does not reach the far nodes, where the tap sum is
     exactly 0.  FFT round-off alone would fill them."""
     spec = GridSpec(2, 8.0, 65)
-    x, y = spec.meshes()
+    x, y = meshes(spec)
     f = GridFunction(spec, bump_profile(np.hypot(x - 7.0, y - 7.0) / 0.5))
     for local, zeros in ((False, 468), (True, 4200)):
         oracle = maximal_taps(f, local).values

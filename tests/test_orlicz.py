@@ -14,7 +14,6 @@ from hardylab.grid import (
     box_rows,
     integrate,
     lp_norm,
-    unit_cubes,
 )
 from hardylab.lipschitz import LipschitzOrder
 from hardylab.maximal import maximal_fn
@@ -36,6 +35,7 @@ from scalar_oracles import (
     luxembourg_row,
     luxembourg_scan_oracle,
     maximal_taps,
+    unit_cubes,
 )
 
 

@@ -28,9 +28,11 @@ from hardylab.oscillation import (
     jn_check,
     lmo_norm,
     mean_oscillation,
-    multiplier_check,
 )
-from scalar_oracles import ball_stats, family_norms, family_stats, region_node_count
+from scalar_oracles import (
+    ball_stats, family_norms, family_stats, from_callable, meshes, multiplier_check,
+    region_node_count,
+)
 
 
 def _balls(family):
@@ -316,7 +318,7 @@ def test_mean_oscillation_step(spec1d):
 
 
 def test_mean_oscillation_linear(spec1d):
-    b = GridFunction.from_callable(spec1d, lambda x: x)
+    b = from_callable(spec1d, lambda x: x)
     r = 2.0
     assert mean_oscillation(b, Ball((0.0,), r)) == pytest.approx(
         r / 2.0, abs=spec1d.spacing
@@ -389,7 +391,7 @@ def test_jn_check_constant(spec1d, spec2d):
 
 
 def test_jn_check_small_bump_bound(spec1d):
-    x = spec1d.meshes()[0]
+    x = meshes(spec1d)[0]
     b = GridFunction(spec1d, 0.1 * bump_profile(x / 2.0))
     ball = Ball((0.0,), 0.5)
     norm = bmo_local_norm(b)
@@ -421,7 +423,7 @@ def test_multiplier_degenerate(spec1d):
 
 def test_multiplier_finite_on_pair(spec1d, rng):
     b = random_smooth_field(spec1d, rng)
-    x = spec1d.meshes()[0]
+    x = meshes(spec1d)[0]
     phi_fn = GridFunction(spec1d, bump_profile(x / 4.0))
     report = multiplier_check(phi_fn, b)
     assert np.isfinite(report["ratio"]) and report["ratio"] >= 0

@@ -34,7 +34,7 @@ from hardylab.product import (
     verify_split,
 )
 from hardylab.projection import poly_project
-from scalar_oracles import luxembourg_scan_oracle
+from scalar_oracles import from_callable, luxembourg_scan_oracle, meshes
 
 
 def test_truncate(spec1d, rng):
@@ -65,7 +65,7 @@ def test_pairing_zero_h(spec1d, rng):
 
 def test_pairing_monotone_for_log(spec1d):
     b = regularized_log_field(spec1d)
-    x = spec1d.meshes()[0]
+    x = meshes(spec1d)[0]
     h = GridFunction(spec1d, bump_profile(x / 2.0))
     sup = float(np.max(np.abs(b.values)))
     levels = [sup / 8, sup / 4, sup / 2, sup]
@@ -75,7 +75,7 @@ def test_pairing_monotone_for_log(spec1d):
 
 
 def test_duality_identity(spec1d, rng):
-    x = spec1d.meshes()[0]
+    x = meshes(spec1d)[0]
     test = GridFunction(spec1d, bump_profile(x / 3.0))
     for _ in range(10):
         b = random_smooth_field(spec1d, rng)
@@ -104,7 +104,7 @@ def test_split_bmo_constant_b(spec1d, rng):
 def test_split_bmo_zero_mean_single_atom(spec1d):
     atom = make_atom(Ball((0.0,), 1.0), 1.0, 0, spec1d)
     decomp = AtomicDecomposition(p=1.0, terms=((1.0, atom),))
-    b = GridFunction.from_callable(spec1d, lambda x: x)
+    b = from_callable(spec1d, lambda x: x)
     assert abs(ball_mean(b, atom.ball)) < 1e-13
     split = split_bmo(b, decomp)
     assert np.max(np.abs(split.h2.values)) < 1e-12
@@ -245,7 +245,7 @@ def test_split_lipschitz_constant_b_projection(spec1d, rng):
 def test_exp_class_bound(spec1d, rng):
     ball = Ball((0.0,), 0.5)
     zero = GridFunction.zeros(spec1d)
-    x = spec1d.meshes()[0]
+    x = meshes(spec1d)[0]
     psi = GridFunction(spec1d, 1.0 + 0.2 * np.cos(x))
     assert exp_class_product_bound(zero, psi, ball) == 0.0
     with pytest.raises(ValueError, match="unit measure"):
@@ -263,7 +263,7 @@ def test_exp_class_constant_oracle(spec1d):
     # overshoots 1 slightly, and the hypothesis is checked with it
     level = math.log(2.0) * 0.9
     b = GridFunction.constant(spec1d, level)
-    x = spec1d.meshes()[0]
+    x = meshes(spec1d)[0]
     psi = GridFunction(spec1d, 1.0 + 0.1 * np.sin(x))
     got = exp_class_product_bound(b, psi, ball)
     prod = b.with_values(b.values * psi.values)

@@ -13,7 +13,7 @@ from hardylab.projection import (
     poly_project,
     projection_sup_ratio,
 )
-from scalar_oracles import MESHGRID_BALLS, monomials_meshgrid
+from scalar_oracles import MESHGRID_BALLS, from_callable, monomials_meshgrid
 
 
 def test_multi_indices_counts():
@@ -63,7 +63,7 @@ def test_degree_zero_is_ball_mean(spec1d, rng):
 
 
 def test_reproduces_polynomials(spec1d):
-    f = GridFunction.from_callable(spec1d, lambda x: 1.0 - 2.0 * x + 0.5 * x**2)
+    f = from_callable(spec1d, lambda x: 1.0 - 2.0 * x + 0.5 * x**2)
     ball = Ball((0.5,), 2.0)
     proj = poly_project(f, ball, 2)
     sl = region_slices(spec1d, ball)
@@ -74,7 +74,7 @@ def test_reproduces_polynomials(spec1d):
 def test_cubic_closed_form_oracle():
     """Projection of x^3 onto degree 2 on [-r, r] is (3 r^2 / 5) x."""
     spec = GridSpec(1, 2.0, 513)
-    f = GridFunction.from_callable(spec, lambda x: x**3)
+    f = from_callable(spec, lambda x: x**3)
     r = 1.0
     proj = poly_project(f, Ball((0.0,), r), 2)
     # basis is ((x - 0)/r)^a, so the linear coefficient carries 3 r^3 / 5
@@ -162,14 +162,14 @@ def test_campanato_constant_and_polynomial(spec1d):
     order = LipschitzOrder(0.5)
     c = GridFunction.constant(spec1d, 2.0)
     assert campanato_ratio(c, Ball((0.0,), 1.0), order) < 1e-12
-    f = GridFunction.from_callable(spec1d, lambda x: 0.25 * x)
+    f = from_callable(spec1d, lambda x: 0.25 * x)
     assert campanato_ratio(f, Ball((0.0,), 1.0), LipschitzOrder(1.0)) < 1e-10
 
 
 def test_campanato_abs_value_oracle():
     """Mean residual of |x| against its degree-1 fit on [-r, r] is r/4."""
     spec = GridSpec(1, 2.0, 1025)
-    f = GridFunction.from_callable(spec, lambda x: np.abs(x))
+    f = from_callable(spec, lambda x: np.abs(x))
     r = 1.0
     ball = Ball((0.0,), r)
     proj = poly_project(f, ball, 1)

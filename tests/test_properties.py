@@ -29,15 +29,16 @@ from hardylab.grid import (
     GridSpec,
     dyadic_scales,
     fewest_ball_nodes,
-    unit_cubes,
+    unit_cube_boxes,
 )
-from hardylab.lipschitz import LipschitzOrder, homogeneous_seminorm, lambda_gamma_norm
+from hardylab.lipschitz import LipschitzOrder, lambda_gamma_norm, seminorm_scan
 from hardylab.maximal import convolve_dilated, maximal_fn
 from hardylab.orlicz import PHI, _luxembourg_rows, hardy_quasinorm, lphi_star_norm
 from hardylab.oscillation import BallFamily, bmo_local_norm, lmo_norm
 from hardylab.product import REGIMES, split_bmo, split_lipschitz, verify_split
 from scalar_oracles import (
-    family_stats, luxembourg_row, maximal_taps, region_node_count, seminorm_full_scan,
+    family_stats, luxembourg_row, maximal_taps, meshes, region_node_count, seminorm_full_scan,
+    unit_cubes,
 )
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
@@ -67,9 +68,11 @@ local_hardy = functools.partial(hardy_quasinorm, p=1.0, local=True)
 # end where (4 * halfwidth)^2 overflows, near halfwidth 3e153)
 @example(GridSpec(1, 1e19, 17))
 @example(GridSpec(2, 1e150, 17))
-def test_unit_cubes_partition_nodes(spec):
+def test_unit_cube_boxes_partition_nodes(spec):
     hits = np.zeros(spec.shape, dtype=int)
-    for j, box in unit_cubes(spec).items():
+    starts, shapes = unit_cube_boxes(spec)
+    for j, start, shape in zip(unit_cubes(spec), starts.tolist(), shapes.tolist()):
+        box = tuple(slice(a, a + n) for a, n in zip(start, shape))
         hits[box] += 1
         for ji, s in zip(j, box):
             assert np.all(np.floor(spec.axis()[s] + 0.5) == ji)
@@ -151,7 +154,7 @@ def test_convolution_fixes_constants(spec, c):
     """Nodes farther than t from the boundary see the whole kernel, of mass 1."""
     f = b_field(spec, "constant", None, value=c)
     for t in dyadic_scales(2.0 * spec.spacing, 2.0 * spec.halfwidth):
-        inside = np.all([np.abs(x) < spec.halfwidth - t for x in spec.meshes()], axis=0)
+        inside = np.all([np.abs(x) < spec.halfwidth - t for x in meshes(spec)], axis=0)
         out = convolve_dilated(f, t).values[inside]
         assert np.all(np.abs(out - c) <= 1e-12 * abs(c))
 
@@ -189,7 +192,7 @@ def test_seminorm_matches_full_scan(spec, gamma, field, scale):
     kind, seed = field
     f = b_field(spec, kind, np.random.default_rng(seed))
     f = f.with_values(scale * f.values)
-    assert homogeneous_seminorm(f, order) == seminorm_full_scan(f, order)
+    assert seminorm_scan(f, order).value == seminorm_full_scan(f, order)
 
 
 # |values| from 1e-200 to 1e200, a third of them zero, and positive weights
