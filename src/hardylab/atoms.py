@@ -47,6 +47,15 @@ __all__ = [
 MOMENT_SLACK = 1e-10
 
 
+def _size_bound(ball: Ball, p: float) -> float:
+    """|B|^(-1/p) with the analytic ball measure; ValueError beyond float range."""
+    try:
+        return ball.measure ** (-1.0 / p)
+    except OverflowError:
+        raise ValueError(f"the size bound |B|^(-1/p) of a ball of radius {ball.radius} "
+                         f"at p = {p} is beyond float range") from None
+
+
 @dataclass(frozen=True)
 class Atom:
     """A GridFunction tagged with its ball and (p, inf, s) metadata."""
@@ -70,7 +79,7 @@ class Atom:
     @property
     def size_bound(self) -> float:
         """|B|^(-1/p) with the analytic ball measure."""
-        return self.ball.measure ** (-1.0 / self.p)
+        return _size_bound(self.ball, self.p)
 
 
 @dataclass(frozen=True)
@@ -81,10 +90,14 @@ class AtomicDecomposition:
     terms: tuple[tuple[float, Atom], ...]
 
     def __post_init__(self):
+        if not 0.0 < self.p <= 1.0:
+            raise ValueError("p must lie in (0, 1]")
         terms = tuple((float(lam), atom) for lam, atom in self.terms)
         object.__setattr__(self, "terms", terms)
-        for _, atom in terms:
-            if abs(atom.p - self.p) > 1e-12:
+        for lam, atom in terms:
+            if not math.isfinite(lam):
+                raise ValueError("lambda must be finite")
+            if not abs(atom.p - self.p) <= 1e-12:
                 raise ValueError("atom exponent does not match decomposition")
         specs = {atom.spec for _, atom in terms}
         if len(specs) > 1:
@@ -188,7 +201,7 @@ def _scaled_atom(spec: GridSpec, slices: tuple, profile: np.ndarray, ball: Ball,
     if sup <= 0:
         raise ValueError("degenerate profile: it vanishes on the ball")
     vals = np.zeros(spec.shape)
-    vals[slices] = profile * (ball.measure ** (-1.0 / p) / sup)
+    vals[slices] = profile * (_size_bound(ball, p) / sup)
     return Atom(values=GridFunction(spec, vals), ball=ball, p=p, s=s, local=local)
 
 
@@ -210,7 +223,7 @@ def make_atom(
     bump = _bump_on_ball(coords, ball, modulate)
     if not resolves_atom(spec.dim, s, bump.size):
         raise ValueError("under-resolved ball")
-    _, fit = _fit(bump, spec.weights()[slices], coords, ball, s)
+    fit = _fit(bump, spec.weights()[slices], coords, ball, s)
     return _scaled_atom(spec, slices, bump - fit, ball, p, s)
 
 
@@ -276,11 +289,15 @@ def load_decomposition(basepath) -> AtomicDecomposition:
     base = Path(basepath)
     doc = json.loads(base.with_suffix(".json").read_text())
     try:  # only the terms need the grid; save_decomposition writes null without them
+        if not isinstance(doc["terms"], list):
+            raise TypeError(f"terms must be a list, got {doc['terms']!r}")
         spec = GridSpec.from_dict(doc["grid"]) if doc["terms"] else None
         terms = []
         for entry in doc["terms"]:
             if entry["q"] is not None:
                 raise ValueError(f"atoms are (p, inf, s)-atoms, got q = {entry['q']!r}")
+            if not isinstance(entry["local"], bool):
+                raise TypeError(f"local must be true or false, got {entry['local']!r}")
             values = np.load(base.parent / entry["values_ref"])
             atom = Atom(
                 values=GridFunction(spec, values),

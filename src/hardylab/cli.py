@@ -1,13 +1,16 @@
 """Batch front-end: `lab norm`, `lab split`, `lab validate`.
 
+usage: lab {norm,split,validate} --config PATH
+
 Each subcommand takes a single --config JSON document; no flag overrides,
 so a config plus its seeds reproduces every report byte for byte.
-Exit codes: 0 success, 1 input/parse failure, 2 usage or config error.
+Exit codes: 0 success, 1 any other failure (an unreadable input, a malformed
+file, a field or a norm out of float range, memory), 2 usage or config error.
+Every failure prints one `error:` line on stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
@@ -20,11 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .atoms import load_decomposition, resolves_atom, validate_atom
+from .atoms import _size_bound, load_decomposition, resolves_atom, validate_atom
 from .generators import B_GENERATORS, b_field, moment_radius, random_decomposition
 from .grid import (
-    GridFunction, GridSpec, as_integer, as_number, fewest_ball_nodes, load_gridfunction, lp_norm,
-    sup_norm,
+    Ball, GridFunction, GridSpec, as_integer, as_number, fewest_ball_nodes, load_gridfunction,
+    lp_norm, sup_norm,
 )
 from .lipschitz import LipschitzOrder, seminorm_scan
 from .maximal import maximal_scales
@@ -34,6 +37,7 @@ from .product import REGIMES, Regime, SplitReport, split_bmo, split_lipschitz, v
 
 USAGE_ERROR = 2
 PARSE_ERROR = 1
+_USAGE = "usage: lab {norm,split,validate} --config PATH"
 
 _NORMS = ("lp", "luxembourg", "lphi_star", "hardy", "bmo", "bmo_local", "lmo", "lambda_gamma")
 
@@ -239,7 +243,10 @@ def _split_config(spec: GridSpec, config: dict) -> tuple[Regime, dict]:
         raise ConfigError(f"bad atoms.radius_range {shown!r}: {exc}") from exc
     s_min = 0
     if regime.kind != "p1":
-        order = LipschitzOrder.dual_to(p, spec.dim)
+        try:
+            order = LipschitzOrder.dual_to(p, spec.dim)
+        except ValueError as exc:  # gamma = n(1/p - 1) beyond float range
+            raise ConfigError(f"p = {p} gives no Lipschitz order: {exc}") from exc
         # `not <=` so that a NaN gamma, which compares False, is rejected too
         if config.get("gamma") is not None and not abs(_number(config, "gamma", None) - order.gamma) <= 1e-12:
             raise ConfigError(f"gamma must equal n(1/p - 1) = {order.gamma}")
@@ -252,8 +259,14 @@ def _split_config(spec: GridSpec, config: dict) -> tuple[Regime, dict]:
         raise ConfigError(f"atoms.s must be at least 2*floor(gamma) = {s_min}, got {s}")
     if radius is not None and not resolves_atom(spec.dim, s, fewest_ball_nodes(spec, radius)):
         raise ConfigError(f"atoms.s = {s} is too large for a ball of the smallest radius {radius}")
+    atom_p = 1.0 if regime.kind == "p1" else p
+    if radius is not None:  # the smallest ball has the largest size bound
+        try:
+            _size_bound(Ball((0.0,) * spec.dim, radius), atom_p)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     atoms = {
-        "p": 1.0 if regime.kind == "p1" else p,
+        "p": atom_p,
         "s": s,
         "n_atoms": count,
         "radius_range": radius_range,
@@ -338,23 +351,25 @@ def cmd_validate(config: dict) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="lab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("norm", "split", "validate"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-    args = parser.parse_args(argv)
+    """Run `lab COMMAND --config PATH` and return its exit code; never raises SystemExit."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    if args in (["-h"], ["--help"]):
+        print(_USAGE)
+        return 0
     handlers = {"norm": cmd_norm, "split": cmd_split, "validate": cmd_validate}
+    if len(args) != 3 or args[0] not in handlers or args[1] != "--config":
+        print(f"error: {_USAGE}", file=sys.stderr)
+        return USAGE_ERROR
     # numpy reports no floating-point warning on stderr: a non-finite result
     # still fails the GridFunction and strict-JSON checks, with one error line
     try:  # a config that cannot be read is an OSError: exit 1
         with np.errstate(all="ignore"):
-            return handlers[args.command](_load_config(args.config))
+            return handlers[args[0]](_load_config(args[2]))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a bad input file, a range failure, memory: one line, exit 1
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return PARSE_ERROR
 
 

@@ -157,6 +157,8 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.values):
+            raise ValueError("values must be real")
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != self.spec.shape:
             raise ValueError(
@@ -194,6 +196,8 @@ class Ball:
         object.__setattr__(self, "center", center)
         if not self.radius > 0:
             raise ValueError("radius must be positive")
+        if not (math.isfinite(self.radius) and all(math.isfinite(c) for c in center)):
+            raise ValueError("ball radius and center must be finite")
 
     @property
     def dim(self) -> int:

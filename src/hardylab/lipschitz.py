@@ -84,6 +84,8 @@ class LipschitzOrder:
     def __post_init__(self):
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
+        if not math.isfinite(self.gamma):
+            raise ValueError("gamma must be finite")
 
     @classmethod
     def dual_to(cls, p: float, dim: int) -> "LipschitzOrder":

@@ -196,8 +196,7 @@ def split_lipschitz(
     for idx, (_, atom) in enumerate(decomp.terms):
         if not atom.local and atom.s < order.min_atom_s:
             raise ValueError(f"need s >= 2*floor(gamma) = {order.min_atom_s} (atom {idx})")
-        proj = poly_project(b, atom.ball, order.k)
-        projections.append(proj.as_gridfunction(b.spec).values)
+        projections.append(poly_project(b, atom.ball, order.k).values)
     return _assemble(b, decomp, _regime("projection", local), projections)
 
 

@@ -6,20 +6,20 @@ ball sits and how large it is.  The least-squares problem carries the
 quadrature weights, so the residual is quadrature-orthogonal to the basis.
 Each routine resolves its ball's window once and fits on the window's values,
 weights and open coordinates (`_fit`, which `atoms.make_atom` shares).
+`poly_project` returns the fit extended by zero to the grid, as the small-p
+split subtracts it under each atom.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import (
     Ball,
     GridFunction,
-    GridSpec,
     region_coords,
     region_slices,
     region_values,
@@ -27,7 +27,6 @@ from .grid import (
 from .lipschitz import LipschitzOrder, lambda_gamma_norm
 
 __all__ = [
-    "PolyProjection",
     "poly_project",
     "projection_sup_ratio",
     "campanato_ratio",
@@ -45,23 +44,6 @@ def multi_indices(dim: int, degree: int) -> list[tuple[int, ...]]:
         for alpha in itertools.product(range(total + 1), repeat=dim)
         if sum(alpha) == total
     ]
-
-
-@dataclass(frozen=True)
-class PolyProjection:
-    """Polynomial in the shifted-scaled monomial basis on a ball, with its
-    values at the grid nodes in the ball (ball-shaped)."""
-
-    ball: Ball
-    degree: int
-    coefficients: np.ndarray
-    values: np.ndarray
-
-    def as_gridfunction(self, spec: GridSpec) -> GridFunction:
-        """The polynomial on the ball, extended by zero to the whole grid."""
-        vals = np.zeros(spec.shape)
-        vals[region_slices(spec, self.ball)] = self.values
-        return GridFunction(spec, vals)
 
 
 def monomial_terms(
@@ -94,9 +76,9 @@ def enough_nodes(dim: int, degree: int, nodes: int) -> bool:
     return nodes >= 2 * len(multi_indices(dim, degree))
 
 
-def _fit(vals: np.ndarray, w: np.ndarray, coords: tuple, ball: Ball, degree: int) -> tuple:
-    """(coefficients, window-shaped fit) of the weighted least-squares fit of a
-    window's values by polynomials of degree <= k, on its weights and coords."""
+def _fit(vals: np.ndarray, w: np.ndarray, coords: tuple, ball: Ball, degree: int) -> np.ndarray:
+    """The window-shaped weighted least-squares fit of a window's values by
+    polynomials of degree <= k, on its weights and coords."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if not enough_nodes(len(coords), degree, vals.size):
@@ -107,7 +89,7 @@ def _fit(vals: np.ndarray, w: np.ndarray, coords: tuple, ball: Ball, degree: int
     coeffs, _, rank, _ = np.linalg.lstsq(A * sw[:, None], vals.ravel() * sw, rcond=None)
     if rank < A.shape[1]:
         raise ValueError("degenerate node set")
-    return coeffs, sum(coeff * term for coeff, term in zip(coeffs, terms))
+    return sum(coeff * term for coeff, term in zip(coeffs, terms))
 
 
 def _window(f: GridFunction, ball: Ball) -> tuple:
@@ -116,10 +98,13 @@ def _window(f: GridFunction, ball: Ball) -> tuple:
     return (*region_values(f, slices), region_coords(f.spec, slices))
 
 
-def poly_project(f: GridFunction, ball: Ball, degree: int) -> PolyProjection:
-    """Weighted least-squares projection of f onto polynomials of degree <= k on B."""
-    coeffs, fit = _fit(*_window(f, ball), ball, degree)
-    return PolyProjection(ball=ball, degree=degree, coefficients=coeffs, values=fit)
+def poly_project(f: GridFunction, ball: Ball, degree: int) -> GridFunction:
+    """Weighted least-squares projection of f onto polynomials of degree <= k on
+    B, extended by zero to the grid."""
+    slices = region_slices(f.spec, ball)
+    vals = np.zeros(f.spec.shape)
+    vals[slices] = _fit(*region_values(f, slices), region_coords(f.spec, slices), ball, degree)
+    return GridFunction(f.spec, vals)
 
 
 def projection_sup_ratio(f: GridFunction, ball: Ball, degree: int) -> float:
@@ -128,7 +113,7 @@ def projection_sup_ratio(f: GridFunction, ball: Ball, degree: int) -> float:
     f_sup = float(np.max(np.abs(vals)))
     if f_sup == 0:
         raise ValueError("f vanishes on the ball")
-    _, fit = _fit(vals, w, coords, ball, degree)
+    fit = _fit(vals, w, coords, ball, degree)
     return float(np.max(np.abs(fit))) / f_sup
 
 
@@ -153,7 +138,7 @@ def campanato_ratio(
     if lambda_norm <= 0:
         raise ValueError("degenerate Lipschitz norm")
     vals, w, coords = _window(f, ball)
-    _, fit = _fit(vals, w, coords, ball, degree)
+    fit = _fit(vals, w, coords, ball, degree)
     resid = np.abs(vals - fit)
     mean_resid = float(np.sum(w * resid) / np.sum(w))
     scale = ball.measure ** (order.gamma / f.spec.dim)

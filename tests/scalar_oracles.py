@@ -29,8 +29,8 @@ mesh, and `ball_axis_slice` is the one-center window rule that
 `grid._ball_axis_windows` runs over an array of centers; all agree under `==`.
 `bump_on_ball_grid`, `make_atom_grid` and `make_local_atom_grid` are the atom
 builders on grid-shaped temporaries that the window-only builders of `atoms`
-replaced: the bump embedded in the grid, and its projection subtracted through
-`poly_project` and `PolyProjection.as_gridfunction`; they agree under `==`.
+replaced: the bump embedded in the grid, and its projection on the grid
+(`poly_project`) subtracted; they agree under `==`.
 `region_node_count` counts the nodes of a region's window.
 `family_stats` is the statistics pass over every ball of the family, and
 `family_norms` the BMO, bmo and lmo norms read from it, that the pruned sups
@@ -349,7 +349,7 @@ def make_atom_grid(
     """The values of atoms.make_atom on grid-shaped temporaries: the bump in the
     grid, minus its projection extended by zero, scaled to the sup |B|^(-1/p)."""
     base = GridFunction(spec, bump(spec, ball, modulate))
-    resid = base.values - poly_project(base, ball, s).as_gridfunction(spec).values
+    resid = base.values - poly_project(base, ball, s).values
     return resid * (ball.measure ** (-1.0 / p) / float(np.max(np.abs(resid))))
 
 

@@ -364,7 +364,7 @@ def _p_lt1_campaign(m: int, seed: int, p: float, s: int, draws: int = 50):
             if split.regime.kind == "mean":
                 m = ball_mean(b, atom.ball)
             else:
-                m = poly_project(b, atom.ball, order.k).as_gridfunction(spec).values
+                m = poly_project(b, atom.ball, order.k).values
             term = atom.values.with_values(m * atom.values.values)
             residuals = moment_residuals(term, atom.ball, order.k)
             sup = float(np.max(np.abs(term.values)))

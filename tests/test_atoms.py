@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -105,8 +106,8 @@ def test_atoms_equal_meshgrid_bumps(dim, m):
     """The bump on the window's open coordinates, extended by zero, is the
     grid-shaped bump and the dense-meshgrid bump, ==, with and without a
     modulation; make_atom's and make_local_atom's atoms are those of the
-    builders on grid-shaped temporaries (the projection through poly_project
-    and as_gridfunction), built on either bump."""
+    builders on grid-shaped temporaries (the projection on the grid, from
+    poly_project), built on either bump."""
     spec = GridSpec(dim, 8.0, m)
     rng = np.random.default_rng(m)
     resolved = 0
@@ -167,6 +168,27 @@ def test_decomposition_consistency(spec1d):
     decomp = AtomicDecomposition(p=1.0, terms=((2.0, a), (-1.0, a)))
     assert decomp.lambda_sum == 3.0
     assert decomp.lambda_p_sum == 3.0
+    # a NaN exponent compares unequal to every atom's, and the empty
+    # decomposition still needs p in (0, 1]
+    for p in (math.nan, 0.0, 2.0):
+        with pytest.raises(ValueError):
+            AtomicDecomposition(p=p, terms=((1.0, a),))
+        with pytest.raises(ValueError, match="p must lie"):
+            AtomicDecomposition(p=p, terms=())
+    for lam in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            AtomicDecomposition(p=1.0, terms=((lam, a),))
+
+
+def test_size_bound_beyond_float_range_is_a_value_error():
+    """|B|^(-1/p) of a tiny ball overflows: ValueError from the atom's bound and
+    from the builder, not OverflowError."""
+    spec = GridSpec(1, 1e-250, 129)
+    ball = Ball((0.0,), 16 * spec.spacing)
+    with pytest.raises(ValueError, match="beyond float range"):
+        Atom(values=GridFunction.zeros(spec), ball=ball, p=0.8, s=0).size_bound
+    with pytest.raises(ValueError, match="beyond float range"):
+        make_atom(ball, 0.8, 0, spec)
 
 
 def test_synthesize(spec1d):

@@ -12,7 +12,7 @@ import pytest
 from hardylab import cli
 from hardylab.atoms import AtomicDecomposition, make_atom, make_local_atom, save_decomposition
 from hardylab.generators import b_field
-from hardylab.grid import Ball, GridSpec, save_gridfunction
+from hardylab.grid import Ball, GridFunction, GridSpec, save_gridfunction
 from hardylab.lipschitz import LipschitzOrder, lambda_gamma_norm
 from hardylab.product import SplitReport
 
@@ -220,6 +220,8 @@ GRID_257 = {**GRID, "points_per_axis": 257}
 GRID_4097_UNIT = {**GRID, "halfwidth": 2048.0, "points_per_axis": 4097}
 GRID_2D_HUGE = {"dim": 2, "halfwidth": 1e200, "points_per_axis": 17}
 GRID_2D_TINY = {"dim": 2, "halfwidth": 1e-180, "points_per_axis": 17}
+GRID_2D = {"dim": 2, "halfwidth": 8.0, "points_per_axis": 65}
+USAGE = "usage: lab {norm,split,validate} --config PATH\n"
 
 # (command, config, exit code, regime name written to rows.csv)
 EXIT_CASES = [
@@ -503,6 +505,13 @@ MALFORMED_DECOMPOSITIONS = {
     # a ball center of Infinity or NaN (JSON as Python writes it) has no window
     "center-infinite": _with_term(ball={"center": [math.inf], "radius": 1.0}),
     "center-nan": _with_term(ball={"center": [math.nan], "radius": 1.0}),
+    # each rejected as it is read, before any atom is validated
+    "p-nan": lambda doc: {**doc, "p": math.nan},
+    "p-above-one": lambda doc: {**doc, "p": 2.0, "terms": []},
+    "radius-infinite": _with_term(ball={"center": [0.0], "radius": math.inf}),
+    "lambda-infinite": _with_term(**{"lambda": math.inf}),
+    "local-string": _with_term(local="yes"),
+    "terms-object": lambda doc: {**doc, "terms": {}},
 }
 
 
@@ -527,16 +536,23 @@ def test_validate_malformed_decomposition(tmp_path, capsys, name):
 
 
 def test_lab_process_never_prints_a_traceback(tmp_path):
-    """What the terminal shows of a malformed decomposition, a non-object params,
+    """What the terminal shows of malformed decompositions, a non-object params,
     an infinite draw count, an input file that is not a path, two Lipschitz
     orders too large for the grid or for float binomial coefficients, a
     halfwidth whose box width overflows, one whose cell measure does, one
-    whose cell measure underflows, a generator parameter that overflows and
-    a field near the float maximum: one error line on failure, and nothing
-    on success, numpy warnings included."""
+    whose cell measure underflows, a generator parameter that overflows, a
+    field near the float maximum, an infinite dual order, an atom size bound
+    beyond float range, a complex input file and a malformed command line: one
+    error line on failure, and nothing on success, numpy warnings included."""
     huge = {"generator": "random-smooth", "params": {"amplitude": 1e308}}  # max|f| 5.7e307
-    cases = [
-        ("validate", {"decomposition": _malformed_decomposition(tmp_path, "grid-null")}, 1),
+    complex_file = tmp_path / "complex"
+    save_gridfunction(GridFunction(GridSpec.from_dict(GRID), np.zeros(129)), complex_file)
+    np.save(complex_file.with_suffix(".npy"), np.full(129, 1.0 + 1.0j))
+    decompositions = [
+        ("validate", {"decomposition": _malformed_decomposition(tmp_path / name, name)}, 1)
+        for name in ("grid-null", "p-nan", "radius-infinite", "local-string")
+    ]
+    cases = decompositions + [
         ("norm", {"grid": GRID, "input": {"generator": "step"}, "which": "hardy",
                   "params": [1]}, 2),
         ("split", {"grid": GRID, "regime": "p1", "draws": float("inf"),
@@ -570,12 +586,25 @@ def test_lab_process_never_prints_a_traceback(tmp_path):
                   "output": str(tmp_path / "report.json")}, 0),
         ("split", {"grid": GRID, "regime": "p1", "b_generator": {"kind": "random-smooth",
                    "params": {"amplitude": 1e308}}, "output_dir": str(tmp_path / "out")}, 0),
+        # gamma = n(1/p - 1) is infinite: rejected before floor(gamma) raises
+        ("split", {"grid": GRID_2D, "regime": "projection", "p": 1e-310,
+                   "output_dir": str(tmp_path / "out")}, 2),
+        ("split", {"grid": GRID_2D, "regime": "projection", "p": 5e-324,
+                   "output_dir": str(tmp_path / "out")}, 2),
+        # |B|^(-1/p) of the smallest ball overflows: rejected before a draw
+        ("split", {"grid": {**GRID, "halfwidth": 1e-250}, "regime": "mean", "p": 0.8,
+                   "output_dir": str(tmp_path / "out")}, 2),
+        ("norm", {"grid": GRID, "input": {"file": str(complex_file)}, "which": "lp"}, 1),
     ]
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    for command, doc, code in cases:
-        cfg = _write(tmp_path, "cfg.json", doc)
-        done = subprocess.run([sys.executable, "-m", "hardylab.cli", command, "--config", cfg],
+    cfg = _write(tmp_path, "cfg.json", {})
+    usage = [[], ["split"], ["split", "--config"], ["split", f"--config={cfg}"],
+             ["split", "--conf", cfg], ["nope", "--config", cfg], ["split", "--config", cfg, "x"]]
+    runs = [([command, "--config", _write(tmp_path, f"cfg{i}.json", doc)], code)
+            for i, (command, doc, code) in enumerate(cases)] + [(args, 2) for args in usage]
+    for args, code in runs:
+        done = subprocess.run([sys.executable, "-m", "hardylab.cli", *args],
                               env=env, capture_output=True, text=True)
         assert done.returncode == code, done.stderr
         assert "Traceback" not in done.stderr
@@ -586,15 +615,60 @@ def test_lab_process_never_prints_a_traceback(tmp_path):
             assert done.stderr.startswith("error:")
 
 
-def test_cli_import_loads_no_scipy():
-    """scipy is a test dependency only: the `lab` command runs on numpy."""
+def _modules_loaded_by_cli(package):
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     probe = ("import sys, hardylab.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test dependency only: the `lab` command runs on numpy."""
+    assert _modules_loaded_by_cli("scipy") == "[]"
+
+
+def test_cli_import_loads_no_argparse():
+    """`lab` parses its one grammar itself: no argparse, nor its gettext lookups."""
+    assert _modules_loaded_by_cli("argparse") == "[]"
+
+
+@pytest.mark.parametrize("args", [[], ["split"], ["split", "--config"], ["split", "--config=x"],
+                                  ["norm", "-c", "x"], ["split", "--config", "x", "--config", "y"],
+                                  ["-h", "split"], ["split", "--help"]])
+def test_usage_error_is_one_line_exit2(capsys, args):
+    """Anything but `COMMAND --config PATH` is a usage error, returned, not raised."""
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {USAGE}"
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_usage(capsys, flag):
+    assert cli.main([flag]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == USAGE and captured.err == ""
+
+
+@pytest.mark.parametrize("command", ["norm", "split"])
+def test_memory_error_is_one_line_exit1(tmp_path, capsys, monkeypatch, command):
+    """A field too large for memory exits 1 with one error line and writes nothing."""
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "b_field", out_of_memory)
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "cfg.json", {
+        "grid": GRID, "input": {"generator": "random-smooth"}, "which": "lp",
+        "output": str(out), "regime": "p1", "output_dir": str(out),
+    })
+    assert _run([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: Unable to allocate 7.28 TiB for an array"]
+    assert not out.exists()
 
 
 def test_split_rerun_failure_keeps_old_outputs(tmp_path, monkeypatch):

@@ -76,6 +76,9 @@ def test_gridfunction_rejects_nonfinite():
     vals[5] = np.nan
     with pytest.raises(ValueError):
         GridFunction(spec, vals)
+    # a complex array is rejected, not cast with its imaginary part dropped
+    with pytest.raises(ValueError, match="real"):
+        GridFunction(spec, np.full(33, 1.0 + 0.5j))
 
 
 def test_integrate_constant_unit_box():
@@ -160,7 +163,7 @@ def test_one_row_statistics_leave_f_alone(spec1d, rng):
 def test_region_errors(spec1d):
     with pytest.raises(ValueError, match="empty region"):
         region_slices(spec1d, Ball((20.0,), 0.5))
-    with pytest.raises(ValueError, match="empty region"):
+    with pytest.raises(ValueError, match="must be finite"):  # a NaN center has no window
         region_slices(spec1d, Ball((math.nan,), 0.5))
     with pytest.raises(ValueError):
         region_slices(spec1d, Ball((0.0, 0.0), 1.0))
@@ -455,6 +458,15 @@ def test_ball_measure():
     b = Ball((1.0,), 0.5)
     assert b.measure == 1.0
     assert Ball((0.0, 0.0), 1.0).measure == 4.0
+
+
+@pytest.mark.parametrize("center, radius", [
+    ((0.0,), 0.0), ((0.0,), -1.0), ((0.0,), math.nan), ((0.0,), math.inf),
+    ((math.inf,), 1.0), ((0.0, math.nan), 1.0),
+])
+def test_ball_needs_finite_center_and_positive_radius(center, radius):
+    with pytest.raises(ValueError):
+        Ball(center, radius)
 
 
 # the three dyadic rules that dyadic_scales replaced, kept as its reference

@@ -24,6 +24,9 @@ def test_order_fields():
     assert LipschitzOrder(1.5).k == 1
     with pytest.raises(ValueError):
         LipschitzOrder(0.0)
+    # the dual order of p = 1e-310 is infinite: no floor to take
+    with pytest.raises(ValueError, match="finite"):
+        LipschitzOrder.dual_to(1e-310, 2)
 
 
 def test_first_difference_of_identity(spec1d):

@@ -216,7 +216,7 @@ def test_split_lipschitz_projection_regime(spec1d, rng):
     # and m_j a_j keeps the atom's vanishing moments up to degree 1
     h1 = np.zeros(spec1d.shape)
     for lam, atom in decomp.terms:
-        m = poly_project(b, atom.ball, 1).as_gridfunction(spec1d).values
+        m = poly_project(b, atom.ball, 1).values
         h1 += lam * ((b.values - m) * atom.values.values)
         term = atom.values.with_values(m * atom.values.values)
         term_sup = float(np.max(np.abs(term.values)))

@@ -59,7 +59,8 @@ def test_degree_zero_is_ball_mean(spec1d, rng):
     f = random_smooth_field(spec1d, rng)
     ball = Ball((1.0,), 2.0)
     proj = poly_project(f, ball, 0)
-    assert proj.coefficients[0] == pytest.approx(ball_mean(f, ball), rel=1e-10)
+    window = proj.values[region_slices(spec1d, ball)]
+    assert window == pytest.approx(np.full(window.shape, ball_mean(f, ball)), rel=1e-10)
 
 
 def test_reproduces_polynomials(spec1d):
@@ -67,7 +68,7 @@ def test_reproduces_polynomials(spec1d):
     ball = Ball((0.5,), 2.0)
     proj = poly_project(f, ball, 2)
     sl = region_slices(spec1d, ball)
-    err = np.max(np.abs(proj.values - f.values[sl]))
+    err = np.max(np.abs(proj.values[sl] - f.values[sl]))
     assert err < 1e-10
 
 
@@ -76,27 +77,35 @@ def test_cubic_closed_form_oracle():
     spec = GridSpec(1, 2.0, 513)
     f = from_callable(spec, lambda x: x**3)
     r = 1.0
-    proj = poly_project(f, Ball((0.0,), r), 2)
-    # basis is ((x - 0)/r)^a, so the linear coefficient carries 3 r^3 / 5
-    coeffs = proj.coefficients
+    ball = Ball((0.0,), r)
+    proj = poly_project(f, ball, 2)
+    sl = region_slices(spec, ball)
+    x = spec.axis()[sl[0]]
+    assert np.array_equal(x, -x[::-1])  # the window is symmetric about 0
+    window = proj.values[sl]
+    # the even part is the constant and quadratic terms, the odd part the linear one
+    even = (window + window[::-1]) / 2.0
+    odd = (window - window[::-1]) / 2.0
+    assert np.max(np.abs(even)) < 2e-10
     # discrete moments differ from the continuous ones by O(spacing) at the
-    # ball edge, which propagates into the fitted coefficient
-    assert coeffs[1] == pytest.approx(3.0 * r**3 / 5.0, rel=4.0 * spec.spacing)
-    assert abs(coeffs[0]) < 1e-10 and abs(coeffs[2]) < 1e-10
+    # ball edge, which propagates into the fitted slope
+    nonzero = x != 0.0
+    slope = odd[nonzero] / x[nonzero]
+    assert slope == pytest.approx(np.full(slope.shape, 3.0 * r**2 / 5.0), rel=4.0 * spec.spacing)
 
 
 def test_idempotence(spec1d, rng):
     f = random_smooth_field(spec1d, rng)
     ball = Ball((-1.0,), 2.0)
     proj = poly_project(f, ball, 2)
-    extended = proj.as_gridfunction(spec1d)
-    again = poly_project(extended, ball, 2)
-    assert np.max(np.abs(again.coefficients - proj.coefficients)) < 1e-10 * (
-        1.0 + np.max(np.abs(proj.coefficients))
+    again = poly_project(proj, ball, 2)
+    assert np.max(np.abs(again.values - proj.values)) < 1e-10 * (
+        1.0 + np.max(np.abs(proj.values))
     )
     outside = np.ones(spec1d.shape, dtype=bool)
     outside[region_slices(spec1d, ball)] = False
-    assert np.all(extended.values[outside] == 0.0)
+    assert np.all(proj.values[outside] == 0.0)
+    assert np.all(again.values[outside] == 0.0)
 
 
 def test_residual_orthogonality(spec1d, rng):
@@ -105,7 +114,7 @@ def test_residual_orthogonality(spec1d, rng):
     proj = poly_project(f, ball, 2)
     sl = region_slices(spec1d, ball)
     w = region_values(f, sl)[1]
-    resid = f.values[sl] - proj.values
+    resid = f.values[sl] - proj.values[sl]
     x = spec1d.axis()[sl[0]]
     scale = np.sum(w * np.abs(f.values[sl]))
     for a in range(3):
@@ -120,7 +129,7 @@ def test_best_approximation(spec1d, rng):
     sl = region_slices(spec1d, ball)
     w = region_values(f, sl)[1]
     x = spec1d.axis()[sl[0]]
-    best = float(np.sum(w * (f.values[sl] - proj.values) ** 2))
+    best = float(np.sum(w * (f.values[sl] - proj.values[sl]) ** 2))
     for _ in range(20):
         c0, c1 = rng.normal(size=2)
         probe = c0 + c1 * (x / ball.radius)
@@ -175,7 +184,7 @@ def test_campanato_abs_value_oracle():
     proj = poly_project(f, ball, 1)
     sl = region_slices(spec, ball)
     w = region_values(f, sl)[1]
-    resid = np.abs(f.values[sl] - proj.values)
+    resid = np.abs(f.values[sl] - proj.values[sl])
     mean_resid = float(np.sum(w * resid) / np.sum(w))
     assert mean_resid == pytest.approx(r / 4.0, rel=0.02)
 

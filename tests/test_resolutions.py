@@ -60,15 +60,14 @@ def test_one_ball_routines_resolve_their_ball_once(spec, resolutions):
         assert resolutions == {ball: 1}
 
 
-@pytest.mark.parametrize("regime, p, per_atom", [
-    ("p1", 1.0, 3), ("p1_local", 1.0, 3), ("projection", 0.5, 4), ("projection_local", 0.5, 4),
+@pytest.mark.parametrize("regime, p", [
+    ("p1", 1.0), ("p1_local", 1.0), ("projection", 0.5), ("projection_local", 0.5),
 ])
-def test_split_draw_resolutions_per_atom(tmp_path, resolutions, regime, p, per_atom):
-    """One 2d m=65 `lab split` draw resolves each atom's ball at most 3 times
-    in the p1 regimes (make_atom, validate_atom, ball_mean) and 4 times in
-    the projection regimes (poly_project and its as_gridfunction in place of
-    the mean)."""
-    count = 4
+def test_split_draw_resolutions_per_atom(tmp_path, resolutions, regime, p):
+    """One 2d m=65 `lab split` draw resolves each atom's ball at most 3 times:
+    make_atom, validate_atom, and ball_mean in the p1 regimes or poly_project
+    in the projection regimes."""
+    count, per_atom = 4, 3
     config = tmp_path / "split.json"
     config.write_text(json.dumps({
         "grid": {"dim": 2, "halfwidth": 8.0, "points_per_axis": 65}, "regime": regime, "p": p,
