@@ -250,13 +250,13 @@ def _split_config(spec: GridSpec, config: dict) -> tuple[Regime, dict]:
         # `not <=` so that a NaN gamma, which compares False, is rejected too
         if config.get("gamma") is not None and not abs(_number(config, "gamma", None) - order.gamma) <= 1e-12:
             raise ConfigError(f"gamma must equal n(1/p - 1) = {order.gamma}")
-        s_min = order.min_atom_s if regime.kind == "projection" else 0
+        s_min = order.min_atom_s  # 0 in the mean regimes, where k = 0
     s = _number(atoms_cfg, "s", s_min, int)
     count = _number(atoms_cfg, "count", 4, int)
     if count < 1 or s < 0:
         raise ConfigError(f"atoms need count >= 1 and s >= 0, got count {count}, s {s}")
     if radius is not None and s < s_min:  # None: every atom is local and takes no moments
-        raise ConfigError(f"atoms.s must be at least 2*floor(gamma) = {s_min}, got {s}")
+        raise ConfigError(f"atoms.s must be at least 2k = {s_min}, got {s}")
     if radius is not None and not resolves_atom(spec.dim, s, fewest_ball_nodes(spec, radius)):
         raise ConfigError(f"atoms.s = {s} is too large for a ball of the smallest radius {radius}")
     atom_p = 1.0 if regime.kind == "p1" else p

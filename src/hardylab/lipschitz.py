@@ -77,7 +77,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LipschitzOrder:
-    """Order gamma > 0 with its integer part k = floor(gamma)."""
+    """Order gamma > 0 with its integer part k = floor(gamma + 1e-12): a gamma within
+    1e-12 below an integer, as rounding in dual_to can leave it, reads as that integer."""
 
     gamma: float
 
@@ -94,7 +95,7 @@ class LipschitzOrder:
 
     @property
     def k(self) -> int:
-        return int(math.floor(self.gamma))
+        return math.floor(self.gamma + 1e-12)
 
     @property
     def min_atom_s(self) -> int:

@@ -1,9 +1,9 @@
 """Constructive splits of the product b x h and their verification.
 
 For h = sum lambda_j a_j, the split subtracts from b, on each atom's ball,
-either its mean (p = 1 and the easy p < 1 range) or its degree-k polynomial
-projection (small p), putting the difference part in L^1 and the remainder
-in the target Hardy-type space:
+its mean (p = 1, or k = 0) or its degree-k polynomial projection (k >= 1),
+k = LipschitzOrder.k the integer part of gamma = n(1/p - 1), putting the
+difference part in L^1 and the remainder in the target Hardy-type space:
 
     h1 = sum_j lambda_j (b - m_j) a_j,     h2 = b*h - h1,
 
@@ -53,12 +53,12 @@ class Regime:
 
     def admits(self, p: float, dim: int) -> bool:
         """Whether the exponent p lies in this regime's range in dimension dim."""
-        if self.kind == "p1":
-            return abs(p - 1.0) <= 1e-12
-        threshold = dim / (dim + 1.0)
-        if self.kind == "mean":
-            return threshold <= p < 1.0
-        return 0.0 < p < threshold
+        if self.kind == "p1" or abs(p - 1.0) <= 1e-12 or not 0.0 < p < 1.0:
+            return self.kind == "p1" and abs(p - 1.0) <= 1e-12
+        try:  # a gamma beyond float range is above every integer
+            return (LipschitzOrder.dual_to(p, dim).k == 0) == (self.kind == "mean")
+        except ValueError:
+            return self.kind == "projection"
 
 
 # the CLI regime names and the library regimes they select
@@ -185,17 +185,16 @@ def split_lipschitz(
     decomp: AtomicDecomposition,
     local: bool = False,
 ) -> ProductSplit:
-    """p < 1 split; mean regime for p >= n/(n+1), projection regime below."""
-    n = b.spec.dim
-    order = LipschitzOrder.dual_to(decomp.p, n)  # b in Lambda_gamma; p = 1 raises
+    """p < 1 split: the ball mean where k = 0, the degree-k projection where k >= 1."""
+    order = LipschitzOrder.dual_to(decomp.p, b.spec.dim)  # b in Lambda_gamma; p = 1 raises
     _validate_terms(decomp, allow_local=local)
-    if REGIMES["mean"].admits(decomp.p, n):
+    if order.k == 0:
         return _split_mean(b, decomp, _regime("mean", local))
 
     projections = []
     for idx, (_, atom) in enumerate(decomp.terms):
         if not atom.local and atom.s < order.min_atom_s:
-            raise ValueError(f"need s >= 2*floor(gamma) = {order.min_atom_s} (atom {idx})")
+            raise ValueError(f"need s >= 2k = {order.min_atom_s}, k = {order.k} (atom {idx})")
         projections.append(poly_project(b, atom.ball, order.k).values)
     return _assemble(b, decomp, _regime("projection", local), projections)
 

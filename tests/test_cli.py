@@ -231,6 +231,17 @@ EXIT_CASES = [
     ("split", {"grid": GRID, "regime": "mean", "p": 0.4}, 2, None),
     ("split", {"grid": GRID, "regime": "mean", "p": 0.8}, 0, "p_lt1_mean"),
     ("split", {"grid": GRID, "regime": "projection", "p": 0.4}, 0, "p_lt1_proj"),
+    # the endpoint p = n/(n+1), gamma = 1, is the projection split's, with k = 1 and atoms
+    # of s >= 2, also where rounding leaves gamma = 0.9999999999999996 (2d p = 0.6666666666666667)
+    ("split", {"grid": GRID_257, "regime": "mean", "p": 0.5}, 2, None),
+    ("split", {"grid": GRID_257, "regime": "projection", "p": 0.5}, 0, "p_lt1_proj"),
+    ("split", {"grid": GRID_257, "regime": "projection", "p": 0.5, "atoms": {"s": 1}}, 2, None),
+    ("split", {"grid": GRID_2D, "regime": "projection", "p": 0.6666666666666667},
+     0, "p_lt1_proj"),
+    ("split", {"grid": GRID_2D, "regime": "mean", "p": 0.6666666666666667}, 2, None),
+    # a p within 1e-12 of 1 is p = 1, and only p1's
+    ("split", {"grid": GRID, "regime": "mean", "p": 0.9999999999999}, 2, None),
+    ("split", {"grid": GRID, "regime": "p1", "p": 0.9999999999999}, 0, "p1_bmo"),
     ("split", {"grid": GRID, "regime": ["p1"]}, 2, None),
     ("split", {"grid": GRID, "regime": "p1", "draws": 0}, 2, None),
     ("split", {"grid": GRID, "regime": "p1", "draws": -1}, 2, None),
@@ -296,7 +307,7 @@ EXIT_CASES = [
     ("norm", {"grid": GRID, "input": {"file": "no-such-field"}, "which": "nope"}, 2, None),
     ("norm", {"grid": GRID, "input": {"file": "no-such-field"}, "which": "hardy",
               "params": {"p": 1.0, "local": "false"}}, 2, None),
-    # atoms.s is checked before the first draw: below 2*floor(gamma) = 2 at p = 0.4, or
+    # atoms.s is checked before the first draw: below 2k = 2 at p = 0.4, or
     # above what the sparsest ball of the smallest radius, 0.5, resolves: it holds 16
     # nodes, and degree s needs twice its s + 1 monomials (s = 8: 18; s = 7: 16)
     ("split", {"grid": GRID_257, "regime": "projection", "p": 0.4, "atoms": {"s": 0}}, 2, None),
@@ -399,7 +410,12 @@ def test_config_exit_codes(tmp_path, command, doc, code, regime_name):
         assert not report.exists()
     if regime_name is not None:
         with (out_dir / "rows.csv").open(newline="") as fh:
-            assert {row["regime"] for row in csv.DictReader(fh)} == {regime_name}
+            rows = list(csv.DictReader(fh))
+        assert {row["regime"] for row in rows} == {regime_name}
+        # gamma is n(1/p - 1) as computed (1.0 at 1d p = 0.5), and empty at p = 1
+        for row in rows:
+            if row["gamma"]:
+                assert float(row["gamma"]) == int(row["grid_dim"]) * (1.0 / float(row["p"]) - 1.0)
 
 
 def test_split_rows_header(tmp_path):
@@ -586,7 +602,7 @@ def test_lab_process_never_prints_a_traceback(tmp_path):
                   "output": str(tmp_path / "report.json")}, 0),
         ("split", {"grid": GRID, "regime": "p1", "b_generator": {"kind": "random-smooth",
                    "params": {"amplitude": 1e308}}, "output_dir": str(tmp_path / "out")}, 0),
-        # gamma = n(1/p - 1) is infinite: rejected before floor(gamma) raises
+        # gamma = n(1/p - 1) is infinite: rejected before its integer part k raises
         ("split", {"grid": GRID_2D, "regime": "projection", "p": 1e-310,
                    "output_dir": str(tmp_path / "out")}, 2),
         ("split", {"grid": GRID_2D, "regime": "projection", "p": 5e-324,

@@ -22,6 +22,11 @@ def test_order_fields():
     assert LipschitzOrder(0.3).k == 0
     assert LipschitzOrder(1.0).k == 1
     assert LipschitzOrder(1.5).k == 1
+    # a gamma within 1e-12 below an integer, as rounding in dual_to leaves it, reads
+    # as that integer: 2 (1/0.6666666666666667 - 1) = 0.9999999999999996
+    assert LipschitzOrder(0.9999999999999996).k == 1
+    assert LipschitzOrder(1 - 1e-9).k == 0
+    assert LipschitzOrder(2.0000000000000004).k == 2
     with pytest.raises(ValueError):
         LipschitzOrder(0.0)
     # the dual order of p = 1e-310 is infinite: no floor to take

@@ -184,6 +184,21 @@ def test_split_bilinearity_power_of_two(spec1d, rng):
     assert np.array_equal(relam.h2.values, 2.0 * base.h2.values)
 
 
+BOUNDARY_PS = [1.0, 1 - 1e-13, 0.9999999, 0.8, 0.6666666666666667, 2 / 3, 0.6666666666666665,
+               0.5000000000000001, 0.5, 0.4999999999999999, 0.4, 1e-310, 5e-324]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_regimes_are_disjoint(dim):
+    """Each p in (0, 1] lies in exactly one of p1, mean and projection, and in
+    exactly one of their _local forms; a p outside lies in none."""
+    for p in BOUNDARY_PS:
+        for names in (["p1", "mean", "projection"], ["p1_local", "mean_local", "projection_local"]):
+            assert sum(REGIMES[name].admits(p, dim) for name in names) == 1, (p, names)
+    for p in [0.0, -0.5, 1.5, math.nan]:
+        assert not any(regime.admits(p, dim) for regime in REGIMES.values()), p
+
+
 def test_split_lipschitz_rejects_p1(spec1d, rng):
     # gamma = n(1/p - 1) is 0 at p = 1, outside the Lipschitz orders
     decomp = random_decomposition(spec1d, rng, p=1.0, s=0)
