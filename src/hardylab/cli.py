@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .atoms import _size_bound, load_decomposition, resolves_atom, validate_atom
-from .generators import B_GENERATORS, b_field, moment_radius, random_decomposition
+from .generators import B_GENERATORS, atom_radii, b_field, moment_radius, random_decomposition
 from .grid import (
     Ball, GridFunction, GridSpec, as_integer, as_number, fewest_ball_nodes, load_gridfunction,
     lp_norm, sup_norm,
@@ -34,6 +34,7 @@ from .maximal import maximal_scales
 from .orlicz import PHI, hardy_quasinorm, lphi_star_norm, luxembourg_norm
 from .oscillation import BallFamily, bmo_local_norm, bmo_report, lmo_norm
 from .product import REGIMES, Regime, SplitReport, split_bmo, split_lipschitz, verify_split
+from .projection import enough_nodes
 
 USAGE_ERROR = 2
 PARSE_ERROR = 1
@@ -237,11 +238,12 @@ def _split_config(spec: GridSpec, config: dict) -> tuple[Regime, dict]:
             if not isinstance(radius_range, list):
                 raise TypeError("not a list")
             radius_range = tuple(as_number(v, "radius_range") for v in radius_range)
+        smallest = atom_radii(spec, radius_range)[0]
         radius = moment_radius(spec, radius_range, regime.local)
     except (TypeError, ValueError) as exc:
         shown = atoms_cfg.get("radius_range", "default")
         raise ConfigError(f"bad atoms.radius_range {shown!r}: {exc}") from exc
-    s_min = 0
+    s_min = k = 0
     if regime.kind != "p1":
         try:
             order = LipschitzOrder.dual_to(p, spec.dim)
@@ -250,7 +252,7 @@ def _split_config(spec: GridSpec, config: dict) -> tuple[Regime, dict]:
         # `not <=` so that a NaN gamma, which compares False, is rejected too
         if config.get("gamma") is not None and not abs(_number(config, "gamma", None) - order.gamma) <= 1e-12:
             raise ConfigError(f"gamma must equal n(1/p - 1) = {order.gamma}")
-        s_min = order.min_atom_s  # 0 in the mean regimes, where k = 0
+        s_min, k = order.min_atom_s, order.k  # 0 and 0 in the mean regimes
     s = _number(atoms_cfg, "s", s_min, int)
     count = _number(atoms_cfg, "count", 4, int)
     if count < 1 or s < 0:
@@ -259,6 +261,9 @@ def _split_config(spec: GridSpec, config: dict) -> tuple[Regime, dict]:
         raise ConfigError(f"atoms.s must be at least 2k = {s_min}, got {s}")
     if radius is not None and not resolves_atom(spec.dim, s, fewest_ball_nodes(spec, radius)):
         raise ConfigError(f"atoms.s = {s} is too large for a ball of the smallest radius {radius}")
+    # the split fits b by degree k on every ball, local atoms' too
+    if not enough_nodes(spec.dim, k, fewest_ball_nodes(spec, smallest)):
+        raise ConfigError(f"a ball of the smallest radius {smallest} resolves no degree-{k} projection")
     atom_p = 1.0 if regime.kind == "p1" else p
     if radius is not None:  # the smallest ball has the largest size bound
         try:

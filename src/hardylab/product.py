@@ -1,17 +1,17 @@
 """Constructive splits of the product b x h and their verification.
 
 For h = sum lambda_j a_j, the split subtracts from b, on each atom's ball,
-its mean (p = 1, or k = 0) or its degree-k polynomial projection (k >= 1),
-k = LipschitzOrder.k the integer part of gamma = n(1/p - 1), putting the
-difference part in L^1 and the remainder in the target Hardy-type space:
+its degree-k projection P_j b (`poly_project`; degree 0 is the quadrature
+mean), k = LipschitzOrder.k the integer part of gamma = n(1/p - 1) and 0 at
+p = 1: one subtractor for every regime.  The difference part lands in L^1
+and the remainder in the target Hardy-type space:
 
-    h1 = sum_j lambda_j (b - m_j) a_j,     h2 = b*h - h1,
+    h1 = sum_j lambda_j (b - P_j b) a_j,     h2 = b*h - h1.
 
-with m_j the ball mean or projection.  h2 is stored as the pointwise
-complement of h1 in the product, which makes the reconstruction identity
-h1 + h2 = b * synthesize(decomp) exact by construction; the mean part
-sum_j lambda_j m_j a_j, accumulated independently, is checked to agree with
-h2 to a few ulps of the working precision.
+h2 is stored as the pointwise complement of h1 in the product, which makes
+the reconstruction identity h1 + h2 = b * synthesize(decomp) exact by
+construction; sum_j lambda_j (P_j b) a_j, accumulated independently, is
+checked to agree with h2 to a few ulps of the working precision.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .atoms import AtomicDecomposition, synthesize, validate_atom
-from .grid import Ball, GridFunction, ball_mean, integrate, lp_norm
+from .grid import Ball, GridFunction, integrate, lp_norm
 from .lipschitz import LipschitzOrder, lambda_gamma_norm
 from .orlicz import PHI, hardy_phi_star_quasinorm, hardy_quasinorm, luxembourg_norm
 from .oscillation import bmo_local_norm
@@ -137,8 +137,7 @@ def _assemble(
 ) -> ProductSplit:
     """Accumulate h1 in fixed term order and store h2 as its complement.
 
-    subtracted holds one m_j per term: a float mean, or the projection's
-    values on the grid."""
+    subtracted yields one P_j b per term: the projection's values on the grid."""
     h = synthesize(decomp, b.spec)
     prod = b.values * h.values
     h1 = np.zeros(b.spec.shape)
@@ -151,7 +150,7 @@ def _assemble(
         mean_part += lam * m_a
         scale += abs(lam) * (np.max(np.abs(b.values * a)) + np.max(np.abs(m_a)))
     h2 = prod - h1
-    # the independently accumulated mean part must agree with the stored
+    # the independently accumulated projection part must agree with the stored
     # complement at rounding level, which scales with the terms however much
     # they cancel; anything larger means a logic error
     drift = np.max(np.abs(mean_part - h2), initial=0.0)
@@ -162,22 +161,20 @@ def _assemble(
     )
 
 
-def _split_mean(
-    b: GridFunction, decomp: AtomicDecomposition, regime: Regime
-) -> ProductSplit:
-    """Subtract the ball mean of b under each atom."""
-    means = [ball_mean(b, atom.ball) for _, atom in decomp.terms]
-    return _assemble(b, decomp, regime, means)
+def _split(b: GridFunction, decomp: AtomicDecomposition, regime: Regime, k: int) -> ProductSplit:
+    """Subtract the degree-k projection of b under each atom, one at a time."""
+    projections = (poly_project(b, atom.ball, k).values for _, atom in decomp.terms)
+    return _assemble(b, decomp, regime, projections)
 
 
 def split_bmo(
     b: GridFunction, decomp: AtomicDecomposition, local: bool = False
 ) -> ProductSplit:
-    """p = 1 split: subtract the ball mean of b under each atom."""
+    """p = 1 split: subtract the ball mean of b (k = 0) under each atom."""
     if not REGIMES["p1"].admits(decomp.p, b.spec.dim):
         raise ValueError("split_bmo requires p = 1")
     _validate_terms(decomp, allow_local=local)
-    return _split_mean(b, decomp, _regime("p1", local))
+    return _split(b, decomp, _regime("p1", local), 0)
 
 
 def split_lipschitz(
@@ -185,18 +182,15 @@ def split_lipschitz(
     decomp: AtomicDecomposition,
     local: bool = False,
 ) -> ProductSplit:
-    """p < 1 split: the ball mean where k = 0, the degree-k projection where k >= 1."""
-    order = LipschitzOrder.dual_to(decomp.p, b.spec.dim)  # b in Lambda_gamma; p = 1 raises
+    """p < 1 split: subtract the degree-k projection, the ball mean where k = 0."""
+    if REGIMES["p1"].admits(decomp.p, b.spec.dim):
+        raise ValueError(f"p = {decomp.p} reads as p = 1, which split_bmo splits")
+    order = LipschitzOrder.dual_to(decomp.p, b.spec.dim)  # b in Lambda_gamma
     _validate_terms(decomp, allow_local=local)
-    if order.k == 0:
-        return _split_mean(b, decomp, _regime("mean", local))
-
-    projections = []
     for idx, (_, atom) in enumerate(decomp.terms):
         if not atom.local and atom.s < order.min_atom_s:
             raise ValueError(f"need s >= 2k = {order.min_atom_s}, k = {order.k} (atom {idx})")
-        projections.append(poly_project(b, atom.ball, order.k).values)
-    return _assemble(b, decomp, _regime("projection", local), projections)
+    return _split(b, decomp, _regime("projection" if order.k else "mean", local), order.k)
 
 
 def exp_class_product_bound(

@@ -4,10 +4,11 @@ The basis is the shifted-scaled monomials ((x - x_B)/r)^alpha, |alpha| <= k,
 which keeps the normal equations well conditioned independently of where the
 ball sits and how large it is.  The least-squares problem carries the
 quadrature weights, so the residual is quadrature-orthogonal to the basis.
+Degree 0 is the quadrature mean of `grid.ball_mean`, exact on constants.
 Each routine resolves its ball's window once and fits on the window's values,
 weights and open coordinates (`_fit`, which `atoms.make_atom` shares).
-`poly_project` returns the fit extended by zero to the grid, as the small-p
-split subtracts it under each atom.
+`poly_project` returns the fit extended by zero to the grid: the one
+subtractor of every product split, under each atom.
 """
 
 from __future__ import annotations
@@ -17,13 +18,7 @@ import math
 
 import numpy as np
 
-from .grid import (
-    Ball,
-    GridFunction,
-    region_coords,
-    region_slices,
-    region_values,
-)
+from .grid import Ball, GridFunction, _one_row_stats, region_coords, region_slices, region_values
 from .lipschitz import LipschitzOrder, lambda_gamma_norm
 
 __all__ = [
@@ -78,11 +73,14 @@ def enough_nodes(dim: int, degree: int, nodes: int) -> bool:
 
 def _fit(vals: np.ndarray, w: np.ndarray, coords: tuple, ball: Ball, degree: int) -> np.ndarray:
     """The window-shaped weighted least-squares fit of a window's values by
-    polynomials of degree <= k, on its weights and coords."""
+    polynomials of degree <= k, on its weights and coords; at degree 0 the
+    quadrature mean, as grid.ball_mean takes it."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if not enough_nodes(len(coords), degree, vals.size):
         raise ValueError("under-resolved ball")
+    if degree == 0:
+        return np.full(vals.shape, _one_row_stats(vals, w)[0])
     terms = monomial_terms(np.ones(vals.shape), coords, ball.center, degree, ball.radius)
     A = np.column_stack([t.ravel() for t in terms])
     sw = np.sqrt(w).ravel()

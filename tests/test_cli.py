@@ -215,6 +215,7 @@ def test_split_unknown_regime_exit2(tmp_path):
 
 INF_GRID = {**GRID, "halfwidth": "inf"}
 GRID_257 = {**GRID, "points_per_axis": 257}
+GRID_65 = {**GRID, "points_per_axis": 65}
 # spacing 1: (spacing |delta|)^gamma stays in float range at any gamma, so a large
 # gamma reaches the binomial coefficients of the difference
 GRID_4097_UNIT = {**GRID, "halfwidth": 2048.0, "points_per_axis": 4097}
@@ -313,6 +314,16 @@ EXIT_CASES = [
     ("split", {"grid": GRID_257, "regime": "projection", "p": 0.4, "atoms": {"s": 0}}, 2, None),
     ("split", {"grid": GRID_257, "regime": "p1", "atoms": {"count": 2, "s": 8}}, 2, None),
     ("split", {"grid": GRID_257, "regime": "p1", "atoms": {"count": 2, "s": 7}}, 0, "p1_bmo"),
+    # the split projects b by degree k on every ball, local ones too, so the sparsest
+    # ball of the smallest radius must resolve it: at 1d m=65 a radius-1 ball holds 8
+    # nodes, against the 20 of k = 9 (p = 0.1) and the 100 of k = 49 (p = 0.02); at 2d
+    # m=65 it holds 64, against the 30 of k = 4 (p = 0.3)
+    ("split", {"grid": GRID_65, "regime": "projection_local", "p": 0.1,
+               "atoms": {"radius_range": [1, 1]}}, 2, None),
+    ("split", {"grid": GRID_65, "regime": "projection_local", "p": 0.02,
+               "atoms": {"radius_range": [1, 4]}}, 2, None),
+    ("split", {"grid": GRID_2D, "regime": "projection_local", "p": 0.3,
+               "atoms": {"radius_range": [1, 1]}}, 0, "p_lt1_proj_local"),
     # the decomposition path is a string
     ("validate", {}, 2, None),
     ("validate", {"decomposition": 5}, 2, None),

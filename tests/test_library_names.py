@@ -17,6 +17,8 @@ ALLOWED_UNREFERENCED = {
     "grid.save_gridfunction": "writes the files that `lab norm` input.file reads",
     "atoms.save_decomposition": "writes the decompositions that `lab validate` reads",
     "maximal.convolve_dilated": "the benchmark's tracer times it by this name",
+    "grid.ball_mean": "the benchmark's tracer times it by this name; the splits' degree-0 "
+                      "projection (projection._fit) takes the mean by its rule",
     "oscillation.mean_oscillation": "the one-ball statistic whose sup the BMO norms take",
     "oscillation.jn_check": "the John-Nirenberg lemma check of the acceptance criteria",
     "product.pairing_limit_check": "the pairing-limit lemma check of the acceptance criteria",

@@ -158,13 +158,13 @@ def test_split_near_cancelling_terms(spec1d, lam):
 
 
 def test_split_leak_still_raises(spec1d):
-    """A list of means that misses the last term leaves that term's whole
-    product in h2 but out of the mean part: a real leak, caught also where
-    the terms nearly cancel."""
+    """A list of projections that misses the last term leaves that term's whole
+    product in h2 but out of the projection part: a real leak, caught also
+    where the terms nearly cancel."""
     b = b_field(spec1d, "random-bmo", np.random.default_rng(0))
     for decomp in (random_decomposition(spec1d, np.random.default_rng(1), p=1.0, s=0),
                    _cancelling_pair(spec1d, 1e7)):
-        means = [ball_mean(b, atom.ball) for _, atom in decomp.terms]
+        means = [poly_project(b, atom.ball, 0).values for _, atom in decomp.terms]
         with pytest.raises(AssertionError, match="leaked mass"):
             product._assemble(b, decomp, REGIMES["p1"], means[:-1])
 
@@ -199,11 +199,15 @@ def test_regimes_are_disjoint(dim):
         assert not any(regime.admits(p, dim) for regime in REGIMES.values()), p
 
 
-def test_split_lipschitz_rejects_p1(spec1d, rng):
-    # gamma = n(1/p - 1) is 0 at p = 1, outside the Lipschitz orders
-    decomp = random_decomposition(spec1d, rng, p=1.0, s=0)
+@pytest.mark.parametrize("p", [1.0, 1 - 1e-13])
+def test_split_lipschitz_rejects_p1(spec1d, rng, p):
+    """A p within 1e-12 of 1 is p1's, as Regime.admits reads it: split_bmo
+    takes it, and split_lipschitz does not split it again as the mean regime."""
+    atom = make_atom(Ball((0.3,), 1.0), p, 0, spec1d)
+    decomp = AtomicDecomposition(p=p, terms=((1.0, atom),))
     b = random_smooth_field(spec1d, rng)
-    with pytest.raises(ValueError, match="gamma must be positive"):
+    assert split_bmo(b, decomp).regime == REGIMES["p1"]
+    with pytest.raises(ValueError, match="split_bmo"):
         split_lipschitz(b, decomp)
 
 

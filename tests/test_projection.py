@@ -55,12 +55,17 @@ def test_monomial_terms_equal_meshgrid_powers(dim, m):
                 assert np.array_equal(term, expected)
 
 
-def test_degree_zero_is_ball_mean(spec1d, rng):
-    f = random_smooth_field(spec1d, rng)
-    ball = Ball((1.0,), 2.0)
-    proj = poly_project(f, ball, 0)
-    window = proj.values[region_slices(spec1d, ball)]
-    assert window == pytest.approx(np.full(window.shape, ball_mean(f, ball)), rel=1e-10)
+@pytest.mark.parametrize("dim, m", [(1, 257), (2, 65)])
+def test_degree_zero_is_ball_mean(dim, m, rng):
+    """The degree-0 projection is the quadrature mean, by ball_mean's rule: the
+    same float on every node of the window, and the constant itself on a constant."""
+    spec = GridSpec(dim, 8.0, m)
+    f = random_smooth_field(spec, rng)
+    for ball in (Ball((1.0,) * dim, 2.0), Ball((-7.3,) * dim, 0.5), Ball((0.0,) * dim, 8.0)):
+        window = poly_project(f, ball, 0).values[region_slices(spec, ball)]
+        assert np.all(window == ball_mean(f, ball))
+        const = poly_project(GridFunction.constant(spec, 0.1), ball, 0)
+        assert np.all(const.values[region_slices(spec, ball)] == 0.1)
 
 
 def test_reproduces_polynomials(spec1d):

@@ -61,12 +61,13 @@ def test_one_ball_routines_resolve_their_ball_once(spec, resolutions):
 
 
 @pytest.mark.parametrize("regime, p", [
-    ("p1", 1.0), ("p1_local", 1.0), ("projection", 0.5), ("projection_local", 0.5),
+    ("p1", 1.0), ("p1_local", 1.0), ("mean", 0.8), ("mean_local", 0.9),
+    ("projection", 0.5), ("projection_local", 0.5),
 ])
 def test_split_draw_resolutions_per_atom(tmp_path, resolutions, regime, p):
-    """One 2d m=65 `lab split` draw resolves each atom's ball at most 3 times:
-    make_atom, validate_atom, and ball_mean in the p1 regimes or poly_project
-    in the projection regimes."""
+    """One 2d m=65 `lab split` draw resolves each atom's ball at most 3 times,
+    in every regime: make_atom, validate_atom and poly_project, the split's one
+    subtractor (of degree 0 in the p1 and mean regimes)."""
     count, per_atom = 4, 3
     config = tmp_path / "split.json"
     config.write_text(json.dumps({
