@@ -219,11 +219,10 @@ def make_atom(
 ) -> Atom:
     """Construct a (p, inf, s)-atom on the ball with tight size condition."""
     slices = region_slices(spec, ball)
-    coords = region_coords(spec, slices)
-    bump = _bump_on_ball(coords, ball, modulate)
+    bump = _bump_on_ball(region_coords(spec, slices), ball, modulate)
     if not resolves_atom(spec.dim, s, bump.size):
         raise ValueError("under-resolved ball")
-    fit = _fit(bump, spec.weights()[slices], coords, ball, s)
+    fit = _fit(bump, spec, slices, ball, s)
     return _scaled_atom(spec, slices, bump - fit, ball, p, s)
 
 

@@ -137,14 +137,21 @@ class GridSpec:
 
     # a lab run uses one grid; the size of 1 bounds memory for grid sweeps
     @functools.lru_cache(maxsize=1)
-    def weights(self) -> np.ndarray:
-        """Product-trapezoid weights with the grid's shape, the one quadrature
-        rule: spacing per axis inside the box, half of it at the box edges.
-        Built once per grid and read-only; every region reads its slice."""
+    def axis_weights(self) -> np.ndarray:
+        """The trapezoid weights of one axis, the one quadrature rule: spacing
+        inside the box, half of it at the box edges.  Read-only."""
         w = np.full(self.points_per_axis, self.spacing)
         w[0] *= 0.5
         w[-1] *= 0.5
-        w = functools.reduce(np.multiply.outer, [w] * self.dim)
+        w.setflags(write=False)
+        return w
+
+    @functools.lru_cache(maxsize=1)
+    def weights(self) -> np.ndarray:
+        """Product-trapezoid weights with the grid's shape: the outer product
+        of axis_weights over the axes.  Built once per grid and read-only;
+        every region reads its slice."""
+        w = functools.reduce(np.multiply.outer, [self.axis_weights()] * self.dim)
         w.setflags(write=False)
         return w
 

@@ -31,6 +31,9 @@ mesh, and `ball_axis_slice` is the one-center window rule that
 builders on grid-shaped temporaries that the window-only builders of `atoms`
 replaced: the bump embedded in the grid, and its projection on the grid
 (`poly_project`) subtracted; they agree under `==`.
+`least_squares_fit` is the weighted least-squares fit by `np.linalg.lstsq`
+on the dense design matrix of the monomials, with its rank test, that the
+per-axis `projection._fit` replaced; they agree to round-off, not bit for bit.
 `region_node_count` counts the nodes of a region's window.
 `family_stats` is the statistics pass over every ball of the family, and
 `family_norms` the BMO, bmo and lmo norms read from it, that the pruned sups
@@ -60,7 +63,7 @@ from hardylab.lipschitz import LipschitzOrder, _half_space, _visiting_steps, dif
 from hardylab.maximal import bump_profile, convolve_dilated, maximal_scales
 from hardylab.orlicz import _REL_TOL, OrliczFunction
 from hardylab.oscillation import _BATCH_FLOATS, BallFamily, bmo_local_norm, lmo_norm
-from hardylab.projection import multi_indices, poly_project
+from hardylab.projection import monomial_terms, multi_indices, poly_project
 
 
 LINEAR = OrliczFunction(lambda t: np.asarray(t, dtype=float))
@@ -359,6 +362,28 @@ def make_local_atom_grid(
     """The values of atoms.make_local_atom on the grid-shaped bump."""
     vals = bump(spec, ball, modulate)
     return vals * (ball.measure ** (-1.0 / p) / sup_norm(GridFunction(spec, vals), ball))
+
+
+def least_squares_fit(vals: np.ndarray, w: np.ndarray, coords: tuple, degree: int) -> np.ndarray:
+    """The window-shaped weighted least-squares fit of a window's values by
+    polynomials of degree <= k >= 1, on its product weights and open coords:
+    `np.linalg.lstsq` on the monomials of u, each row scaled by the square
+    root of its weight.  u maps each axis of the window onto [-1, 1], so a
+    window clipped at the box keeps the conditioning of an interior one (on
+    the ball's own (x - x_B)/r, a window clipped to [-0.03, 1] put the fit up
+    to 2.7e-12 of max|vals| off at degree 8).  A rank below the basis size
+    raises "degenerate node set"."""
+    unit = []
+    for x in coords:
+        half = (x.max() - x.min()) / 2.0
+        unit.append((x - (x.max() + x.min()) / 2.0) / (half if half > 0 else 1.0))
+    terms = monomial_terms(np.ones(vals.shape), unit, (0.0,) * len(coords), degree, 1.0)
+    A = np.column_stack([t.ravel() for t in terms])
+    sw = np.sqrt(w).ravel()
+    coeffs, _, rank, _ = np.linalg.lstsq(A * sw[:, None], vals.ravel() * sw, rcond=None)
+    if rank < A.shape[1]:
+        raise ValueError("degenerate node set")
+    return sum(coeff * term for coeff, term in zip(coeffs, terms))
 
 
 def region_node_count(spec: GridSpec, region) -> int:

@@ -81,6 +81,21 @@ def test_every_public_name_is_used_by_the_library():
     assert sorted(ALLOWED_UNREFERENCED.keys() - set(unreferenced)) == []
 
 
+def _linalg_references(tree: ast.Module) -> list[str]:
+    """The identifiers of a module that name a `linalg` package, dotted or not:
+    np.linalg.solve, from numpy import linalg, import scipy.linalg."""
+    return sorted(ident for ident in _references(tree) if "linalg" in ident.split("."))
+
+
+def test_no_module_references_linalg():
+    """No library code reaches LAPACK through a `linalg` package: the fits are
+    per-axis products and sums (projection._fit)."""
+    assert {name: _linalg_references(tree) for name, tree in _modules().items()
+            if _linalg_references(tree)} == {}
+    for source in ("x = np.linalg.solve", "from numpy import linalg", "import scipy.linalg"):
+        assert _linalg_references(ast.parse(source)), source
+
+
 def test_references_skip_docstrings_all_and_own_definition():
     tree = ast.parse(
         '"""helper is named here."""\n'

@@ -7,13 +7,14 @@ from hardylab.grid import (
 )
 from hardylab.lipschitz import LipschitzOrder
 from hardylab.projection import (
+    _fit,
     campanato_ratio,
     monomial_terms,
     multi_indices,
     poly_project,
     projection_sup_ratio,
 )
-from scalar_oracles import MESHGRID_BALLS, from_callable, monomials_meshgrid
+from scalar_oracles import MESHGRID_BALLS, from_callable, least_squares_fit, monomials_meshgrid
 
 
 def test_multi_indices_counts():
@@ -66,6 +67,56 @@ def test_degree_zero_is_ball_mean(dim, m, rng):
         assert np.all(window == ball_mean(f, ball))
         const = poly_project(GridFunction.constant(spec, 0.1), ball, 0)
         assert np.all(const.values[region_slices(spec, ball)] == 0.1)
+
+
+# an interior window and two clipped at the box edge, whose end nodes carry
+# half weights; the last is clipped to u = (x - x_B)/r in [-0.03, 1] or
+# [-1, 0.03] on each axis.  Every one holds enough nodes for degree 8.
+ORACLE_WINDOWS = {
+    1: (GridSpec(1, 8.0, 257), (Ball((0.3,), 2.0), Ball((7.5,), 2.0), Ball((-7.9,), 3.0))),
+    2: (GridSpec(2, 8.0, 65), (Ball((0.3, -1.1), 2.0), Ball((7.5, 0.0), 2.0), Ball((-7.9, 7.9), 3.0))),
+}
+
+
+def _oracle_fit(vals, spec, slices, ball, degree):
+    return least_squares_fit(vals, spec.weights()[slices], region_coords(spec, slices), degree)
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fit_matches_least_squares_oracle(dim, degree, rng):
+    """The per-axis fit is the least-squares fit of the monomial basis, to
+    1e-12 of max|vals|, on interior windows and on windows clipped at the box."""
+    spec, balls = ORACLE_WINDOWS[dim]
+    for ball in balls:
+        slices = region_slices(spec, ball)
+        assert (spec.weights()[slices].min() < spec.spacing**dim) == (ball is not balls[0])
+        vals = rng.normal(size=tuple(s.stop - s.start for s in slices))
+        fit = _fit(vals, spec, slices, ball, degree)
+        oracle = _oracle_fit(vals, spec, slices, ball, degree)
+        assert fit.shape == oracle.shape == vals.shape
+        assert np.max(np.abs(fit - oracle)) <= 1e-12 * np.max(np.abs(vals))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_degenerate_node_set_is_an_axis_of_k_nodes(axis, degree, rng):
+    """A window with k nodes on one axis cannot carry a degree-k fit, and the
+    oracle's rank test says so too; with k + 1 nodes both fit, and agree."""
+    spec = GridSpec(2, 8.0, 65)
+    ball = Ball((0.0, 0.0), 4.0)
+    for nodes in (degree, degree + 1):
+        slices = [slice(16, 49)] * 2
+        slices[axis] = slice(30, 30 + nodes)
+        slices = tuple(slices)
+        vals = rng.normal(size=tuple(s.stop - s.start for s in slices))
+        if nodes == degree:
+            for fit in (_fit, _oracle_fit):
+                with pytest.raises(ValueError, match="degenerate node set"):
+                    fit(vals, spec, slices, ball, degree)
+        else:
+            diff = _fit(vals, spec, slices, ball, degree) - _oracle_fit(vals, spec, slices, ball, degree)
+            assert np.max(np.abs(diff)) <= 1e-12 * np.max(np.abs(vals))
 
 
 def test_reproduces_polynomials(spec1d):
