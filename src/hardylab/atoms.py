@@ -5,7 +5,8 @@ projection onto polynomials of degree <= s is subtracted (exact discrete
 moment cancellation), then the result is rescaled so the size condition
 ||a||_inf <= |B|^(-1/p) is tight and extended by zero, the one grid-shaped
 array a builder allocates.  Large-ball "local" atoms skip the moment step.
-Each one-ball routine resolves its ball's window once.  Decompositions are
+Each one-ball routine resolves its ball's window once; the moments contract
+the window with per-axis powers (`projection._contract`).  Decompositions are
 inputs assembled by helpers, not computed from arbitrary functions.
 """
 
@@ -27,7 +28,7 @@ from .grid import (
     region_values,
 )
 from .maximal import bump_profile
-from .projection import _fit, enough_nodes, monomial_terms, multi_indices
+from .projection import _contract, _fit, enough_nodes, multi_indices
 
 __all__ = [
     "Atom",
@@ -118,13 +119,18 @@ def moment_tolerance(atom_sup: float, ball: Ball, order: int) -> float:
 
 
 def _moment_sums(values: GridFunction, slices: tuple[slice, ...], ball: Ball, s: int) -> dict:
-    """moment_residuals on the ball's window, resolved by the caller."""
+    """moment_residuals on the ball's window, resolved by the caller: w * a
+    contracted along each axis with the powers (x_i - c_i)^j, j <= s; the
+    plain sum of w * a at s = 0, as projection._fit's degree 0 is the mean."""
     vals, w = region_values(values, slices)
-    terms = monomial_terms(vals * w, region_coords(values.spec, slices), ball.center, s, 1.0)
-    return {
-        alpha: float(np.sum(term))
-        for alpha, term in zip(multi_indices(values.spec.dim, s), terms)
-    }
+    sums = vals * w
+    if s == 0:
+        return {(0,) * values.spec.dim: float(np.sum(sums))}
+    axis = values.spec.axis()
+    for i, (sl, c) in enumerate(zip(slices, ball.center)):
+        u = axis[sl] - c
+        sums = _contract(sums, np.array([u**j for j in range(s + 1)]), i)
+    return {alpha: float(sums[alpha]) for alpha in multi_indices(values.spec.dim, s)}
 
 
 def moment_residuals(values: GridFunction, ball: Ball, s: int) -> dict:

@@ -8,10 +8,14 @@ and the remainder in the target Hardy-type space:
 
     h1 = sum_j lambda_j (b - P_j b) a_j,     h2 = b*h - h1.
 
-h2 is stored as the pointwise complement of h1 in the product, which makes
-the reconstruction identity h1 + h2 = b * synthesize(decomp) exact by
-construction; sum_j lambda_j (P_j b) a_j, accumulated independently, is
-checked to agree with h2 to a few ulps of the working precision.
+Each term is accumulated on its atom's window only, with the projection's
+window slices, into grid-wide sums allocated once per split.  h2 is stored
+as the pointwise complement of h1 in the product, which makes the
+reconstruction identity h1 + h2 = b * synthesize(decomp) exact by
+construction; an atom read from a file may leak outside its window within
+validate_atom's slack, and that leak lands in h2.  sum_j lambda_j (P_j b) a_j,
+accumulated independently, is checked to agree with h2 to a few ulps of the
+working precision.
 """
 
 from __future__ import annotations
@@ -135,24 +139,28 @@ def _assemble(
     regime: Regime,
     subtracted,
 ) -> ProductSplit:
-    """Accumulate h1 in fixed term order and store h2 as its complement.
+    """Accumulate h1 in fixed term order on each atom's window and store h2 as
+    its complement in b * h on the grid.
 
-    subtracted yields one P_j b per term: the projection's values on the grid."""
+    subtracted yields one (window slices, P_j b on the window) per term."""
     h = synthesize(decomp, b.spec)
     prod = b.values * h.values
     h1 = np.zeros(b.spec.shape)
     mean_part = np.zeros(b.spec.shape)
+    b_sup = np.max(np.abs(b.values))
     scale = 0.0
-    for (lam, atom), m_vals in zip(decomp.terms, subtracted):
-        a = atom.values.values
+    for (lam, atom), (slices, m_vals) in zip(decomp.terms, subtracted):
+        a = atom.values.values[slices]
         m_a = m_vals * a
-        h1 += lam * ((b.values - m_vals) * a)
-        mean_part += lam * m_a
-        scale += abs(lam) * (np.max(np.abs(b.values * a)) + np.max(np.abs(m_a)))
+        h1[slices] += lam * ((b.values[slices] - m_vals) * a)
+        mean_part[slices] += lam * m_a
+        scale += abs(lam) * (b_sup * np.max(np.abs(a)) + np.max(np.abs(m_a)))
     h2 = prod - h1
     # the independently accumulated projection part must agree with the stored
     # complement at rounding level, which scales with the terms however much
-    # they cancel; anything larger means a logic error
+    # they cancel (b_sup also bounds b * lambda * a off the window, where an
+    # atom may leak within validate_atom's slack and h2 keeps the leak);
+    # anything larger means a logic error
     drift = np.max(np.abs(mean_part - h2), initial=0.0)
     if drift > 1e-9 * max(scale, 1.0):
         raise AssertionError("split rearrangement leaked mass")
@@ -163,7 +171,7 @@ def _assemble(
 
 def _split(b: GridFunction, decomp: AtomicDecomposition, regime: Regime, k: int) -> ProductSplit:
     """Subtract the degree-k projection of b under each atom, one at a time."""
-    projections = (poly_project(b, atom.ball, k).values for _, atom in decomp.terms)
+    projections = (poly_project(b, atom.ball, k) for _, atom in decomp.terms)
     return _assemble(b, decomp, regime, projections)
 
 

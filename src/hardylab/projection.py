@@ -12,8 +12,9 @@ is quadrature-orthogonal to every polynomial of degree <= k.  A window with
 at most k nodes on some axis is a degenerate node set.  Degree 0 is the
 quadrature mean of `grid.ball_mean`, exact on constants.  Each routine
 resolves its ball's window once and fits on the window's values (`_fit`,
-which `atoms.make_atom` shares).  `poly_project` returns the fit extended by
-zero to the grid: the one subtractor of every product split, under each atom.
+which `atoms.make_atom` shares).  `poly_project` returns the window's slices
+and the window-shaped fit: the one subtractor of every product split, under
+each atom.  `_contract` is also the engine of `atoms`' moment sums.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "projection_sup_ratio",
     "campanato_ratio",
     "multi_indices",
-    "monomial_terms",
     "enough_nodes",
 ]
 
@@ -44,31 +44,6 @@ def multi_indices(dim: int, degree: int) -> list[tuple[int, ...]]:
         for alpha in itertools.product(range(total + 1), repeat=dim)
         if sum(alpha) == total
     ]
-
-
-def monomial_terms(
-    start: np.ndarray, coords: tuple[np.ndarray, ...], center, degree: int, unit: float
-) -> list[np.ndarray]:
-    """start * ((x - center)/unit)^alpha on a window's nodes, in multi_indices order.
-
-    The powers are taken on the window's open per-axis coordinates (`coords`,
-    from `region_coords`) once and broadcast: every node sees the operations
-    of a power on its own coordinates, and the product runs over the axes in
-    order, skipping those with alpha_i = 0.  `start` is window-shaped, so
-    every term is too; the term of alpha = 0 is `start` itself.
-    """
-    powers = []
-    for x, c in zip(coords, center):
-        u = (x - c) / unit
-        powers.append([None] + [u**a for a in range(1, degree + 1)])
-    terms = []
-    for alpha in multi_indices(len(coords), degree):
-        term = start
-        for axis_powers, a in zip(powers, alpha):
-            if a:
-                term = term * axis_powers[a]
-        terms.append(term)
-    return terms
 
 
 def enough_nodes(dim: int, degree: int, nodes: int) -> bool:
@@ -141,13 +116,11 @@ def _fit(vals: np.ndarray, spec: GridSpec, slices: tuple, ball: Ball, degree: in
     return fit
 
 
-def poly_project(f: GridFunction, ball: Ball, degree: int) -> GridFunction:
-    """Weighted least-squares projection of f onto polynomials of degree <= k on
-    B, extended by zero to the grid."""
+def poly_project(f: GridFunction, ball: Ball, degree: int) -> tuple[tuple[slice, ...], np.ndarray]:
+    """(window slices, fit): the weighted least-squares projection of f onto
+    polynomials of degree <= k on B, on B's window of the grid."""
     slices = region_slices(f.spec, ball)
-    vals = np.zeros(f.spec.shape)
-    vals[slices] = _fit(f.values[slices], f.spec, slices, ball, degree)
-    return GridFunction(f.spec, vals)
+    return slices, _fit(f.values[slices], f.spec, slices, ball, degree)
 
 
 def projection_sup_ratio(f: GridFunction, ball: Ball, degree: int) -> float:

@@ -19,18 +19,25 @@ every displacement, in raster order, that the branch-and-bound
 `lipschitz.seminorm_scan` replaced; they agree under `==`.
 `_delta_candidates` and `_visiting_order` are the displacement arrays of the
 scan, `lipschitz._half_space` and `_visiting_steps`, as lists of tuples.
-`monomials_meshgrid` and `moment_residuals_meshgrid` take the powers of the
-polynomial basis and of the moments on the dense meshgrid of a ball's
-coordinates, node by node, where `projection.monomial_terms` takes them on the
-open per-axis coordinates of `grid.region_coords` and broadcasts; they agree
-under `==`.  In the same way `FORMER_GENERATORS` (the b generators) and
+`monomial_terms` is one window-shaped term per multi-index, the powers taken
+on the open per-axis coordinates of `grid.region_coords` and broadcast; the
+library's moments used it until they contracted the window per axis
+(`projection._contract`), and `least_squares_fit` builds its design matrix
+with it.  `monomials_meshgrid` and `moment_residuals_meshgrid` take the
+powers of the polynomial basis and of the moments on the dense meshgrid of a
+ball's coordinates, node by node: the former agrees with `monomial_terms`
+under `==`, the latter with `atoms.moment_residuals` under `==` in 1d and
+within the summation bound in 2d, where the contraction regroups the sums.
+In the same way `FORMER_GENERATORS` (the b generators) and
 `bump_on_ball_meshgrid` (the atoms' bump) compute on the dense coordinate
 mesh, and `ball_axis_slice` is the one-center window rule that
 `grid._ball_axis_windows` runs over an array of centers; all agree under `==`.
-`bump_on_ball_grid`, `make_atom_grid` and `make_local_atom_grid` are the atom
-builders on grid-shaped temporaries that the window-only builders of `atoms`
-replaced: the bump embedded in the grid, and its projection on the grid
-(`poly_project`) subtracted; they agree under `==`.
+`poly_project_grid` extends `projection.poly_project`'s window fit by zero
+to a grid function.  `bump_on_ball_grid`, `make_atom_grid` and
+`make_local_atom_grid` are the atom builders on grid-shaped temporaries that
+the window-only builders of `atoms` replaced: the bump embedded in the grid,
+and its projection on the grid (`poly_project_grid`) subtracted; they agree
+under `==`.
 `least_squares_fit` is the weighted least-squares fit by `np.linalg.lstsq`
 on the dense design matrix of the monomials, with its rank test, that the
 per-axis `projection._fit` replaced; they agree to round-off, not bit for bit.
@@ -63,7 +70,7 @@ from hardylab.lipschitz import LipschitzOrder, _half_space, _visiting_steps, dif
 from hardylab.maximal import bump_profile, convolve_dilated, maximal_scales
 from hardylab.orlicz import _REL_TOL, OrliczFunction
 from hardylab.oscillation import _BATCH_FLOATS, BallFamily, bmo_local_norm, lmo_norm
-from hardylab.projection import monomial_terms, multi_indices, poly_project
+from hardylab.projection import multi_indices, poly_project
 
 
 LINEAR = OrliczFunction(lambda t: np.asarray(t, dtype=float))
@@ -264,6 +271,31 @@ def meshgrid_coords(spec: GridSpec, slices: tuple[slice, ...]) -> tuple[np.ndarr
     return tuple(np.meshgrid(*[spec.axis()[s] for s in slices], indexing="ij"))
 
 
+def monomial_terms(
+    start: np.ndarray, coords: tuple[np.ndarray, ...], center, degree: int, unit: float
+) -> list[np.ndarray]:
+    """start * ((x - center)/unit)^alpha on a window's nodes, in multi_indices order.
+
+    The powers are taken on the window's open per-axis coordinates (`coords`,
+    from `region_coords`) once and broadcast: every node sees the operations
+    of a power on its own coordinates, and the product runs over the axes in
+    order, skipping those with alpha_i = 0.  `start` is window-shaped, so
+    every term is too; the term of alpha = 0 is `start` itself.
+    """
+    powers = []
+    for x, c in zip(coords, center):
+        u = (x - c) / unit
+        powers.append([None] + [u**a for a in range(1, degree + 1)])
+    terms = []
+    for alpha in multi_indices(len(coords), degree):
+        term = start
+        for axis_powers, a in zip(powers, alpha):
+            if a:
+                term = term * axis_powers[a]
+        terms.append(term)
+    return terms
+
+
 def monomials_meshgrid(spec: GridSpec, ball: Ball, degree: int) -> list[np.ndarray]:
     """((x - x_B)/r)^alpha on the ball's nodes, in multi_indices order: the
     powers taken on the meshgrid of the ball's coordinates, term by term."""
@@ -279,9 +311,10 @@ def monomials_meshgrid(spec: GridSpec, ball: Ball, degree: int) -> list[np.ndarr
     return terms
 
 
-def moment_residuals_meshgrid(values: GridFunction, ball: Ball, s: int) -> dict:
+def moment_residuals_meshgrid(values: GridFunction, ball: Ball, s: int, absolute=False) -> dict:
     """Discrete moments of values * (x - x_B)^alpha for |alpha| <= s, the
-    powers taken on the meshgrid of the ball's coordinates."""
+    powers taken on the meshgrid of the ball's coordinates; with `absolute`,
+    the sums of the terms' absolute values, the scale of their rounding."""
     spec = values.spec
     vals, w = region_values(values, ball)
     coords = meshgrid_coords(spec, region_slices(spec, ball))
@@ -292,7 +325,7 @@ def moment_residuals_meshgrid(values: GridFunction, ball: Ball, s: int) -> dict:
         for u, a in zip(centered, alpha):
             if a:
                 term = term * u**a
-        out[alpha] = float(np.sum(term))
+        out[alpha] = float(np.sum(np.abs(term) if absolute else term))
     return out
 
 
@@ -346,13 +379,21 @@ def bump_on_ball_meshgrid(spec: GridSpec, ball: Ball, modulate=None) -> np.ndarr
     return bump_on_ball_grid(spec, ball, modulate, meshgrid_coords)
 
 
+def poly_project_grid(f: GridFunction, ball: Ball, degree: int) -> GridFunction:
+    """The window fit of projection.poly_project extended by zero to the grid."""
+    slices, fit = poly_project(f, ball, degree)
+    vals = np.zeros(f.spec.shape)
+    vals[slices] = fit
+    return GridFunction(f.spec, vals)
+
+
 def make_atom_grid(
     ball: Ball, p: float, s: int, spec: GridSpec, modulate=None, bump=bump_on_ball_grid
 ) -> np.ndarray:
     """The values of atoms.make_atom on grid-shaped temporaries: the bump in the
     grid, minus its projection extended by zero, scaled to the sup |B|^(-1/p)."""
     base = GridFunction(spec, bump(spec, ball, modulate))
-    resid = base.values - poly_project(base, ball, s).values
+    resid = base.values - poly_project_grid(base, ball, s).values
     return resid * (ball.measure ** (-1.0 / p) / float(np.max(np.abs(resid))))
 
 

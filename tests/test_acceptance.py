@@ -39,8 +39,8 @@ from hardylab.product import (
     split_lipschitz,
     verify_split,
 )
-from hardylab.projection import campanato_ratio, poly_project, projection_sup_ratio
-from scalar_oracles import LINEAR, luxembourg_scan_oracle, meshes
+from hardylab.projection import campanato_ratio, projection_sup_ratio
+from scalar_oracles import LINEAR, luxembourg_scan_oracle, meshes, poly_project_grid
 
 
 def _spread(values) -> tuple[float, float]:
@@ -364,7 +364,7 @@ def _p_lt1_campaign(m: int, seed: int, p: float, s: int, draws: int = 50):
             if split.regime.kind == "mean":
                 m = ball_mean(b, atom.ball)
             else:
-                m = poly_project(b, atom.ball, order.k).values
+                m = poly_project_grid(b, atom.ball, order.k).values
             term = atom.values.with_values(m * atom.values.values)
             residuals = moment_residuals(term, atom.ball, order.k)
             sup = float(np.max(np.abs(term.values)))

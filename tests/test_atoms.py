@@ -93,12 +93,30 @@ def test_make_atom_higher_moments(spec1d):
 
 @pytest.mark.parametrize("dim, m", [(1, 65), (1, 257), (2, 17), (2, 65)])
 def test_moment_residuals_equal_meshgrid_powers(dim, m):
-    """Moments from the 1d axis powers, broadcast: the meshgrid moments bit for bit."""
+    """Moments contracted along each axis with its powers: in 1d the meshgrid
+    moments bit for bit.  In 2d the contraction sums each axis in turn, a
+    regrouping of the meshgrid's one sum over the n = n_x * n_y window nodes.
+    With S the sum of the terms' absolute values (taken by the oracle for
+    each alpha) and u = eps / 2, the standard summation bound puts the
+    meshgrid's two products and n - 1 additions within (n + 1) u S of the
+    exact moment, and the contraction's two products and n_x + n_y - 2
+    additions within (n_x + n_y) u S, so the two agree within the sum of
+    the two bounds (below n * eps * S once each axis has 3 nodes)."""
     spec = GridSpec(dim, 8.0, m)
     f = GridFunction(spec, np.random.default_rng(m).normal(size=spec.shape))
     for ball in MESHGRID_BALLS[dim]:
+        counts = [sl.stop - sl.start for sl in region_slices(spec, ball)]
+        rel = (math.prod(counts) + 1 + sum(counts)) * np.finfo(float).eps / 2
         for s in range(9):
-            assert moment_residuals(f, ball, s) == moment_residuals_meshgrid(f, ball, s)
+            moments = moment_residuals(f, ball, s)
+            oracle = moment_residuals_meshgrid(f, ball, s)
+            if dim == 1:
+                assert moments == oracle
+                continue
+            bound = moment_residuals_meshgrid(f, ball, s, absolute=True)
+            assert moments.keys() == oracle.keys()
+            for alpha, value in moments.items():
+                assert abs(value - oracle[alpha]) <= rel * bound[alpha]
 
 
 @pytest.mark.parametrize("dim, m", [(1, 65), (1, 257), (2, 17), (2, 65)])
@@ -107,7 +125,7 @@ def test_atoms_equal_meshgrid_bumps(dim, m):
     grid-shaped bump and the dense-meshgrid bump, ==, with and without a
     modulation; make_atom's and make_local_atom's atoms are those of the
     builders on grid-shaped temporaries (the projection on the grid, from
-    poly_project), built on either bump."""
+    poly_project_grid), built on either bump."""
     spec = GridSpec(dim, 8.0, m)
     rng = np.random.default_rng(m)
     resolved = 0

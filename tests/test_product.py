@@ -7,10 +7,13 @@ import pytest
 from hardylab.atoms import (
     Atom,
     AtomicDecomposition,
+    load_decomposition,
     make_atom,
     moment_residuals,
     moment_tolerance,
+    save_decomposition,
     synthesize,
+    validate_atom,
 )
 from hardylab.generators import (
     b_field,
@@ -19,7 +22,7 @@ from hardylab.generators import (
     random_smooth_field,
     regularized_log_field,
 )
-from hardylab.grid import Ball, GridFunction, ball_mean
+from hardylab.grid import Ball, GridFunction, ball_mean, region_slices
 from hardylab import product
 from hardylab.maximal import bump_profile
 from hardylab.orlicz import PHI
@@ -34,7 +37,7 @@ from hardylab.product import (
     verify_split,
 )
 from hardylab.projection import poly_project
-from scalar_oracles import from_callable, luxembourg_scan_oracle, meshes
+from scalar_oracles import from_callable, luxembourg_scan_oracle, meshes, poly_project_grid
 
 
 def test_truncate(spec1d, rng):
@@ -164,9 +167,37 @@ def test_split_leak_still_raises(spec1d):
     b = b_field(spec1d, "random-bmo", np.random.default_rng(0))
     for decomp in (random_decomposition(spec1d, np.random.default_rng(1), p=1.0, s=0),
                    _cancelling_pair(spec1d, 1e7)):
-        means = [poly_project(b, atom.ball, 0).values for _, atom in decomp.terms]
+        means = [poly_project(b, atom.ball, 0) for _, atom in decomp.terms]
         with pytest.raises(AssertionError, match="leaked mass"):
             product._assemble(b, decomp, REGIMES["p1"], means[:-1])
+
+
+def test_split_keeps_a_loaded_atoms_leak_in_h2(spec1d, tmp_path):
+    """An atom read from a file may leak outside its window up to validate_atom's
+    slack, 1e-14 max(sup, 1).  The split accumulates h1 on the windows only, so
+    h1 is exactly 0 off them and h2 = b * h - h1 carries b * lambda * leak there."""
+    rng = np.random.default_rng(5)
+    leaky, clean = (make_atom(Ball((c,), 1.0), 1.0, 0, spec1d) for c in (-3.0, 2.5))
+    outside = np.ones(spec1d.shape, dtype=bool)
+    for atom in (leaky, clean):
+        outside[region_slices(spec1d, atom.ball)] = False
+    slack = 1e-14 * max(float(np.max(np.abs(leaky.values.values))), 1.0)
+    vals = np.array(leaky.values.values)
+    vals[outside] = slack * rng.uniform(-1.0, 1.0, size=int(outside.sum()))
+    vals[np.flatnonzero(outside)[0]] = slack
+    lam = 0.75
+    leaky = dataclasses.replace(leaky, values=GridFunction(spec1d, vals))
+    save_decomposition(AtomicDecomposition(p=1.0, terms=((lam, leaky), (-1.5, clean))), tmp_path / "d")
+    decomp = load_decomposition(tmp_path / "d")
+    assert all(validate_atom(atom).passed for _, atom in decomp.terms)
+    assert validate_atom(decomp.terms[0][1]).support_leakage == slack
+    b = b_field(spec1d, "random-bmo", np.random.default_rng(0))
+    split = split_bmo(b, decomp)
+    prod = b.values * synthesize(decomp).values
+    assert np.all(split.h1.values[outside] == 0.0)
+    assert np.array_equal(split.h2.values[outside], b.values[outside] * (lam * vals[outside]))
+    assert np.array_equal(prod - split.h1.values, split.h2.values)
+    assert np.array_equal(split.h1.values[outside] + split.h2.values[outside], prod[outside])
 
 
 def test_split_bilinearity_power_of_two(spec1d, rng):
@@ -235,7 +266,7 @@ def test_split_lipschitz_projection_regime(spec1d, rng):
     # and m_j a_j keeps the atom's vanishing moments up to degree 1
     h1 = np.zeros(spec1d.shape)
     for lam, atom in decomp.terms:
-        m = poly_project(b, atom.ball, 1).values
+        m = poly_project_grid(b, atom.ball, 1).values
         h1 += lam * ((b.values - m) * atom.values.values)
         term = atom.values.with_values(m * atom.values.values)
         term_sup = float(np.max(np.abs(term.values)))

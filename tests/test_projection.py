@@ -9,12 +9,14 @@ from hardylab.lipschitz import LipschitzOrder
 from hardylab.projection import (
     _fit,
     campanato_ratio,
-    monomial_terms,
     multi_indices,
     poly_project,
     projection_sup_ratio,
 )
-from scalar_oracles import MESHGRID_BALLS, from_callable, least_squares_fit, monomials_meshgrid
+from scalar_oracles import (
+    MESHGRID_BALLS, from_callable, least_squares_fit, monomial_terms, monomials_meshgrid,
+    poly_project_grid,
+)
 
 
 def test_multi_indices_counts():
@@ -63,9 +65,9 @@ def test_degree_zero_is_ball_mean(dim, m, rng):
     spec = GridSpec(dim, 8.0, m)
     f = random_smooth_field(spec, rng)
     for ball in (Ball((1.0,) * dim, 2.0), Ball((-7.3,) * dim, 0.5), Ball((0.0,) * dim, 8.0)):
-        window = poly_project(f, ball, 0).values[region_slices(spec, ball)]
+        window = poly_project_grid(f, ball, 0).values[region_slices(spec, ball)]
         assert np.all(window == ball_mean(f, ball))
-        const = poly_project(GridFunction.constant(spec, 0.1), ball, 0)
+        const = poly_project_grid(GridFunction.constant(spec, 0.1), ball, 0)
         assert np.all(const.values[region_slices(spec, ball)] == 0.1)
 
 
@@ -122,7 +124,7 @@ def test_degenerate_node_set_is_an_axis_of_k_nodes(axis, degree, rng):
 def test_reproduces_polynomials(spec1d):
     f = from_callable(spec1d, lambda x: 1.0 - 2.0 * x + 0.5 * x**2)
     ball = Ball((0.5,), 2.0)
-    proj = poly_project(f, ball, 2)
+    proj = poly_project_grid(f, ball, 2)
     sl = region_slices(spec1d, ball)
     err = np.max(np.abs(proj.values[sl] - f.values[sl]))
     assert err < 1e-10
@@ -134,7 +136,7 @@ def test_cubic_closed_form_oracle():
     f = from_callable(spec, lambda x: x**3)
     r = 1.0
     ball = Ball((0.0,), r)
-    proj = poly_project(f, ball, 2)
+    proj = poly_project_grid(f, ball, 2)
     sl = region_slices(spec, ball)
     x = spec.axis()[sl[0]]
     assert np.array_equal(x, -x[::-1])  # the window is symmetric about 0
@@ -153,8 +155,8 @@ def test_cubic_closed_form_oracle():
 def test_idempotence(spec1d, rng):
     f = random_smooth_field(spec1d, rng)
     ball = Ball((-1.0,), 2.0)
-    proj = poly_project(f, ball, 2)
-    again = poly_project(proj, ball, 2)
+    proj = poly_project_grid(f, ball, 2)
+    again = poly_project_grid(proj, ball, 2)
     assert np.max(np.abs(again.values - proj.values)) < 1e-10 * (
         1.0 + np.max(np.abs(proj.values))
     )
@@ -167,7 +169,7 @@ def test_idempotence(spec1d, rng):
 def test_residual_orthogonality(spec1d, rng):
     f = random_smooth_field(spec1d, rng)
     ball = Ball((0.0,), 2.0)
-    proj = poly_project(f, ball, 2)
+    proj = poly_project_grid(f, ball, 2)
     sl = region_slices(spec1d, ball)
     w = region_values(f, sl)[1]
     resid = f.values[sl] - proj.values[sl]
@@ -181,7 +183,7 @@ def test_residual_orthogonality(spec1d, rng):
 def test_best_approximation(spec1d, rng):
     f = random_smooth_field(spec1d, rng)
     ball = Ball((0.0,), 2.0)
-    proj = poly_project(f, ball, 1)
+    proj = poly_project_grid(f, ball, 1)
     sl = region_slices(spec1d, ball)
     w = region_values(f, sl)[1]
     x = spec1d.axis()[sl[0]]
@@ -237,7 +239,7 @@ def test_campanato_abs_value_oracle():
     f = from_callable(spec, lambda x: np.abs(x))
     r = 1.0
     ball = Ball((0.0,), r)
-    proj = poly_project(f, ball, 1)
+    proj = poly_project_grid(f, ball, 1)
     sl = region_slices(spec, ball)
     w = region_values(f, sl)[1]
     resid = np.abs(f.values[sl] - proj.values[sl])

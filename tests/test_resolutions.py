@@ -1,8 +1,10 @@
 """Each one-ball routine of `atoms` and `projection` resolves its ball's index
-window once (`grid.region_slices` on a `Ball`) and then works on the window.
+window once (`grid.region_slices` on a `Ball`) and then works on the window,
+and a split builds no grid-shaped function per atom.
 
 `resolutions` counts those calls the way perfbench's count wrapper does: it
 replaces `region_slices` in every `hardylab` module that binds it.
+`grid_functions` counts the `GridFunction`s built, each one grid-shaped.
 """
 
 import json
@@ -13,10 +15,13 @@ import numpy as np
 import pytest
 
 from hardylab import cli, grid
-from hardylab.atoms import make_atom, make_local_atom, moment_residuals, validate_atom
+from hardylab.atoms import (
+    AtomicDecomposition, make_atom, make_local_atom, moment_residuals, validate_atom,
+)
 from hardylab.generators import random_smooth_field
-from hardylab.grid import Ball, GridSpec
+from hardylab.grid import Ball, GridFunction, GridSpec
 from hardylab.lipschitz import LipschitzOrder
+from hardylab.product import split_bmo, split_lipschitz
 from hardylab.projection import campanato_ratio, poly_project, projection_sup_ratio
 
 
@@ -35,6 +40,20 @@ def resolutions(monkeypatch):
         if name.split(".")[0] == "hardylab" and getattr(module, "region_slices", None) is original:
             monkeypatch.setattr(module, "region_slices", counted)
     return calls
+
+
+@pytest.fixture
+def grid_functions(monkeypatch):
+    """A list that grows by one for every GridFunction built."""
+    built = []
+    original = GridFunction.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(GridFunction, "__post_init__", counted)
+    return built
 
 
 @pytest.mark.parametrize("spec", [GridSpec(1, 8.0, 257), GridSpec(2, 8.0, 65)], ids=str)
@@ -77,3 +96,19 @@ def test_split_draw_resolutions_per_atom(tmp_path, resolutions, regime, p):
     assert cli.main(["split", "--config", str(config)]) == 0
     assert 0 < sum(resolutions.values()) <= per_atom * count
     assert max(resolutions.values()) <= per_atom
+
+
+@pytest.mark.parametrize("p", [1.0, 0.8, 0.5])
+def test_split_builds_no_grid_function_per_atom(grid_functions, p):
+    """split_bmo and split_lipschitz build h, h1 and h2 on the grid whatever the
+    number of atoms: each term is accumulated on its atom's window."""
+    spec = GridSpec(2, 8.0, 65)
+    b = random_smooth_field(spec, np.random.default_rng(3))
+    s = 0 if p == 1.0 else LipschitzOrder.dual_to(p, spec.dim).min_atom_s
+    atoms = [make_atom(Ball((c, -c), 1.5), p, s, spec) for c in (-5.0, -2.0, 1.0, 4.0)]
+    split = split_bmo if p == 1.0 else split_lipschitz
+    for n in (1, 2, 4):
+        decomp = AtomicDecomposition(p, tuple((0.5, atom) for atom in atoms[:n]))
+        grid_functions.clear()
+        split(b, decomp)
+        assert len(grid_functions) == 3
