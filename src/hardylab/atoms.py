@@ -1,13 +1,14 @@
 """(p, inf, s)-atoms: validation, construction and atomic decompositions.
 
-Atoms are built from a smooth bump on the ball's window: the discrete L^2(B)
-projection onto polynomials of degree <= s is subtracted (exact discrete
-moment cancellation), then the result is rescaled so the size condition
-||a||_inf <= |B|^(-1/p) is tight and extended by zero, the one grid-shaped
-array a builder allocates.  Large-ball "local" atoms skip the moment step.
-Each one-ball routine resolves its ball's window once; the moments contract
-the window with per-axis powers (`projection._contract`).  Decompositions are
-inputs assembled by helpers, not computed from arbitrary functions.
+An atom is its ball's window: the window's slices and values, with no
+grid-shaped array.  The builders take a smooth bump on the window, subtract
+its discrete L^2(B) projection onto polynomials of degree <= s (exact discrete
+moment cancellation; "local" atoms on large balls skip it) and rescale it so
+the size condition ||a||_inf <= |B|^(-1/p) is tight.  Each one-ball routine
+resolves its ball's window once; the moments contract the window with
+per-axis powers (`projection._contract`).  Files hold atoms extended by zero;
+loading keeps the window and records the largest |value| off it as `leakage`.
+Decompositions are inputs assembled by helpers, not from arbitrary functions.
 """
 
 from __future__ import annotations
@@ -19,14 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import (
-    Ball,
-    GridFunction,
-    GridSpec,
-    region_coords,
-    region_slices,
-    region_values,
-)
+from .grid import Ball, GridFunction, GridSpec, as_integer, as_number, region_coords, region_slices
 from .maximal import bump_profile
 from .projection import _contract, _fit, enough_nodes, multi_indices
 
@@ -59,23 +53,33 @@ def _size_bound(ball: Ball, p: float) -> float:
 
 @dataclass(frozen=True)
 class Atom:
-    """A GridFunction tagged with its ball and (p, inf, s) metadata."""
+    """A (p, inf, s)-atom on a grid: its values on the window `slices` of its
+    ball, zero off it; `leakage` is the largest |value| off the window of an
+    atom read from a file, 0 for one built here."""
 
-    values: GridFunction
+    spec: GridSpec
     ball: Ball
+    slices: tuple[slice, ...]
+    values: np.ndarray
     p: float
     s: int
     local: bool = False
+    leakage: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.p <= 1.0:
             raise ValueError("p must lie in (0, 1]")
-        if not (isinstance(self.s, int) and self.s >= 0):
+        if isinstance(self.s, bool) or not (isinstance(self.s, int) and self.s >= 0):
             raise ValueError("s must be a nonnegative integer")
-
-    @property
-    def spec(self) -> GridSpec:
-        return self.values.spec
+        if np.iscomplexobj(self.values):
+            raise ValueError("values must be real")
+        vals = np.asarray(self.values, dtype=float)
+        window = tuple(len(range(self.spec.points_per_axis)[sl]) for sl in self.slices)
+        if vals.shape != window:
+            raise ValueError(f"values shape {vals.shape} does not match window shape {window}")
+        if not (np.all(np.isfinite(vals)) and 0.0 <= self.leakage < math.inf):
+            raise ValueError("values must be finite, and leakage finite and >= 0")
+        object.__setattr__(self, "values", vals)
 
     @property
     def size_bound(self) -> float:
@@ -118,24 +122,24 @@ def moment_tolerance(atom_sup: float, ball: Ball, order: int) -> float:
     return MOMENT_SLACK * atom_sup * ball.measure * ball.radius**order
 
 
-def _moment_sums(values: GridFunction, slices: tuple[slice, ...], ball: Ball, s: int) -> dict:
-    """moment_residuals on the ball's window, resolved by the caller: w * a
-    contracted along each axis with the powers (x_i - c_i)^j, j <= s; the
+def _moment_sums(spec: GridSpec, vals: np.ndarray, slices: tuple, ball: Ball, s: int) -> dict:
+    """moment_residuals of the values on a ball's window, resolved by the caller:
+    w * a contracted along each axis with the powers (x_i - c_i)^j, j <= s; the
     plain sum of w * a at s = 0, as projection._fit's degree 0 is the mean."""
-    vals, w = region_values(values, slices)
-    sums = vals * w
+    sums = vals * spec.weights()[slices]
     if s == 0:
-        return {(0,) * values.spec.dim: float(np.sum(sums))}
-    axis = values.spec.axis()
+        return {(0,) * spec.dim: float(np.sum(sums))}
+    axis = spec.axis()
     for i, (sl, c) in enumerate(zip(slices, ball.center)):
         u = axis[sl] - c
         sums = _contract(sums, np.array([u**j for j in range(s + 1)]), i)
-    return {alpha: float(sums[alpha]) for alpha in multi_indices(values.spec.dim, s)}
+    return {alpha: float(sums[alpha]) for alpha in multi_indices(spec.dim, s)}
 
 
 def moment_residuals(values: GridFunction, ball: Ball, s: int) -> dict:
     """Discrete moments of values * (x - x_B)^alpha for |alpha| <= s."""
-    return _moment_sums(values, region_slices(values.spec, ball), ball, s)
+    slices = region_slices(values.spec, ball)
+    return _moment_sums(values.spec, values.values[slices], slices, ball, s)
 
 
 @dataclass(frozen=True)
@@ -149,19 +153,17 @@ class AtomReport:
 
 
 def validate_atom(atom: Atom) -> AtomReport:
-    """Report support, size and moment conditions with their measured slack."""
-    spec = atom.spec
+    """Report support, size and moment conditions with their measured slack,
+    from the atom's window and leakage; support fails unless the slices are the
+    ball's window and the leakage is within 1e-14 * max(sup, 1)."""
     failures: list[str] = []
 
-    slices = region_slices(spec, atom.ball)
-    outside = np.array(atom.values.values, copy=True)
-    outside[slices] = 0.0
-    sup = float(np.max(np.abs(atom.values.values)))
-    leakage = float(np.max(np.abs(outside)))
-    if leakage > 1e-14 * max(sup, 1.0):
+    size = float(np.max(np.abs(atom.values)))
+    sup = max(size, atom.leakage)
+    window = atom.slices == region_slices(atom.spec, atom.ball)
+    if not window or atom.leakage > 1e-14 * max(sup, 1.0):
         failures.append("support")
 
-    size = float(np.max(np.abs(atom.values.values[slices])))
     size_ratio = size / atom.size_bound if atom.size_bound > 0 else math.inf
     if size_ratio > 1.0 + 1e-9:
         failures.append("size")
@@ -172,7 +174,7 @@ def validate_atom(atom: Atom) -> AtomReport:
         if atom.ball.measure <= 1.0:
             failures.append("local atom needs a large ball")
     else:
-        residuals = _moment_sums(atom.values, slices, atom.ball, atom.s)
+        residuals = _moment_sums(atom.spec, atom.values, atom.slices, atom.ball, atom.s)
         for alpha, res in residuals.items():
             tol = moment_tolerance(sup, atom.ball, sum(alpha))
             slacks[alpha] = tol
@@ -180,7 +182,7 @@ def validate_atom(atom: Atom) -> AtomReport:
                 failures.append(f"moment {alpha}")
 
     return AtomReport(
-        support_leakage=leakage,
+        support_leakage=atom.leakage,
         size_ratio=size_ratio,
         moment_residuals=residuals,
         moment_slacks=slacks,
@@ -202,13 +204,11 @@ def _bump_on_ball(coords: tuple[np.ndarray, ...], ball: Ball, modulate=None) -> 
 
 def _scaled_atom(spec: GridSpec, slices: tuple, profile: np.ndarray, ball: Ball, p: float,
                  s: int, local: bool = False) -> Atom:
-    """The atom of a window's profile scaled to the sup |B|^(-1/p), extended by zero."""
+    """The atom of a window's profile scaled to the sup |B|^(-1/p)."""
     sup = float(np.max(np.abs(profile)))
     if sup <= 0:
         raise ValueError("degenerate profile: it vanishes on the ball")
-    vals = np.zeros(spec.shape)
-    vals[slices] = profile * (_size_bound(ball, p) / sup)
-    return Atom(values=GridFunction(spec, vals), ball=ball, p=p, s=s, local=local)
+    return Atom(spec, ball, slices, profile * (_size_bound(ball, p) / sup), p, s, local)
 
 
 def resolves_atom(dim: int, s: int, nodes: int) -> bool:
@@ -247,7 +247,7 @@ def make_local_atom(
 
 
 def synthesize(decomp: AtomicDecomposition, spec: GridSpec | None = None) -> GridFunction:
-    """Pointwise sum of lambda_j * a_j in term order."""
+    """Pointwise sum of lambda_j * a_j in term order, each on its window."""
     if not decomp.terms:
         if spec is None:
             raise ValueError("empty decomposition needs an explicit grid spec")
@@ -257,18 +257,20 @@ def synthesize(decomp: AtomicDecomposition, spec: GridSpec | None = None) -> Gri
         raise ValueError("grid spec mismatch")
     out = np.zeros(first_spec.shape)
     for lam, atom in decomp.terms:
-        out += lam * atom.values.values
+        out[atom.slices] += lam * atom.values
     return GridFunction(first_spec, out)
 
 
 def save_decomposition(decomp: AtomicDecomposition, basepath) -> None:
-    """Write <base>.json plus one .npy value file per atom."""
+    """Write <base>.json plus one .npy value file per atom, extended by zero to the grid."""
     base = Path(basepath)
     base.parent.mkdir(parents=True, exist_ok=True)
     entries = []
     for idx, (lam, atom) in enumerate(decomp.terms):
         ref = f"{base.name}_atom{idx:04d}.npy"
-        np.save(base.parent / ref, atom.values.values)
+        vals = np.zeros(atom.spec.shape)
+        vals[atom.slices] = atom.values
+        np.save(base.parent / ref, vals)
         entries.append(
             {
                 "lambda": lam,
@@ -290,7 +292,8 @@ def save_decomposition(decomp: AtomicDecomposition, basepath) -> None:
 
 
 def load_decomposition(basepath) -> AtomicDecomposition:
-    """Read what save_decomposition wrote: (p, inf, s)-atoms. ValueError if malformed."""
+    """Read what save_decomposition wrote: (p, inf, s)-atoms on their windows, each
+    with its largest |value| off the window as leakage. ValueError if malformed."""
     base = Path(basepath)
     doc = json.loads(base.with_suffix(".json").read_text())
     try:  # only the terms need the grid; save_decomposition writes null without them
@@ -303,15 +306,15 @@ def load_decomposition(basepath) -> AtomicDecomposition:
                 raise ValueError(f"atoms are (p, inf, s)-atoms, got q = {entry['q']!r}")
             if not isinstance(entry["local"], bool):
                 raise TypeError(f"local must be true or false, got {entry['local']!r}")
-            values = np.load(base.parent / entry["values_ref"])
-            atom = Atom(
-                values=GridFunction(spec, values),
-                ball=Ball(tuple(entry["ball"]["center"]), entry["ball"]["radius"]),
-                p=entry["p"],
-                s=entry["s"],
-                local=entry["local"],
-            )
-            terms.append((entry["lambda"], atom))
-        return AtomicDecomposition(p=doc["p"], terms=tuple(terms))
+            values = GridFunction(spec, np.load(base.parent / entry["values_ref"])).values
+            center = tuple(as_number(c, "center") for c in entry["ball"]["center"])
+            ball = Ball(center, as_number(entry["ball"]["radius"], "radius"))
+            slices = region_slices(spec, ball)
+            window = values[slices].copy()
+            values[slices] = 0.0  # what is left off the window is the leak
+            atom = Atom(spec, ball, slices, window, as_number(entry["p"], "p"),
+                        as_integer(entry["s"], "s"), entry["local"], float(np.max(np.abs(values))))
+            terms.append((as_number(entry["lambda"], "lambda"), atom))
+        return AtomicDecomposition(p=as_number(doc["p"], "p"), terms=tuple(terms))
     except (KeyError, TypeError) as exc:  # a missing key or a value of the wrong type
         raise ValueError(f"malformed decomposition {base}: {exc!r}") from exc

@@ -8,14 +8,14 @@ and the remainder in the target Hardy-type space:
 
     h1 = sum_j lambda_j (b - P_j b) a_j,     h2 = b*h - h1.
 
-Each term is accumulated on its atom's window only, with the projection's
-window slices, into grid-wide sums allocated once per split.  h2 is stored
-as the pointwise complement of h1 in the product, which makes the
-reconstruction identity h1 + h2 = b * synthesize(decomp) exact by
-construction; an atom read from a file may leak outside its window within
-validate_atom's slack, and that leak lands in h2.  sum_j lambda_j (P_j b) a_j,
-accumulated independently, is checked to agree with h2 to a few ulps of the
-working precision.
+An atom holds only its window's values, so h = synthesize(decomp), h1 and
+h2 all vanish off the windows.  Each term is accumulated on its atom's
+window, with the projection's window slices, into grid-wide sums allocated
+once per split.  h2 is stored as the pointwise complement of h1 in the
+product, which makes the reconstruction identity h1 + h2 = b * synthesize(decomp)
+exact by construction.  sum_j lambda_j (P_j b) a_j, accumulated
+independently, is checked to agree with h2 to a few ulps of the working
+precision.
 """
 
 from __future__ import annotations
@@ -147,20 +147,17 @@ def _assemble(
     prod = b.values * h.values
     h1 = np.zeros(b.spec.shape)
     mean_part = np.zeros(b.spec.shape)
-    b_sup = np.max(np.abs(b.values))
     scale = 0.0
     for (lam, atom), (slices, m_vals) in zip(decomp.terms, subtracted):
-        a = atom.values.values[slices]
+        a, b_win = atom.values, b.values[slices]
         m_a = m_vals * a
-        h1[slices] += lam * ((b.values[slices] - m_vals) * a)
+        h1[slices] += lam * ((b_win - m_vals) * a)
         mean_part[slices] += lam * m_a
-        scale += abs(lam) * (b_sup * np.max(np.abs(a)) + np.max(np.abs(m_a)))
+        scale += abs(lam) * (np.max(np.abs(b_win * a)) + np.max(np.abs(m_a)))
     h2 = prod - h1
     # the independently accumulated projection part must agree with the stored
     # complement at rounding level, which scales with the terms however much
-    # they cancel (b_sup also bounds b * lambda * a off the window, where an
-    # atom may leak within validate_atom's slack and h2 keeps the leak);
-    # anything larger means a logic error
+    # they cancel; anything larger means a logic error
     drift = np.max(np.abs(mean_part - h2), initial=0.0)
     if drift > 1e-9 * max(scale, 1.0):
         raise AssertionError("split rearrangement leaked mass")

@@ -33,11 +33,12 @@ In the same way `FORMER_GENERATORS` (the b generators) and
 mesh, and `ball_axis_slice` is the one-center window rule that
 `grid._ball_axis_windows` runs over an array of centers; all agree under `==`.
 `poly_project_grid` extends `projection.poly_project`'s window fit by zero
-to a grid function.  `bump_on_ball_grid`, `make_atom_grid` and
-`make_local_atom_grid` are the atom builders on grid-shaped temporaries that
-the window-only builders of `atoms` replaced: the bump embedded in the grid,
-and its projection on the grid (`poly_project_grid`) subtracted; they agree
-under `==`.
+to a grid function, and `atom_grid` an atom's window values.
+`bump_on_ball_grid`, `make_atom_grid` and `make_local_atom_grid` are the atom
+builders on grid-shaped temporaries that the window-only builders of `atoms`
+replaced: the bump embedded in the grid, and its projection on the grid
+(`poly_project_grid`) subtracted; they agree under `==` with the atoms
+extended by zero (`atom_grid`).
 `least_squares_fit` is the weighted least-squares fit by `np.linalg.lstsq`
 on the dense design matrix of the monomials, with its rank test, that the
 per-axis `projection._fit` replaced; they agree to round-off, not bit for bit.
@@ -377,6 +378,13 @@ def bump_on_ball_grid(spec: GridSpec, ball: Ball, modulate=None, coords=region_c
 def bump_on_ball_meshgrid(spec: GridSpec, ball: Ball, modulate=None) -> np.ndarray:
     """bump_on_ball_grid on the dense meshgrid of the ball's coordinates."""
     return bump_on_ball_grid(spec, ball, modulate, meshgrid_coords)
+
+
+def atom_grid(atom) -> GridFunction:
+    """The window values of an atoms.Atom extended by zero to the grid."""
+    vals = np.zeros(atom.spec.shape)
+    vals[atom.slices] = atom.values
+    return GridFunction(atom.spec, vals)
 
 
 def poly_project_grid(f: GridFunction, ball: Ball, degree: int) -> GridFunction:

@@ -40,7 +40,7 @@ from hardylab.product import (
     verify_split,
 )
 from hardylab.projection import campanato_ratio, projection_sup_ratio
-from scalar_oracles import LINEAR, luxembourg_scan_oracle, meshes, poly_project_grid
+from scalar_oracles import LINEAR, atom_grid, luxembourg_scan_oracle, meshes, poly_project_grid
 
 
 def _spread(values) -> tuple[float, float]:
@@ -178,8 +178,8 @@ def test_criterion_04_atom_machinery():
     for p in (0.4, 0.6, 0.8, 1.0):
         a1 = make_atom(Ball((0.0,), 1.0), p, 1, spec)
         a2 = make_atom(Ball((0.0,), 2.0), p, 1, spec2)
-        sup1 = float(np.max(np.abs(a1.values.values)))
-        sup2 = float(np.max(np.abs(a2.values.values)))
+        sup1 = float(np.max(np.abs(a1.values)))
+        sup2 = float(np.max(np.abs(a2.values)))
         worst_cov = max(worst_cov, abs(sup2 / sup1 - 2.0 ** (-1.0 / p)) * 2.0 ** (1.0 / p))
     ok = all_valid and worst_cov <= 1e-6
     record_criterion(
@@ -202,7 +202,7 @@ def test_criterion_05_uniform_maximal_atom_constant():
         free = spec.halfwidth - r
         c = float(rng.uniform(-free, free))
         atom = make_atom(Ball((c,), r), 1.0, 0, spec, modulate=_random_modulation(rng))
-        norms.append(lp_norm(maximal_fn(atom.values), 1.0))
+        norms.append(lp_norm(maximal_fn(atom_grid(atom)), 1.0))
     lo, hi = _spread(norms)
     ok = lo >= 0.8 and hi <= 1.2
     record_criterion(
@@ -365,7 +365,8 @@ def _p_lt1_campaign(m: int, seed: int, p: float, s: int, draws: int = 50):
                 m = ball_mean(b, atom.ball)
             else:
                 m = poly_project_grid(b, atom.ball, order.k).values
-            term = atom.values.with_values(m * atom.values.values)
+            a = atom_grid(atom)
+            term = a.with_values(m * a.values)
             residuals = moment_residuals(term, atom.ball, order.k)
             sup = float(np.max(np.abs(term.values)))
             for alpha, res in residuals.items():

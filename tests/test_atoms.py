@@ -21,19 +21,35 @@ from hardylab.atoms import (
 from hardylab.generators import _random_modulation
 from hardylab.grid import Ball, GridFunction, GridSpec, integrate, region_coords, region_slices
 from scalar_oracles import (
-    MESHGRID_BALLS, bump_on_ball_grid, bump_on_ball_meshgrid, make_atom_grid, make_local_atom_grid,
-    meshes, moment_residuals_meshgrid, region_node_count,
+    MESHGRID_BALLS, atom_grid, bump_on_ball_grid, bump_on_ball_meshgrid, make_atom_grid,
+    make_local_atom_grid, meshes, moment_residuals_meshgrid, region_node_count,
 )
 
 
 def _sign_atom(spec, ball, p):
     """Odd two-level profile: passes (p, inf, 0) by symmetry."""
     x = meshes(spec)[0]
-    vals = np.zeros(spec.shape)
     sl = region_slices(spec, ball)
-    vals[sl] = np.sign(x[sl[0]] - ball.center[0])
+    vals = np.sign(x[sl[0]] - ball.center[0])
     vals *= ball.measure ** (-1.0 / p)
-    return Atom(GridFunction(spec, vals), ball, p, 0)
+    return Atom(spec, ball, sl, vals, p, 0)
+
+
+def test_atom_holds_finite_values_of_its_window_shape(spec1d):
+    """An atom's values have its window's shape and are finite, its leakage is
+    finite and nonnegative, and its s is an integer, not a bool."""
+    atom = _sign_atom(spec1d, Ball((0.0,), 1.0), 1.0)
+    cases = [(np.zeros(spec1d.shape), "window shape"), (atom.values[1:], "window shape"),
+             (atom.values[:, None], "window shape"), (np.full_like(atom.values, np.nan), "finite"),
+             (np.full_like(atom.values, np.inf), "finite")]
+    for vals, match in cases:
+        with pytest.raises(ValueError, match=match):
+            Atom(spec1d, atom.ball, atom.slices, vals, 1.0, 0)
+    with pytest.raises(ValueError, match="s must be"):
+        Atom(spec1d, atom.ball, atom.slices, atom.values, 1.0, True)
+    for leakage in (math.nan, math.inf, -1e-15):
+        with pytest.raises(ValueError, match="leakage finite"):
+            Atom(spec1d, atom.ball, atom.slices, atom.values, 1.0, 0, leakage=leakage)
 
 
 def test_validate_two_level_atom(spec1d):
@@ -45,38 +61,41 @@ def test_validate_two_level_atom(spec1d):
 
 def test_validate_indicator_fails_moment(spec1d):
     ball = Ball((0.0,), 1.0)
-    vals = np.zeros(spec1d.shape)
-    vals[region_slices(spec1d, ball)] = ball.measure ** (-1.0)
-    atom = Atom(GridFunction(spec1d, vals), ball, 1.0, 0)
+    sl = region_slices(spec1d, ball)
+    vals = np.full(sl[0].stop - sl[0].start, ball.measure ** (-1.0))
+    atom = Atom(spec1d, ball, sl, vals, 1.0, 0)
     report = validate_atom(atom)
     assert "moment (0,)" in report.failures
 
 
 def test_validate_oversized_fails_size(spec1d):
     atom = _sign_atom(spec1d, Ball((0.0,), 1.0), 1.0)
-    big = Atom(
-        atom.values.with_values(2.0 * atom.values.values),
-        atom.ball, atom.p, atom.s,
-    )
+    big = Atom(atom.spec, atom.ball, atom.slices, 2.0 * atom.values, atom.p, atom.s)
     report = validate_atom(big)
     assert "size" in report.failures
     assert report.size_ratio == pytest.approx(2.0, rel=1e-9)
 
 
-def test_validate_support_leakage(spec1d):
+def test_validate_support_leakage(spec1d, tmp_path):
     atom = _sign_atom(spec1d, Ball((0.0,), 1.0), 1.0)
-    leaky_vals = np.array(atom.values.values)
+    save_decomposition(AtomicDecomposition(p=1.0, terms=((1.0, atom),)), tmp_path / "d")
+    ref = tmp_path / "d_atom0000.npy"
+    leaky_vals = np.load(ref)
     leaky_vals[0] = 1e-3
-    leaky = Atom(GridFunction(spec1d, leaky_vals), atom.ball, 1.0, 0)
+    np.save(ref, leaky_vals)
+    leaky = load_decomposition(tmp_path / "d").terms[0][1]
     assert "support" in validate_atom(leaky).failures
+    # values on slices other than the ball's window leave the ball's support
+    shifted = tuple(slice(sl.start + 1, sl.stop + 1) for sl in atom.slices)
+    assert "support" in validate_atom(Atom(spec1d, atom.ball, shifted, atom.values, 1.0, 0)).failures
 
 
 def test_make_atom_mean_zero(spec1d):
     ball = Ball((1.0,), 1.0)
     atom = make_atom(ball, 1.0, 0, spec1d)
-    sup = float(np.max(np.abs(atom.values.values)))
+    sup = float(np.max(np.abs(atom.values)))
     assert sup == pytest.approx(ball.measure ** (-1.0), rel=1e-12)
-    mass = integrate(atom.values, ball)
+    mass = integrate(atom_grid(atom), ball)
     assert abs(mass) <= 1e-12 * sup * ball.measure
 
 
@@ -85,8 +104,8 @@ def test_make_atom_higher_moments(spec1d):
     atom = make_atom(ball, 0.6, 2, spec1d)
     report = validate_atom(atom)
     assert report.passed, report.failures
-    res = moment_residuals(atom.values, ball, 2)
-    sup = float(np.max(np.abs(atom.values.values)))
+    res = moment_residuals(atom_grid(atom), ball, 2)
+    sup = float(np.max(np.abs(atom.values)))
     for alpha, value in res.items():
         assert abs(value) <= moment_tolerance(sup, ball, sum(alpha))
 
@@ -136,14 +155,14 @@ def test_atoms_equal_meshgrid_bumps(dim, m):
             bump[slices] = atoms._bump_on_ball(region_coords(spec, slices), ball, modulate)
             assert bump.tobytes() == bump_on_ball_grid(spec, ball, modulate).tobytes()
             assert bump.tobytes() == bump_on_ball_meshgrid(spec, ball, modulate).tobytes()
-            local = make_local_atom(ball, 0.5, spec, modulate).values.values
+            local = atom_grid(make_local_atom(ball, 0.5, spec, modulate)).values
             for former in (bump_on_ball_grid, bump_on_ball_meshgrid):
                 grid_local = make_local_atom_grid(ball, 0.5, spec, modulate, former)
                 assert local.tobytes() == grid_local.tobytes()
             if not resolves_atom(dim, 2, region_node_count(spec, ball)):
                 continue
             resolved += 1
-            atom = make_atom(ball, 0.5, 2, spec, modulate).values.values
+            atom = atom_grid(make_atom(ball, 0.5, 2, spec, modulate)).values
             for former in (bump_on_ball_grid, bump_on_ball_meshgrid):
                 assert atom.tobytes() == make_atom_grid(ball, 0.5, 2, spec, modulate, former).tobytes()
     assert resolved
@@ -158,8 +177,8 @@ def test_make_atom_dilation_covariance(spec1d):
     p = 0.8
     small = make_atom(Ball((0.0,), 1.0), p, 0, spec1d)
     big = make_atom(Ball((0.0,), 2.0), p, 0, spec1d)
-    sup_small = float(np.max(np.abs(small.values.values)))
-    sup_big = float(np.max(np.abs(big.values.values)))
+    sup_small = float(np.max(np.abs(small.values)))
+    sup_big = float(np.max(np.abs(big.values)))
     assert sup_big / sup_small == pytest.approx(2.0 ** (-1.0 / p), rel=1e-6)
 
 
@@ -167,11 +186,11 @@ def test_local_atom(spec1d):
     ball = Ball((0.0,), 2.0)
     atom = make_local_atom(ball, 1.0, spec1d)
     assert atom.local
-    sup = float(np.max(np.abs(atom.values.values)))
+    sup = float(np.max(np.abs(atom.values)))
     assert sup == pytest.approx(ball.measure ** (-1.0), rel=1e-12)
     assert validate_atom(atom).passed
     # local atoms carry mass: no moment cancellation happened
-    assert abs(integrate(atom.values, ball)) > 1e-6
+    assert abs(integrate(atom_grid(atom), ball)) > 1e-6
 
 
 def test_local_atom_requires_large_ball(spec1d):
@@ -204,7 +223,8 @@ def test_size_bound_beyond_float_range_is_a_value_error():
     spec = GridSpec(1, 1e-250, 129)
     ball = Ball((0.0,), 16 * spec.spacing)
     with pytest.raises(ValueError, match="beyond float range"):
-        Atom(values=GridFunction.zeros(spec), ball=ball, p=0.8, s=0).size_bound
+        sl = region_slices(spec, ball)
+        Atom(spec, ball, sl, np.zeros(sl[0].stop - sl[0].start), p=0.8, s=0).size_bound
     with pytest.raises(ValueError, match="beyond float range"):
         make_atom(ball, 0.8, 0, spec)
 
@@ -216,7 +236,7 @@ def test_synthesize(spec1d):
         synthesize(empty)
     a = make_atom(Ball((1.0,), 1.0), 1.0, 0, spec1d)
     single = AtomicDecomposition(p=1.0, terms=((1.0, a),))
-    assert np.array_equal(synthesize(single).values, a.values.values)
+    assert np.array_equal(synthesize(single).values, atom_grid(a).values)
 
 
 def test_save_load_roundtrip(tmp_path, spec1d):
@@ -235,4 +255,5 @@ def test_save_load_roundtrip(tmp_path, spec1d):
         assert lam0 == lam1
         assert a0.ball == a1.ball
         assert (a0.p, a0.s, a0.local) == (a1.p, a1.s, a1.local)
-        assert np.array_equal(a0.values.values, a1.values.values)
+        assert a0.slices == a1.slices and a1.leakage == 0.0
+        assert np.array_equal(a0.values, a1.values)

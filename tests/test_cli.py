@@ -512,6 +512,26 @@ def test_validate_corrupted_moment(tmp_path):
     assert any("moment" in f for row in doc["atoms"] for f in row["failures"])
 
 
+@pytest.mark.parametrize("factor, passed", [(1.0, True), (2.0, False)])
+def test_validate_support_leakage(tmp_path, factor, passed):
+    """A saved atom that leaks off its window within validate_atom's slack,
+    1e-14 * max(sup, 1), passes with that support_leakage; twice the slack
+    fails on support alone, and the report is still written with exit 0."""
+    base = _sample_decomposition(tmp_path)
+    ref = tmp_path / "decomp_atom0000.npy"
+    vals = np.load(ref)
+    leak = factor * 1e-14 * max(float(np.max(np.abs(vals))), 1.0)
+    vals[0] = leak  # the node x = -8, off the window of the atom's ball B(0, 1)
+    np.save(ref, vals)
+    out = tmp_path / "validation.json"
+    cfg = _write(tmp_path, "cfg.json", {"decomposition": base, "output": str(out)})
+    assert _run(["validate", "--config", cfg]) == 0
+    doc = json.loads(out.read_text())
+    (row,) = doc["atoms"]
+    assert (doc["all_passed"], row["passed"], row["support_leakage"]) == (passed, passed, leak)
+    assert row["failures"] == ([] if passed else ["support"])
+
+
 def test_validate_missing_file_exit1(tmp_path):
     cfg = _write(tmp_path, "cfg.json", {"decomposition": str(tmp_path / "absent")})
     assert _run(["validate", "--config", cfg]) == 1
@@ -539,6 +559,12 @@ MALFORMED_DECOMPOSITIONS = {
     "lambda-infinite": _with_term(**{"lambda": math.inf}),
     "local-string": _with_term(local="yes"),
     "terms-object": lambda doc: {**doc, "terms": {}},
+    # JSON true is no number: each read as the grid header reads its numbers
+    "p-true": lambda doc: {**doc, "p": True},
+    "lambda-true": _with_term(**{"lambda": True}),
+    "s-true": _with_term(s=True),
+    "radius-true": _with_term(ball={"center": [0.0], "radius": True}),
+    "center-true": _with_term(ball={"center": [True], "radius": 1.0}),
 }
 
 

@@ -1,6 +1,6 @@
 """Each one-ball routine of `atoms` and `projection` resolves its ball's index
-window once (`grid.region_slices` on a `Ball`) and then works on the window,
-and a split builds no grid-shaped function per atom.
+window once (`grid.region_slices` on a `Ball`) and then works on the window;
+an atom holds no grid-shaped function, and a split builds none per atom.
 
 `resolutions` counts those calls the way perfbench's count wrapper does: it
 replaces `region_slices` in every `hardylab` module that binds it.
@@ -18,11 +18,12 @@ from hardylab import cli, grid
 from hardylab.atoms import (
     AtomicDecomposition, make_atom, make_local_atom, moment_residuals, validate_atom,
 )
-from hardylab.generators import random_smooth_field
+from hardylab.generators import random_decomposition, random_smooth_field
 from hardylab.grid import Ball, GridFunction, GridSpec
 from hardylab.lipschitz import LipschitzOrder
 from hardylab.product import split_bmo, split_lipschitz
 from hardylab.projection import campanato_ratio, poly_project, projection_sup_ratio
+from scalar_oracles import atom_grid
 
 
 @pytest.fixture
@@ -68,7 +69,7 @@ def test_one_ball_routines_resolve_their_ball_once(spec, resolutions):
         lambda: make_local_atom(ball, 0.5, spec),
         lambda: validate_atom(atom),
         lambda: validate_atom(local),
-        lambda: moment_residuals(atom.values, ball, 2),
+        lambda: moment_residuals(atom_grid(atom), ball, 2),
         lambda: poly_project(f, ball, 2),
         lambda: projection_sup_ratio(f, ball, 2),
         lambda: campanato_ratio(f, ball, order, lambda_norm=1.0),
@@ -96,6 +97,18 @@ def test_split_draw_resolutions_per_atom(tmp_path, resolutions, regime, p):
     assert cli.main(["split", "--config", str(config)]) == 0
     assert 0 < sum(resolutions.values()) <= per_atom * count
     assert max(resolutions.values()) <= per_atom
+
+
+@pytest.mark.parametrize("spec", [GridSpec(1, 8.0, 257), GridSpec(2, 8.0, 65)], ids=str)
+def test_random_decomposition_builds_no_grid_function(grid_functions, spec):
+    """An atom is its window: random_decomposition of 1, 2 and 4 atoms, moment
+    atoms and local ones, and validate_atom of each atom build no GridFunction."""
+    for n in (1, 2, 4):
+        for local in (False, True):
+            decomp = random_decomposition(spec, np.random.default_rng(n), 0.5, 2, n, local=local)
+            for _, atom in decomp.terms:
+                validate_atom(atom)
+    assert grid_functions == []
 
 
 @pytest.mark.parametrize("p", [1.0, 0.8, 0.5])
