@@ -28,7 +28,6 @@ __all__ = [
     "Atom",
     "AtomicDecomposition",
     "AtomReport",
-    "moment_residuals",
     "moment_tolerance",
     "validate_atom",
     "make_atom",
@@ -123,9 +122,9 @@ def moment_tolerance(atom_sup: float, ball: Ball, order: int) -> float:
 
 
 def _moment_sums(spec: GridSpec, vals: np.ndarray, slices: tuple, ball: Ball, s: int) -> dict:
-    """moment_residuals of the values on a ball's window, resolved by the caller:
-    w * a contracted along each axis with the powers (x_i - c_i)^j, j <= s; the
-    plain sum of w * a at s = 0, as projection._fit's degree 0 is the mean."""
+    """The moments of a * (x - x_B)^alpha, |alpha| <= s, of the values a on a
+    ball's window: w * a contracted along each axis with the powers
+    (x_i - c_i)^j, j <= s; the plain sum at s = 0 (projection._fit's mean)."""
     sums = vals * spec.weights()[slices]
     if s == 0:
         return {(0,) * spec.dim: float(np.sum(sums))}
@@ -134,12 +133,6 @@ def _moment_sums(spec: GridSpec, vals: np.ndarray, slices: tuple, ball: Ball, s:
         u = axis[sl] - c
         sums = _contract(sums, np.array([u**j for j in range(s + 1)]), i)
     return {alpha: float(sums[alpha]) for alpha in multi_indices(spec.dim, s)}
-
-
-def moment_residuals(values: GridFunction, ball: Ball, s: int) -> dict:
-    """Discrete moments of values * (x - x_B)^alpha for |alpha| <= s."""
-    slices = region_slices(values.spec, ball)
-    return _moment_sums(values.spec, values.values[slices], slices, ball, s)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ def multi_indices(dim: int, degree: int) -> list[tuple[int, ...]]:
 
 def enough_nodes(dim: int, degree: int, nodes: int) -> bool:
     """Whether a ball of this many nodes resolves a degree-k projection: twice its basis."""
-    return nodes >= 2 * len(multi_indices(dim, degree))
+    return nodes >= 2 * math.comb(dim + degree, dim)
 
 
 def _axis_basis(u: np.ndarray, w: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:

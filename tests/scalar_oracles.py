@@ -14,9 +14,11 @@ and the scan start from.
 by another search than bisection, to within its scan width; `LINEAR` is the
 identity gauge, whose Luxembourg norm is the L^1 norm.  `maximal_taps` is the
 tap-sum maximal function, on either ladder, that the FFT path replaced; the two
-agree to round-off, not bit for bit.  `seminorm_full_scan` is the Lipschitz scan over
-every displacement, in raster order, that the branch-and-bound
-`lipschitz.seminorm_scan` replaced; they agree under `==`.
+agree to round-off, not bit for bit.  `maximal_irfftn` is the FFT path
+with each product inverted by `irfftn` over every row, where `maximal_fn`
+inverts only the rows it keeps; they agree under `==`.  `seminorm_full_scan`
+is the Lipschitz scan over every displacement, in raster order, that the
+branch-and-bound `lipschitz.seminorm_scan` replaced; they agree under `==`.
 `_delta_candidates` and `_visiting_order` are the displacement arrays of the
 scan, `lipschitz._half_space` and `_visiting_steps`, as lists of tuples.
 `monomial_terms` is one window-shaped term per multi-index, the powers taken
@@ -26,8 +28,11 @@ library's moments used it until they contracted the window per axis
 with it.  `monomials_meshgrid` and `moment_residuals_meshgrid` take the
 powers of the polynomial basis and of the moments on the dense meshgrid of a
 ball's coordinates, node by node: the former agrees with `monomial_terms`
-under `==`, the latter with `atoms.moment_residuals` under `==` in 1d and
-within the summation bound in 2d, where the contraction regroups the sums.
+under `==`, the latter with `moment_residuals` under `==` in 1d and within
+the summation bound in 2d, where the contraction regroups the sums.
+`moment_residuals` reads a grid function's moments on a ball through the
+library's window sums (`atoms._moment_sums`, which `validate_atom` runs on
+an atom's window); only the tests read them off a grid function.
 In the same way `FORMER_GENERATORS` (the b generators) and
 `bump_on_ball_meshgrid` (the atoms' bump) compute on the dense coordinate
 mesh, and `ball_axis_slice` is the one-center window rule that
@@ -63,12 +68,13 @@ import sys
 
 import numpy as np
 
+from hardylab.atoms import _moment_sums
 from hardylab.grid import (
     _INDEX_TOL, Ball, GridFunction, GridSpec, _cube_bins, _row_stats, box_rows, region_coords,
     region_slices, region_values, sup_norm,
 )
 from hardylab.lipschitz import LipschitzOrder, _half_space, _visiting_steps, difference_op
-from hardylab.maximal import bump_profile, convolve_dilated, maximal_scales
+from hardylab.maximal import _kernel, _smooth_length, bump_profile, convolve_dilated, maximal_scales
 from hardylab.orlicz import _REL_TOL, OrliczFunction
 from hardylab.oscillation import _BATCH_FLOATS, BallFamily, bmo_local_norm, lmo_norm
 from hardylab.projection import multi_indices, poly_project
@@ -232,6 +238,30 @@ def maximal_taps(f: GridFunction, local: bool = False) -> GridFunction:
     return f.with_values(out)
 
 
+def maximal_irfftn(f: GridFunction, local: bool = False) -> GridFunction:
+    """`maximal.maximal_fn` with each product inverted by `irfftn` over all L
+    rows of every axis, and the window [h, h + m) cut from the result."""
+    m, dim = f.spec.points_per_axis, f.spec.dim
+    axes = tuple(range(dim))
+    kernels = [_kernel(f.spec, t) for t in reversed(maximal_scales(f.spec, local))]
+    shape = (_smooth_length(m + kernels[0].shape[0] // 2),) * dim
+
+    def convolve(transform, kern):
+        h = kern.shape[0] // 2
+        spectrum = transform * np.fft.rfftn(kern, s=shape, axes=axes)
+        return np.fft.irfftn(spectrum, s=shape, axes=axes)[(slice(h, h + m),) * dim]
+
+    e = int(np.frexp(np.max(np.abs(f.values)))[1])
+    transform = np.fft.rfftn(np.ldexp(f.values, -e), s=shape, axes=axes)
+    out = np.zeros(f.spec.shape)
+    for kern in kernels:
+        np.maximum(out, np.abs(convolve(transform, kern)), out=out)
+    out = np.ldexp(out, e)
+    reach = convolve(np.fft.rfftn(f.values != 0, s=shape, axes=axes), kernels[0] != 0)
+    out[reach < 0.5] = 0.0
+    return f.with_values(out)
+
+
 def _delta_candidates(f: GridFunction, k: int) -> list[tuple[int, ...]]:
     """lipschitz._half_space as a list: the nonzero displacements delta > 0, in
     raster order."""
@@ -310,6 +340,13 @@ def monomials_meshgrid(spec: GridSpec, ball: Ball, degree: int) -> list[np.ndarr
                 term = term * u**a
         terms.append(term)
     return terms
+
+
+def moment_residuals(values: GridFunction, ball: Ball, s: int) -> dict:
+    """Discrete moments of values * (x - x_B)^alpha for |alpha| <= s: the
+    library's moment sums (`atoms._moment_sums`) on the ball's window."""
+    slices = region_slices(values.spec, ball)
+    return _moment_sums(values.spec, values.values[slices], slices, ball, s)
 
 
 def moment_residuals_meshgrid(values: GridFunction, ball: Ball, s: int, absolute=False) -> dict:

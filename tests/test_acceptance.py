@@ -14,7 +14,6 @@ import pytest
 from conftest import record_criterion
 from hardylab.atoms import (
     make_atom,
-    moment_residuals,
     moment_tolerance,
     synthesize,
     validate_atom,
@@ -40,7 +39,9 @@ from hardylab.product import (
     verify_split,
 )
 from hardylab.projection import campanato_ratio, projection_sup_ratio
-from scalar_oracles import LINEAR, atom_grid, luxembourg_scan_oracle, meshes, poly_project_grid
+from scalar_oracles import (
+    LINEAR, atom_grid, luxembourg_scan_oracle, meshes, moment_residuals, poly_project_grid,
+)
 
 
 def _spread(values) -> tuple[float, float]:

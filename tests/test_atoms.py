@@ -11,7 +11,6 @@ from hardylab.atoms import (
     load_decomposition,
     make_atom,
     make_local_atom,
-    moment_residuals,
     moment_tolerance,
     resolves_atom,
     save_decomposition,
@@ -22,7 +21,7 @@ from hardylab.generators import _random_modulation
 from hardylab.grid import Ball, GridFunction, GridSpec, integrate, region_coords, region_slices
 from scalar_oracles import (
     MESHGRID_BALLS, atom_grid, bump_on_ball_grid, bump_on_ball_meshgrid, make_atom_grid,
-    make_local_atom_grid, meshes, moment_residuals_meshgrid, region_node_count,
+    make_local_atom_grid, meshes, moment_residuals, moment_residuals_meshgrid, region_node_count,
 )
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -668,19 +669,37 @@ def test_lab_process_never_prints_a_traceback(tmp_path):
             assert done.stderr.startswith("error:")
 
 
-def _modules_loaded_by_cli(package):
+def _modules_loaded_by_cli(*packages):
+    """The modules of these packages in a fresh interpreter that imported hardylab.cli."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     probe = ("import sys, hardylab.cli; "
-             f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
+             f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
     return done.stdout.strip()
 
 
-def test_cli_import_loads_no_scipy():
-    """scipy is a test dependency only: the `lab` command runs on numpy."""
-    assert _modules_loaded_by_cli("scipy") == "[]"
+def test_cli_import_loads_no_scipy_nor_unread_stdlib():
+    """scipy is a test dependency only: the `lab` command runs on numpy.  Nor
+    does it load the standard library's `statistics` (`cli._median` takes the
+    medians by its rule) or the `fractions` and `decimal` that it imports."""
+    assert _modules_loaded_by_cli("scipy", "statistics", "fractions", "decimal") == "[]"
+
+
+def test_median_is_statistics_median():
+    """`cli._median` returns statistics.median's float on lists of odd and even
+    length, ties, infinities and NaN included; the input list is not reordered."""
+    rng = np.random.default_rng(0)
+    specials = [0.0, 1.0, math.inf, math.nan, 1e308, 5e-324]
+    for _ in range(2000):
+        n = int(rng.integers(1, 12))
+        values = rng.lognormal(size=n).round(int(rng.integers(0, 4))).tolist()
+        for i in rng.integers(0, n, int(rng.integers(0, 3))).tolist():
+            values[i] = float(rng.choice(specials))
+        before = list(values)
+        assert repr(cli._median(values)) == repr(statistics.median(values)), values
+        assert repr(values) == repr(before)
 
 
 def test_cli_import_loads_no_argparse():

@@ -1,10 +1,13 @@
 """The library holds what `lab` runs: every public name is used by library code.
 
 Each name in a module's `__all__` must be referenced in `src/hardylab` outside
-its own definition, as a name, an attribute or an import; docstrings and
-`__all__` are strings, not references.  A public name that only the tests
-use belongs in `tests/scalar_oracles.py`, unless it is listed below with the
-reason it stays.
+its own definition: read as a name, read as an attribute of an imported
+module (`grid.region_slices`), or imported.  Docstrings and `__all__` are
+strings, not references; a name that is assigned or annotated (a dataclass
+field) is not read, and an attribute of any other object (`report.name`) may
+be a field or a method that only shares the name.  A public name that only
+the tests use belongs in `tests/scalar_oracles.py`, unless it is listed below
+with the reason it stays.
 """
 
 import ast
@@ -42,16 +45,31 @@ def _exported(tree: ast.Module) -> list[str]:
     return []
 
 
+def _module_names(tree: ast.Module) -> set[str]:
+    """The names a module binds to modules: `import a.b as c` binds c,
+    `import a.b` binds a, and `from . import grid` binds grid."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            found.update(alias.asname or alias.name for alias in node.names)
+    return found
+
+
 def _references(tree: ast.Module) -> set[str]:
-    """Identifiers a module reads as names, attributes or imports, except those
-    inside the top-level definition of the same name."""
+    """Identifiers a module reads as names or as attributes of its imported
+    modules, or imports, except those inside the top-level definition of the
+    same name."""
+    modules = _module_names(tree)
     found = set()
     for stmt in tree.body:
         owner = getattr(stmt, "name", None)
         for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 ident = node.id
-            elif isinstance(node, ast.Attribute):
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
                 ident = node.attr
             elif isinstance(node, ast.alias):
                 ident = node.name
@@ -62,8 +80,7 @@ def _references(tree: ast.Module) -> set[str]:
     return found
 
 
-def _unreferenced() -> list[str]:
-    modules = _modules()
+def _unreferenced(modules: dict[str, ast.Module]) -> list[str]:
     refs = {name: _references(tree) for name, tree in modules.items()}
     return [
         f"{module}.{name}"
@@ -75,16 +92,18 @@ def _unreferenced() -> list[str]:
 
 
 def test_every_public_name_is_used_by_the_library():
-    unreferenced = _unreferenced()
+    unreferenced = _unreferenced(_modules())
     assert sorted(set(unreferenced) - ALLOWED_UNREFERENCED.keys()) == []
     # an entry whose name is gone, or is now referenced, leaves the list
     assert sorted(ALLOWED_UNREFERENCED.keys() - set(unreferenced)) == []
 
 
 def _linalg_references(tree: ast.Module) -> list[str]:
-    """The identifiers of a module that name a `linalg` package, dotted or not:
-    np.linalg.solve, from numpy import linalg, import scipy.linalg."""
-    return sorted(ident for ident in _references(tree) if "linalg" in ident.split("."))
+    """The identifiers of a module, of any object, that name a `linalg`
+    package, dotted or not: np.linalg.solve, from numpy import linalg,
+    import scipy.linalg."""
+    idents = (getattr(node, key, None) for node in ast.walk(tree) for key in ("id", "attr", "name"))
+    return sorted(i for i in idents if isinstance(i, str) and "linalg" in i.split("."))
 
 
 def test_no_module_references_linalg():
@@ -109,6 +128,31 @@ def test_references_skip_docstrings_all_and_own_definition():
     assert _exported(tree) == ["helper", "used"]
     refs = _references(tree)
     assert "used" in refs and "helper" not in refs
-    assert {"grid", "GridSpec", "spacing"} <= _references(
+    refs = _references(
         ast.parse("from . import grid\nfrom .grid import GridSpec\nh = grid.GridSpec(1, 1.0, 16).spacing\n")
     )
+    assert {"grid", "GridSpec"} <= refs and not {"h", "spacing"} & refs
+
+
+def test_fields_and_object_attributes_are_not_references():
+    """A function named only as a dataclass field and as `obj.name` is
+    unreferenced; one named as `module.name` is referenced."""
+    modules = {
+        "stats": ast.parse(
+            '__all__ = ["field_only", "module_read"]\n'
+            "def field_only():\n"
+            "    return 0\n"
+            "def module_read():\n"
+            "    return 1\n"
+        ),
+        "cli": ast.parse(
+            "from dataclasses import dataclass\n"
+            "from . import stats\n"
+            "@dataclass\n"
+            "class Report:\n"
+            "    field_only: int\n"
+            "def run(report):\n"
+            "    return report.field_only + stats.module_read()\n"
+        ),
+    }
+    assert _unreferenced(modules) == ["stats.field_only"]

@@ -9,7 +9,6 @@ from hardylab.atoms import (
     AtomicDecomposition,
     load_decomposition,
     make_atom,
-    moment_residuals,
     moment_tolerance,
     save_decomposition,
     synthesize,
@@ -38,7 +37,7 @@ from hardylab.product import (
 )
 from hardylab.projection import poly_project
 from scalar_oracles import (
-    atom_grid, from_callable, luxembourg_scan_oracle, meshes, poly_project_grid,
+    atom_grid, from_callable, luxembourg_scan_oracle, meshes, moment_residuals, poly_project_grid,
 )
 
 

@@ -9,6 +9,7 @@ from hardylab.lipschitz import LipschitzOrder
 from hardylab.projection import (
     _fit,
     campanato_ratio,
+    enough_nodes,
     multi_indices,
     poly_project,
     projection_sup_ratio,
@@ -40,6 +41,14 @@ def test_multi_indices_match_former_branches():
     for dim in (1, 2):
         for degree in range(7):
             assert multi_indices(dim, degree) == _former_multi_indices(dim, degree)
+
+
+def test_enough_nodes_is_twice_the_basis():
+    """The binomial count of the basis is twice the multi-indices, to the node."""
+    for dim in (1, 2):
+        for degree in range(21):
+            nodes = 2 * len(multi_indices(dim, degree))
+            assert enough_nodes(dim, degree, nodes) and not enough_nodes(dim, degree, nodes - 1)
 
 
 @pytest.mark.parametrize("dim, m", [(1, 65), (1, 257), (2, 17), (2, 65)])

@@ -16,14 +16,13 @@ import pytest
 
 from hardylab import cli, grid
 from hardylab.atoms import (
-    AtomicDecomposition, make_atom, make_local_atom, moment_residuals, validate_atom,
+    AtomicDecomposition, make_atom, make_local_atom, validate_atom,
 )
 from hardylab.generators import random_decomposition, random_smooth_field
 from hardylab.grid import Ball, GridFunction, GridSpec
 from hardylab.lipschitz import LipschitzOrder
 from hardylab.product import split_bmo, split_lipschitz
 from hardylab.projection import campanato_ratio, poly_project, projection_sup_ratio
-from scalar_oracles import atom_grid
 
 
 @pytest.fixture
@@ -69,7 +68,6 @@ def test_one_ball_routines_resolve_their_ball_once(spec, resolutions):
         lambda: make_local_atom(ball, 0.5, spec),
         lambda: validate_atom(atom),
         lambda: validate_atom(local),
-        lambda: moment_residuals(atom_grid(atom), ball, 2),
         lambda: poly_project(f, ball, 2),
         lambda: projection_sup_ratio(f, ball, 2),
         lambda: campanato_ratio(f, ball, order, lambda_norm=1.0),
