@@ -232,14 +232,16 @@ def seminorm_scan(f: GridFunction, order: LipschitzOrder) -> SeminormScan:
         )
     cap = _difference_cap(f, order.k)
     growth, slack = _chain_terms(f, order.k)
-    # a slot is a raster offset from 0 in the box [-reach, reach]^dim; -delta's is -slot
+    # one bound slot per displacement of the box [-reach, reach]^dim, raster order;
+    # delta and -delta share a value, and the zero slot is never set
     width = 2 * _reach(spec, k1) + 1
     strides = width ** np.arange(spec.dim - 1, -1, -1)
-    slots = steps @ strides
+    zero = width**spec.dim // 2
+    slots = steps @ strides + zero
     # delta - e_i for the unit step e_i signed as delta_i; delta itself (still
     # unset) where delta_i = 0
     chains = slots[:, None] - np.sign(steps) * strides
-    bounds: dict[int, float] = {}  # the slots processed; any other, 0 included, reads inf
+    bounds = [math.inf] * (2 * zero + 1)
     best, visited = 0.0, 0
     spacing = spec.spacing
     for delta, slot, chain in _rows(steps, slots, chains):
@@ -252,14 +254,13 @@ def seminorm_scan(f: GridFunction, order: LipschitzOrder) -> SeminormScan:
             ) from exc
         if none_left_can_win:
             break
-        chained = min([bounds.get(c, math.inf) + g for c, g in zip(chain, growth)])
-        bound = chained * (1.0 + 1e-12) + slack
+        bound = min([bounds[c] + g for c, g in zip(chain, growth)]) * (1.0 + 1e-12) + slack
         if not bound / scale <= best:
             diff = difference_op(f, delta, k1)  # a module lookup, so a patched counter sees it
             bound = float(np.max(np.abs(diff)))
             best = max(best, bound / scale)
             visited += 1
-        bounds[slot] = bounds[-slot] = bound
+        bounds[slot] = bounds[2 * zero - slot] = bound
     return SeminormScan(best, visited, len(steps))
 
 

@@ -115,12 +115,9 @@ def maximal_fn(f: GridFunction, local: bool = False) -> GridFunction:
     shape = (_smooth_length(m + widest.shape[0] // 2),) * dim
 
     def convolve(transform: np.ndarray, kern: np.ndarray) -> np.ndarray:
-        keep = slice(kern.shape[0] // 2, kern.shape[0] // 2 + m)
+        h = kern.shape[0] // 2
         spectrum = transform * np.fft.rfftn(kern, s=shape, axes=axes)
-        # irfftn's steps, each on only the rows that the steps before it keep
-        for axis in axes[:-1]:
-            spectrum = np.fft.ifft(spectrum, shape[axis], axis)[(slice(None),) * axis + (keep,)]
-        return np.fft.irfft(spectrum, shape[-1], -1)[..., keep]
+        return np.fft.irfftn(spectrum, s=shape, axes=axes)[(slice(h, h + m),) * dim]
 
     # f is transformed as f / 2^e, with max|f| < 2^e, so that no sum of the
     # transform overflows; a power of two scales every normal rounding exactly

@@ -14,11 +14,9 @@ and the scan start from.
 by another search than bisection, to within its scan width; `LINEAR` is the
 identity gauge, whose Luxembourg norm is the L^1 norm.  `maximal_taps` is the
 tap-sum maximal function, on either ladder, that the FFT path replaced; the two
-agree to round-off, not bit for bit.  `maximal_irfftn` is the FFT path
-with each product inverted by `irfftn` over every row, where `maximal_fn`
-inverts only the rows it keeps; they agree under `==`.  `seminorm_full_scan`
-is the Lipschitz scan over every displacement, in raster order, that the
-branch-and-bound `lipschitz.seminorm_scan` replaced; they agree under `==`.
+agree to round-off, not bit for bit.  `seminorm_full_scan` is the Lipschitz scan over
+every displacement, in raster order, that the branch-and-bound
+`lipschitz.seminorm_scan` replaced; they agree under `==`.
 `_delta_candidates` and `_visiting_order` are the displacement arrays of the
 scan, `lipschitz._half_space` and `_visiting_steps`, as lists of tuples.
 `monomial_terms` is one window-shaped term per multi-index, the powers taken
@@ -74,7 +72,7 @@ from hardylab.grid import (
     region_slices, region_values, sup_norm,
 )
 from hardylab.lipschitz import LipschitzOrder, _half_space, _visiting_steps, difference_op
-from hardylab.maximal import _kernel, _smooth_length, bump_profile, convolve_dilated, maximal_scales
+from hardylab.maximal import bump_profile, convolve_dilated, maximal_scales
 from hardylab.orlicz import _REL_TOL, OrliczFunction
 from hardylab.oscillation import _BATCH_FLOATS, BallFamily, bmo_local_norm, lmo_norm
 from hardylab.projection import multi_indices, poly_project
@@ -235,30 +233,6 @@ def maximal_taps(f: GridFunction, local: bool = False) -> GridFunction:
     out = np.zeros(f.spec.shape)
     for t in maximal_scales(f.spec, local):
         np.maximum(out, np.abs(convolve_dilated(f, t).values), out=out)
-    return f.with_values(out)
-
-
-def maximal_irfftn(f: GridFunction, local: bool = False) -> GridFunction:
-    """`maximal.maximal_fn` with each product inverted by `irfftn` over all L
-    rows of every axis, and the window [h, h + m) cut from the result."""
-    m, dim = f.spec.points_per_axis, f.spec.dim
-    axes = tuple(range(dim))
-    kernels = [_kernel(f.spec, t) for t in reversed(maximal_scales(f.spec, local))]
-    shape = (_smooth_length(m + kernels[0].shape[0] // 2),) * dim
-
-    def convolve(transform, kern):
-        h = kern.shape[0] // 2
-        spectrum = transform * np.fft.rfftn(kern, s=shape, axes=axes)
-        return np.fft.irfftn(spectrum, s=shape, axes=axes)[(slice(h, h + m),) * dim]
-
-    e = int(np.frexp(np.max(np.abs(f.values)))[1])
-    transform = np.fft.rfftn(np.ldexp(f.values, -e), s=shape, axes=axes)
-    out = np.zeros(f.spec.shape)
-    for kern in kernels:
-        np.maximum(out, np.abs(convolve(transform, kern)), out=out)
-    out = np.ldexp(out, e)
-    reach = convolve(np.fft.rfftn(f.values != 0, s=shape, axes=axes), kernels[0] != 0)
-    out[reach < 0.5] = 0.0
     return f.with_values(out)
 
 

@@ -8,7 +8,7 @@ from scipy.signal import convolve
 from hardylab.generators import random_smooth_field, step_field
 from hardylab.grid import GridFunction, GridSpec, dyadic_scales
 from hardylab.maximal import _kernel, bump_profile, convolve_dilated, maximal_fn
-from scalar_oracles import from_callable, maximal_irfftn, maximal_taps, meshes
+from scalar_oracles import from_callable, maximal_taps, meshes
 
 
 def _indicator(spec, lo, hi):
@@ -223,22 +223,6 @@ def test_fft_ladder_matches_tap_sum(spec, kind, local):
     out = maximal_fn(f, local).values
     assert np.max(np.abs(out - oracle)) <= 1e-13 * np.max(oracle)
     assert np.array_equal(out == 0.0, oracle == 0.0)
-
-
-@pytest.mark.parametrize("spec", [
-    GridSpec(1, 8.0, 257), GridSpec(2, 8.0, 65), GridSpec(2, 3.7, 100), GridSpec(2, 8.0, 129),
-], ids=str)
-@pytest.mark.parametrize("local", [False, True])
-def test_fft_kept_rows_equal_full_inverse(spec, local):
-    """The inverse on the kept rows is bit for bit the full irfftn's window, on
-    both sides of the size (2d m of about 100) from which numpy computes the
-    spectra's product in place of its temporary."""
-    rng = np.random.default_rng(spec.points_per_axis)
-    x = meshes(spec)
-    corner = bump_profile(np.sqrt(sum((xi - 0.8 * spec.halfwidth) ** 2 for xi in x)) / 0.5)
-    for f in (random_smooth_field(spec, rng), step_field(spec),
-              GridFunction(spec, rng.normal(size=spec.shape)), GridFunction(spec, corner)):
-        assert np.array_equal(maximal_fn(f, local).values, maximal_irfftn(f, local).values)
 
 
 def test_fft_keeps_exact_zeros_beyond_reach():
